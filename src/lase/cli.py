@@ -255,8 +255,7 @@ def _load_signatures_arg(arg: str | None):
 def _cmd_fingerprint(args) -> int:
     trace = _read_trace_arg(args.trace)
     signatures = _load_signatures_arg(args.signatures)
-    built = forest.build_forest(trace)
-    findings = fingerprint.scan(trace, signatures, built)
+    findings = fingerprint.scan(trace, signatures)
     if args.format == "jsonl":
         sys.stdout.write(fingerprint.findings_to_jsonl(findings))
     else:

@@ -3,23 +3,26 @@
 A trace file is a "#LASEv1" magic line, "#key<TAB>value" header lines, then
 one tab-separated record per line in the fixed column order: operation
 label, time, duration (empty unless an I/O event), global sequence, ppid,
-pid, tid, image path, args, file path, result (empty means OK). Paths are
-stored verbatim; only raw tabs/newlines inside fields are escaped. Files
-ending in .lase.gz (or any stream starting with the gzip magic) are
-transparently decompressed.
+pid, tid, image path, args, file path, result (empty means OK). Text
+fields escape raw tabs and newlines, and double a backslash only before
+'t', 'n', a backslash, a tab or a newline, so plain Windows paths are
+stored verbatim. Files ending in .lase.gz (or any stream starting with
+the gzip magic) are transparently decompressed.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
+import re
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .errors import BadMagic, NonMonotonicSequence, TraceSyntaxError, TraceValidationError
+from .errors import BadMagic, NonMonotonicSequence, TraceSyntaxError, TraceValidationError, UnknownIrp
 from .events import (
     IMAGE_LOAD,
     PROCESS_CREATE,
@@ -88,51 +91,28 @@ class Trace:
 
 
 # Field escaping: raw TAB -> "\t", raw LF -> "\n"; a literal backslash is
-# doubled only when the next character is 't', 'n' or '\', so ordinary
-# Windows paths pass through byte-verbatim.
+# doubled only when the next character is 't', 'n', '\', TAB or LF, so
+# ordinary Windows paths pass through byte-verbatim and every text round-trips.
+_ESCAPE = {"\t": "\\t", "\n": "\\n", "\\": "\\\\"}
+_ESCAPE_RE = re.compile(r"\\(?=[tn\\\t\n])|[\t\n]")
+_UNESCAPE = {"t": "\t", "n": "\n", "\\": "\\"}
+_UNESCAPE_RE = re.compile(r"\\([tn\\])")
+
+
+def _escape_match(m: re.Match) -> str:
+    return _ESCAPE[m.group()]
+
+
+def _unescape_match(m: re.Match) -> str:
+    return _UNESCAPE[m.group(1)]
+
 
 def escape_field(text: str) -> str:
-    if "\t" not in text and "\n" not in text and "\\" not in text:
-        return text
-    out = []
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch == "\t":
-            out.append("\\t")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\\" and i + 1 < n and text[i + 1] in ("t", "n", "\\"):
-            out.append("\\\\")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _ESCAPE_RE.sub(_escape_match, text)
 
 
 def unescape_field(text: str) -> str:
-    if "\\" not in text:
-        return text
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _UNESCAPE_RE.sub(_unescape_match, text)
 
 
 def parse_timestamp(text: str, base_date: date) -> datetime:
@@ -179,6 +159,18 @@ def _parse_uint(text: str, column: str) -> int:
     return value
 
 
+# Bounded: case and spacing variants of a label are distinct keys, so an
+# adversarial file could otherwise grow the cache without limit.
+@functools.lru_cache(maxsize=1024)
+def _irp_kind(op: str, mode_token: str) -> Irp:
+    """Shared Irp kind for an operation label and I/O mode token."""
+    code = parse_irp_code(op)
+    mode = _MODE_TOKENS.get(mode_token)
+    if mode is None:
+        raise TraceSyntaxError(f"bad I/O mode token {mode_token!r}", column="args")
+    return Irp(code, mode)
+
+
 def decode_line(line: str, header: TraceHeader) -> EventRecord:
     """Decode one record line into a validated EventRecord.
 
@@ -214,11 +206,7 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
     elif op in _KIND_BY_LABEL:
         kind = _KIND_BY_LABEL[op]
     else:
-        code = parse_irp_code(op)
-        mode = _MODE_TOKENS.get(args)
-        if mode is None:
-            raise TraceSyntaxError(f"bad I/O mode token {args!r}", column="args")
-        kind = Irp(code, mode)
+        kind = _irp_kind(op, args)
         args = ""
 
     record = EventRecord(
@@ -349,13 +337,10 @@ class TraceReader:
                                        column="gzip", line_no=self._line_no) from None
             if not chunk:
                 break
-            pending += chunk
-            while True:
-                idx = pending.find(b"\n")
-                if idx < 0:
-                    break
-                yield pending[:idx].decode("utf-8", errors="replace")
-                pending = pending[idx + 1:]
+            lines = (pending + chunk).split(b"\n")
+            pending = lines.pop()
+            for line in lines:
+                yield line.decode("utf-8", errors="replace")
         if pending:
             yield pending.decode("utf-8", errors="replace")
 
@@ -401,8 +386,10 @@ class TraceReader:
                 raise TraceSyntaxError(str(exc), column=exc.column, line_no=self._line_no) from None
             except TraceValidationError as exc:
                 raise TraceValidationError(exc.violations, line_no=self._line_no) from None
+            except UnknownIrp as exc:
+                raise UnknownIrp(exc.name, line_no=self._line_no) from None
             if self._last_seq is not None and record.global_seq <= self._last_seq:
-                raise NonMonotonicSequence(record.global_seq)
+                raise NonMonotonicSequence(record.global_seq, line_no=self._line_no)
             self._last_seq = record.global_seq
             yield record
 
@@ -427,6 +414,9 @@ class _CountingWriter:
         self._inner.flush()
 
 
+_WRITE_BATCH = 1024  # lines encoded per write to the sink
+
+
 def write_trace(trace: Trace, sink, compress: bool = False) -> int:
     """Write a trace; returns the number of bytes written to the sink."""
     if isinstance(sink, (str, Path)):
@@ -434,9 +424,11 @@ def write_trace(trace: Trace, sink, compress: bool = False) -> int:
             return write_trace(trace, fh, compress=compress)
     counter = _CountingWriter(sink)
     out = gzip.GzipFile(fileobj=counter, mode="wb") if compress else counter
-    out.write(_encode_header(trace.header).encode("utf-8"))
-    for record in trace.records:
-        out.write((encode_record(record, trace.header) + "\n").encode("utf-8"))
+    header, records = trace.header, trace.records
+    out.write(_encode_header(header).encode("utf-8"))
+    for start in range(0, len(records), _WRITE_BATCH):
+        lines = [encode_record(r, header) for r in records[start:start + _WRITE_BATCH]]
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
     if compress:
         out.close()
     return counter.count
@@ -453,4 +445,4 @@ def trace_from_records(records: Iterable[EventRecord], header: TraceHeader | Non
 
 def resequence(records: Iterable[EventRecord], start: int = 1) -> list[EventRecord]:
     """Re-stamp global sequence numbers 1..N in the given order."""
-    return [replace(r, global_seq=start + i) for i, r in enumerate(records)]
+    return [r.with_seq(start + i) for i, r in enumerate(records)]

@@ -10,9 +10,11 @@ class LaseError(Exception):
 class UnknownIrp(LaseError):
     """An IRP identifier that is in neither the major nor the minor registry."""
 
-    def __init__(self, name: str):
-        super().__init__(f"unknown IRP identifier: {name!r}")
+    def __init__(self, name: str, line_no: int | None = None):
+        loc = f" at line {line_no}" if line_no is not None else ""
+        super().__init__(f"unknown IRP identifier: {name!r}{loc}")
         self.name = name
+        self.line_no = line_no
 
 
 class TraceSyntaxError(LaseError):
@@ -45,9 +47,11 @@ class BadMagic(LaseError):
 class NonMonotonicSequence(LaseError):
     """Global sequence numbers are not strictly increasing."""
 
-    def __init__(self, at_seq: int):
-        super().__init__(f"global sequence not strictly increasing at {at_seq}")
+    def __init__(self, at_seq: int, line_no: int | None = None):
+        loc = f" (line {line_no})" if line_no is not None else ""
+        super().__init__(f"global sequence not strictly increasing at {at_seq}{loc}")
         self.at_seq = at_seq
+        self.line_no = line_no
 
 
 class PipelineClosed(LaseError):

@@ -52,13 +52,13 @@ class ThreadInfo:
     creator: ProcessKey
 
 
-@dataclass
+@dataclass(slots=True)
 class IoTotals:
     count: int = 0
     duration_us: int = 0
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class ProcessNode:
     key: ProcessKey
     parent: ProcessKey | None
@@ -123,20 +123,18 @@ class _Builder:
         self.findings: list[InjectionFinding] = []
         self._live: dict[int, ProcessNode] = {}
         self._history: dict[int, ProcessNode] = {}  # latest node per pid, live or not
-        self._live_by_image: dict[str, list[ProcessNode]] = {}
+        self._live_by_image: dict[str, dict[ProcessKey, ProcessNode]] = {}
         self._pending: list[tuple[InjectionFinding, datetime]] = []
         self._synthetic_tid = -1
 
     def _add_live(self, node: ProcessNode) -> None:
         self._live[node.key.pid] = node
         self._history[node.key.pid] = node
-        self._live_by_image.setdefault(_norm(node.image_path), []).append(node)
+        self._live_by_image.setdefault(_norm(node.image_path), {})[node.key] = node
 
     def _remove_live(self, node: ProcessNode) -> None:
         self._live.pop(node.key.pid, None)
-        peers = self._live_by_image.get(_norm(node.image_path), [])
-        if node in peers:
-            peers.remove(node)
+        self._live_by_image.get(_norm(node.image_path), {}).pop(node.key, None)
 
     def _preexisting(self, pid: int) -> ProcessNode:
         key = ProcessKey(pid, 0)
@@ -175,7 +173,9 @@ class _Builder:
             self._check_upgrades(node, record.time)
         elif isinstance(kind, Irp):
             node = self._actor(record)
-            totals = node.io_summary.setdefault(kind.code.major, IoTotals())
+            totals = node.io_summary.get(kind.code.major)
+            if totals is None:
+                totals = node.io_summary[kind.code.major] = IoTotals()
             totals.count += 1
             totals.duration_us += record.duration_us or 0
             if kind.code.major in (IRP_MJ_WRITE, IRP_MJ_CREATE):
@@ -232,7 +232,7 @@ class _Builder:
         if owner.threads:  # the first observed thread is always external
             image = _norm(record.image_path)
             if image and image != _norm(owner.image_path):
-                peers = [p for p in self._live_by_image.get(image, ()) if p.key != owner.key]
+                peers = [p for p in self._live_by_image.get(image, {}).values() if p.key != owner.key]
                 if peers:
                     injector = max(peers, key=lambda p: p.key.birth_seq)
                     creator = injector.key

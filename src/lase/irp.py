@@ -9,6 +9,7 @@ a minor rides along as "MAJOR/MINOR" since a minor never stands alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import UnknownIrp
@@ -178,7 +179,7 @@ class IrpCode:
                 raise UnknownIrp(self.minor)
             object.__setattr__(self, "minor", _MINOR_LOOKUP[self.minor.upper()])
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
         """Operation-column form: major label, plus "/minor" when present."""
         if self.minor is None:
@@ -209,12 +210,3 @@ def parse_irp_code(name: str) -> IrpCode:
     if minor is None:
         raise UnknownIrp(name)
     return IrpCode(major, minor)
-
-
-def is_irp_label(name: str) -> bool:
-    """True when the text resolves to a registered IRP identifier."""
-    try:
-        parse_irp_code(name)
-    except UnknownIrp:
-        return False
-    return True

@@ -15,16 +15,20 @@ the analysis modules' tests, and a replay driver for recorded traces.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import random
 import threading
 import time as _time
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from itertools import accumulate
+from typing import Callable, Mapping
 
-from .codec import Trace, TraceHeader
+from .codec import Trace, TraceHeader, resequence
 from .errors import PipelineClosed
 from .events import (
     IMAGE_LOAD,
@@ -85,14 +89,10 @@ class Chunk:
 
 
 def _spans(entries: list[tuple[int, EventRecord]]) -> dict[int, ProducerSpan]:
-    spans: dict[int, ProducerSpan] = {}
+    seqs: dict[int, list[int]] = {}
     for producer_id, rec in entries:
-        prev = spans.get(producer_id)
-        if prev is None:
-            spans[producer_id] = ProducerSpan(1, rec.global_seq, rec.global_seq)
-        else:
-            spans[producer_id] = ProducerSpan(prev.count + 1, prev.first_seq, rec.global_seq)
-    return spans
+        seqs.setdefault(producer_id, []).append(rec.global_seq)
+    return {p: ProducerSpan(len(s), s[0], s[-1]) for p, s in seqs.items()}
 
 
 @dataclass
@@ -114,7 +114,7 @@ class EventPipeline:
         self.priority_events: list[tuple[int, EventRecord]] = []
         self.evicted_events: list[tuple[int, EventRecord]] = []
         self._priority_sink = priority_sink
-        self._ring: list[tuple[int, EventRecord]] = []
+        self._ring: deque[tuple[int, EventRecord]] = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
@@ -136,7 +136,7 @@ class EventPipeline:
                 self.stats.rejected += 1
                 return SubmitResult.DROPPED
             if is_priority:
-                record = replace(proto_event, global_seq=self._next_seq)
+                record = proto_event.with_seq(self._next_seq)
                 self._next_seq += 1
                 self.stats.accepted += 1
                 self.stats.priority_delivered += 1
@@ -150,7 +150,7 @@ class EventPipeline:
                     self.stats.rejected += 1
                     return SubmitResult.DROPPED
                 if policy is BackpressurePolicy.DROP_OLDEST:
-                    self.evicted_events.append(self._ring.pop(0))
+                    self.evicted_events.append(self._ring.popleft())
                     self.stats.evicted += 1
                     break
                 if not block:
@@ -159,7 +159,7 @@ class EventPipeline:
                 if self._closed:
                     self.stats.rejected += 1
                     return SubmitResult.DROPPED
-            record = replace(proto_event, global_seq=self._next_seq)
+            record = proto_event.with_seq(self._next_seq)
             self._next_seq += 1
             self.stats.accepted += 1
             self._ring.append((producer_id, record))
@@ -182,8 +182,8 @@ class EventPipeline:
                     return Chunk((), {})
                 if not self._not_empty.wait(timeout=timeout):
                     return Chunk((), {})
-            taken = self._ring[:limit]
-            del self._ring[:limit]
+            ring = self._ring
+            taken = [ring.popleft() for _ in range(min(limit, len(ring)))]
             self.stats.drained += len(taken)
             self._not_full.notify_all()
             return Chunk(tuple(rec for _, rec in taken), _spans(taken))
@@ -194,10 +194,6 @@ class EventPipeline:
             self._closed = True
             self._not_empty.notify_all()
             self._not_full.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def buffered(self) -> int:
         with self._lock:
@@ -281,8 +277,25 @@ class _Proc:
         self.children = 0
 
 
-def _weighted_choice(rng: random.Random, items: list, weights: list[float]):
-    return rng.choices(items, weights=weights, k=1)[0]
+_pid_of = operator.attrgetter("pid")
+
+
+def _insert_by_pid(procs: list[_Proc], proc: _Proc) -> None:
+    procs.insert(bisect.bisect(procs, proc.pid, key=_pid_of), proc)
+
+
+def _remove_by_pid(procs: list[_Proc], proc: _Proc) -> None:
+    del procs[bisect.bisect_left(procs, proc.pid, key=_pid_of)]
+
+
+def _weighted_choice(rng: random.Random, items: list, cum_weights: list[float]):
+    return rng.choices(items, cum_weights=cum_weights, k=1)[0]
+
+
+_API_KINDS = tuple(Annotation("api", api) for api in _API_POOL)
+_TICKS = tuple(timedelta(milliseconds=ms) for ms in range(5))
+_IRP_MODES = (IoMode.SYNCHRONOUS, IoMode.ASYNCHRONOUS, IoMode.PAGING_IO)
+_IRP_MODE_CUM_WEIGHTS = list(accumulate((0.9, 0.07, 0.03)))
 
 
 def run_synthetic(spec: WorkloadSpec) -> Trace:
@@ -295,22 +308,28 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         return Trace(header, ())
 
     kinds = list(spec.mix.keys())
-    weights = [spec.mix[k] for k in kinds]
+    kind_cum_weights = list(accumulate(spec.mix[k] for k in kinds))
     branch_vals = list(spec.branching.keys())
-    branch_weights = [spec.branching[v] for v in branch_vals]
+    branch_cum_weights = list(accumulate(spec.branching[v] for v in branch_vals))
 
     records: list[EventRecord] = []
     seq = 1
     now = spec.start_time
     next_pid = 4000
     next_tid = 9001
+    # Live processes in pid (= spawn) order, and the two subsets that draws
+    # pick from. Each subset keeps pid order, so it is the list a scan of
+    # `live` would build, and every RNG draw picks the same process.
     live: list[_Proc] = []
+    open_slots: list[_Proc] = []  # children < want_children
+    threaded: list[_Proc] = []    # at least one live thread
+    irp_kinds: dict[str, list[Irp]] = {}  # mix token -> kind per I/O mode draw
 
     def emit(kind: EventKind, pid: int, ppid: int = 0, tid: int = 0,
              duration: int | None = None, image: str = "", args: str = "",
              file_path: str = "", result: str = "OK") -> None:
         nonlocal seq, now
-        now = now + timedelta(milliseconds=rng.randint(0, 4))
+        now += _TICKS[rng.randrange(len(_TICKS))]
         records.append(EventRecord(
             global_seq=seq, time=now, kind=kind, pid=pid, ppid=ppid, tid=tid,
             duration_us=duration, image_path=image, args=args,
@@ -318,20 +337,39 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         ))
         seq += 1
 
-    def spawn(image: str | None = None, parent: _Proc | None = None) -> _Proc:
+    def spawn(image: str | None = None) -> _Proc:
         nonlocal next_pid
-        if parent is None:
-            candidates = [p for p in live if p.children < p.want_children] or live
-            parent = rng.choice(candidates) if candidates else None
+        candidates = open_slots or live
+        parent = rng.choice(candidates) if candidates else None
         pid = next_pid
         next_pid += 2
-        proc = _Proc(pid, image or rng.choice(_IMAGE_POOL), _weighted_choice(rng, branch_vals, branch_weights))
+        proc = _Proc(pid, image or rng.choice(_IMAGE_POOL),
+                     _weighted_choice(rng, branch_vals, branch_cum_weights))
         ppid = parent.pid if parent else 4  # 4 = pre-existing system root
         emit(PROCESS_CREATE, pid=pid, ppid=ppid, image=proc.image, args=rng.choice(_ARGS_POOL))
         if parent:
             parent.children += 1
+            if parent.children == parent.want_children:
+                _remove_by_pid(open_slots, parent)
         live.append(proc)
+        if proc.want_children > 0:
+            open_slots.append(proc)
         return proc
+
+    def add_thread(proc: _Proc, tid: int) -> None:
+        if not proc.tids:
+            _insert_by_pid(threaded, proc)
+        proc.tids.append(tid)
+
+    def irp_kind(token: str) -> Irp:
+        options = irp_kinds.get(token)
+        if options is None:
+            code = IrpCode(token[4:])
+            modes = (IoMode.FAST_IO,) if code.major in FAST_IO_MAJORS else _IRP_MODES
+            options = irp_kinds[token] = [Irp(code, mode) for mode in modes]
+        if len(options) == 1:
+            return options[0]
+        return _weighted_choice(rng, options, _IRP_MODE_CUM_WEIGHTS)
 
     def rand_file(rng: random.Random) -> str:
         return (f"C:\\Users\\lab\\AppData\\{rng.choice(_FILE_STEMS)}"
@@ -342,46 +380,45 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         spawn()  # bootstrap root consumes one event
         budget -= 1
     while budget > 0:
-        token = _weighted_choice(rng, kinds, weights)
+        token = _weighted_choice(rng, kinds, kind_cum_weights)
         # Kinds that need unavailable state fall back to an image load so
         # the event budget always advances.
         if token == "ProcessExit" and len(live) <= 1:
             token = "ImageLoad"
-        if token == "ThreadExit" and not any(p.tids for p in live):
+        if token == "ThreadExit" and not threaded:
             token = "ImageLoad"
         if token == "ProcessCreate":
             spawn()
         elif token == "ProcessExit":
-            proc = rng.choice(live[1:])  # keep the bootstrap root alive
-            live.remove(proc)
+            proc = live.pop(1 + rng.randrange(len(live) - 1))  # keep the bootstrap root alive
+            if proc.children < proc.want_children:
+                _remove_by_pid(open_slots, proc)
+            if proc.tids:
+                _remove_by_pid(threaded, proc)
             emit(PROCESS_EXIT, pid=proc.pid, image=proc.image)
         elif token == "ThreadCreate":
             proc = rng.choice(live)
             tid = next_tid
             next_tid += 2
-            proc.tids.append(tid)
+            add_thread(proc, tid)
             emit(THREAD_CREATE, pid=proc.pid, tid=tid, image=proc.image)
         elif token == "ThreadExit":
-            pool = [p for p in live if p.tids]
-            proc = rng.choice(pool)
+            proc = rng.choice(threaded)
             tid = proc.tids.pop(rng.randrange(len(proc.tids)))
+            if not proc.tids:
+                _remove_by_pid(threaded, proc)
             emit(THREAD_EXIT, pid=proc.pid, tid=tid, image=proc.image)
         elif token == "ImageLoad":
             proc = rng.choice(live)
             emit(IMAGE_LOAD, pid=proc.pid, image=proc.image, file_path=rng.choice(_DLL_POOL))
         elif token == "Annotation":
             proc = rng.choice(live)
-            emit(Annotation("api", rng.choice(_API_POOL)), pid=proc.pid)
+            emit(rng.choice(_API_KINDS), pid=proc.pid)
         elif token.startswith("Irp:"):
             proc = rng.choice(live)
-            code = IrpCode(token[4:])
-            if code.major in FAST_IO_MAJORS:
-                mode = IoMode.FAST_IO
-            else:
-                mode = _weighted_choice(rng, [IoMode.SYNCHRONOUS, IoMode.ASYNCHRONOUS, IoMode.PAGING_IO],
-                                        [0.9, 0.07, 0.03])
+            kind = irp_kind(token)
             tid = rng.choice(proc.tids) if proc.tids else 0
-            emit(Irp(code, mode), pid=proc.pid, tid=tid,
+            emit(kind, pid=proc.pid, tid=tid,
                  duration=rng.randint(10, 5000), image=proc.image, file_path=rand_file(rng))
         else:
             raise ValueError(f"unknown mix token {token!r}")
@@ -392,11 +429,11 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         target = spawn(image="%ProgramFiles%\\victim\\service.exe")
         tid0 = next_tid
         next_tid += 2
-        target.tids.append(tid0)
+        add_thread(target, tid0)
         emit(THREAD_CREATE, pid=target.pid, tid=tid0, image=target.image)  # initial thread
         tid1 = next_tid
         next_tid += 2
-        target.tids.append(tid1)
+        add_thread(target, tid1)
         emit(THREAD_CREATE, pid=target.pid, tid=tid1, image=injector.image)  # remote
         if i % 2 == 0:
             emit(IMAGE_LOAD, pid=target.pid, image=target.image,
@@ -434,7 +471,7 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
                 if gap > 0:
                     _time.sleep(gap / speed)
             prev_time = record.time
-            pipeline.submit(0, replace(record, global_seq=0))
+            pipeline.submit(0, record)
 
     def consume() -> None:
         local: list[EventRecord] = []
@@ -457,8 +494,7 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     for t in consumer_threads:
         t.join()
     out.sort(key=lambda r: r.global_seq)
-    reseq = [replace(r, global_seq=i + 1) for i, r in enumerate(out)]
-    return Trace(trace.header, tuple(reseq))
+    return Trace(trace.header, _resequenced(out))
 
 
 def _replay_single(trace: Trace, speed: float, config: PipelineConfig | None) -> Trace:
@@ -479,28 +515,21 @@ def _replay_single(trace: Trace, speed: float, config: PipelineConfig | None) ->
             if gap > 0:
                 _time.sleep(gap / speed)
         prev_time = record.time
-        while pipeline.submit(0, replace(record, global_seq=0), block=False) is SubmitResult.WOULD_BLOCK:
+        while pipeline.submit(0, record, block=False) is SubmitResult.WOULD_BLOCK:
             pump()
     pump()
     pipeline.close()
-    reseq = [replace(r, global_seq=i + 1) for i, r in enumerate(out)]
-    return Trace(trace.header, tuple(reseq))
+    return Trace(trace.header, _resequenced(out))
 
 
-def pump_through_pipeline(records: Iterable[EventRecord], pipeline: EventPipeline,
-                          producer_id: int = 0) -> list[EventRecord]:
-    """Single-threaded helper: submit all records, draining on backpressure."""
-    out: list[EventRecord] = []
-    for record in records:
-        while pipeline.submit(producer_id, record, block=False) is SubmitResult.WOULD_BLOCK:
-            chunk = pipeline.drain(block=False)
-            out.extend(chunk.records)
-    while True:
-        chunk = pipeline.drain(block=False)
-        if not chunk.records:
-            break
-        out.extend(chunk.records)
-    return out
+def _resequenced(records: list[EventRecord]) -> tuple[EventRecord, ...]:
+    """Stamp 1..N on records sorted by their unique pipeline sequence.
+
+    A lossless run already carries exactly 1..N, so it is not copied again.
+    """
+    if records and records[-1].global_seq != len(records):
+        records = resequence(records)
+    return tuple(records)
 
 
 class WriteBackConsumer:

@@ -5,7 +5,7 @@ import random
 from datetime import date, datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_record, random_trace
@@ -30,6 +30,7 @@ from lase.errors import (
     NonMonotonicSequence,
     TraceSyntaxError,
     TraceValidationError,
+    UnknownIrp,
 )
 from lase.events import Annotation, IoMode, Irp, ProcessCreate
 
@@ -227,6 +228,32 @@ def test_swapped_lines_raise_non_monotonic(fixture_path):
         read_trace(data.encode())
 
 
+_IRP_LINE = "IRP_Read\t09:00:00:000\t5\t{seq}\t0\t44\t0\tC:\\x.exe\t\tC:\\f\t"
+
+
+def _trace_text(*body: str) -> bytes:
+    return ("#LASEv1\n#date\t2024/01/01\n" + "\n".join(body) + "\n").encode()
+
+
+def test_non_monotonic_error_carries_line_number():
+    data = _trace_text(_IRP_LINE.format(seq=1), _IRP_LINE.format(seq=5), _IRP_LINE.format(seq=5))
+    with pytest.raises(NonMonotonicSequence) as exc:
+        read_trace(data)
+    assert exc.value.at_seq == 5
+    assert exc.value.line_no == 5
+    assert "line 5" in str(exc.value)
+
+
+def test_unknown_irp_error_carries_line_number():
+    bogus = _IRP_LINE.format(seq=2).replace("IRP_Read", "IRP_Bogus")
+    data = _trace_text(_IRP_LINE.format(seq=1), bogus)
+    with pytest.raises(UnknownIrp) as exc:
+        read_trace(data)
+    assert exc.value.name == "IRP_Bogus"
+    assert exc.value.line_no == 4
+    assert "line 4" in str(exc.value)
+
+
 def test_gzip_autodetected_regardless_of_name(tmp_path, fixture_trace):
     path = tmp_path / "oddname.bin"
     write_trace(fixture_trace, path, compress=True)
@@ -282,6 +309,18 @@ def test_resequence():
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60))
 def test_escape_round_trip(text):
+    escaped = escape_field(text)
+    assert "\t" not in escaped and "\n" not in escaped
+    assert unescape_field(escaped) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab\\tn\t\n", max_size=16))
+@example("\\\n")
+@example("\\\t")
+def test_escape_round_trip_backslash_alphabet(text):
+    # A backslash before a raw TAB or LF must survive; the full-Unicode
+    # round trip above rarely draws that pair.
     escaped = escape_field(text)
     assert "\t" not in escaped and "\n" not in escaped
     assert unescape_field(escaped) == text

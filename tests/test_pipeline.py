@@ -425,6 +425,16 @@ def test_replay_with_tiny_ring(fixture_trace):
     assert len(replayed) == 38
 
 
+def test_lossy_replay_is_resequenced(fixture_trace):
+    config = PipelineConfig(ring_capacity=4, chunk_size=2,
+                            backpressure_policy=BackpressurePolicy.DROP_OLDEST)
+    replayed = replay_fixture(fixture_trace, config=config)
+    # Only the last four survive eviction; they are re-stamped 1..4.
+    assert [r.global_seq for r in replayed.records] == [1, 2, 3, 4]
+    assert [record_content_key(r) for r in replayed.records] == \
+        [record_content_key(r) for r in fixture_trace.records[-4:]]
+
+
 def test_write_back_consumer_batches_flushes():
     from lase.pipeline import WriteBackConsumer
     pipeline = EventPipeline(PipelineConfig(ring_capacity=64, chunk_size=16))
