@@ -6,7 +6,9 @@ label, time, duration (empty unless an I/O event), global sequence, ppid,
 pid, tid, image path, args, file path, result (empty means OK). Text
 fields escape raw tabs and newlines, and double a backslash only before
 't', 'n', a backslash, a tab or a newline, so plain Windows paths are
-stored verbatim. Files ending in .lase.gz (or any stream starting with
+stored verbatim. Numbers follow one strict grammar (ASCII digits, fixed
+time widths, no sign or leading zero), so every accepted line re-encodes
+to the same bytes. Files ending in .lase.gz (or any stream starting with
 the gzip magic) are transparently decompressed.
 """
 
@@ -20,7 +22,7 @@ import zlib
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NoReturn
 
 from .errors import BadMagic, NonMonotonicSequence, TraceSyntaxError, TraceValidationError, UnknownIrp
 from .events import (
@@ -107,12 +109,44 @@ def _unescape_match(m: re.Match) -> str:
     return _UNESCAPE[m.group(1)]
 
 
+# Bounded memo: traces repeat a few thousand paths, so most lookups hit and
+# decoded records share one string per path, while a file with endless
+# distinct paths cannot grow it.
+_FIELD_MEMO = 4096
+
+
+@functools.lru_cache(maxsize=_FIELD_MEMO)
 def escape_field(text: str) -> str:
     return _ESCAPE_RE.sub(_escape_match, text)
 
 
+@functools.lru_cache(maxsize=_FIELD_MEMO)
 def unescape_field(text: str) -> str:
     return _UNESCAPE_RE.sub(_unescape_match, text)
+
+
+# The strict time and integer grammar, written once and shared by
+# parse_timestamp, _parse_uint and the record-line pattern. Digits are
+# ASCII, time fields have fixed widths, and an integer has no sign, space,
+# underscore or leading zero ("0" itself is fine), so every accepted line
+# re-encodes to the same bytes.
+_UINT = r"0|[1-9][0-9]*"
+_TIME = r"(?:([0-9]{4})/([0-9]{2})/([0-9]{2})-)?([0-9]{2}:[0-9]{2}:[0-9]{2}):([0-9]{3})"
+_TEXT = r"([^\t]*)"
+_UINT_RE = re.compile(_UINT)
+_TIME_RE = re.compile(_TIME)
+_LINE_RE = re.compile("\t".join(
+    [_TEXT, _TIME, f"({_UINT})?", *[f"({_UINT})"] * 4, *[_TEXT] * 4]))
+_UINT64_MAX = 2**64 - 1
+
+_iso_date = functools.lru_cache(maxsize=16)(date.isoformat)
+
+
+def _datetime(year: str | None, month: str | None, day: str | None, clock: str, millis: str,
+              base_date: date) -> datetime:
+    """Datetime from _TIME's groups; ValueError when a field is out of range."""
+    day_text = _iso_date(base_date) if year is None else f"{year}-{month}-{day}"
+    return datetime.fromisoformat(f"{day_text}T{clock}.{millis}")
 
 
 def parse_timestamp(text: str, base_date: date) -> datetime:
@@ -121,22 +155,13 @@ def parse_timestamp(text: str, base_date: date) -> datetime:
     Field widths are fixed (zero-padded), so every accepted line re-encodes
     byte-identically.
     """
-    try:
-        if "-" in text:
-            date_part, time_part = text.split("-", 1)
-            y, mo, d = date_part.split("/")
-            if (len(y), len(mo), len(d)) != (4, 2, 2):
-                raise ValueError("date field widths")
-            day = date(int(y), int(mo), int(d))
-        else:
-            time_part = text
-            day = base_date
-        h, mi, s, ms = time_part.split(":")
-        if (len(h), len(mi), len(s), len(ms)) != (2, 2, 2, 3):
-            raise ValueError("time field widths")
-        return datetime(day.year, day.month, day.day, int(h), int(mi), int(s), int(ms) * 1000)
-    except (ValueError, IndexError):
-        raise TraceSyntaxError(f"bad timestamp {text!r}", column="time") from None
+    match = _TIME_RE.fullmatch(text)
+    if match is not None:
+        try:
+            return _datetime(*match.groups(), base_date)
+        except ValueError:
+            pass
+    raise TraceSyntaxError(f"bad timestamp {text!r}", column="time")
 
 
 def format_timestamp(when: datetime, base_date: date | None = None) -> str:
@@ -147,11 +172,8 @@ def format_timestamp(when: datetime, base_date: date | None = None) -> str:
     return f"{when.year:04d}/{when.month:02d}/{when.day:02d}-{clock}"
 
 
-_UINT64_MAX = 2**64 - 1
-
-
 def _parse_uint(text: str, column: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    if _UINT_RE.fullmatch(text) is None:
         raise TraceSyntaxError(f"expected unsigned integer, got {text!r}", column=column)
     value = int(text)
     if value > _UINT64_MAX:
@@ -171,12 +193,12 @@ def _irp_kind(op: str, mode_token: str) -> Irp:
     return Irp(code, mode)
 
 
-def decode_line(line: str, header: TraceHeader) -> EventRecord:
-    """Decode one record line into a validated EventRecord.
+def _reject(line: str, header: TraceHeader) -> NoReturn:
+    """Raise the error for a line that decode_line's line pattern or range
+    checks refused.
 
-    Raises TraceSyntaxError for malformed fields, TraceValidationError when
-    the decoded record breaks a structural invariant, and UnknownIrp for an
-    unregistered operation label.
+    Runs the per-field checks in decode order, so the error class and
+    column are those of the first bad field.
     """
     fields = line.split("\t")
     if len(fields) != len(_COLUMNS):
@@ -184,19 +206,36 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
             f"expected {len(_COLUMNS)} tab-separated fields, got {len(fields)}",
             column="line",
         )
-    op, time_text, dur_text, seq_text, ppid_text, pid_text, tid_text = fields[:7]
-    image = unescape_field(fields[7])
-    args = unescape_field(fields[8])
-    file_path = unescape_field(fields[9])
-    result = fields[10] or RESULT_OK
+    parse_timestamp(fields[1], header.base_date)
+    for text, column in zip(fields[3:7], _COLUMNS[3:7]):
+        _parse_uint(text, column)
+    if fields[2]:
+        _parse_uint(fields[2], "duration_us")
+    raise AssertionError(f"line pattern and field checks disagree on {line!r}")
 
-    when = parse_timestamp(time_text, header.base_date)
-    seq = _parse_uint(seq_text, "global_seq")
-    ppid = _parse_uint(ppid_text, "ppid")
-    pid = _parse_uint(pid_text, "pid")
-    tid = _parse_uint(tid_text, "tid")
-    duration = _parse_uint(dur_text, "duration_us") if dur_text else None
 
+def decode_line(line: str, header: TraceHeader) -> EventRecord:
+    """Decode one record line into a validated EventRecord.
+
+    Raises TraceSyntaxError for malformed fields, TraceValidationError when
+    the decoded record breaks a structural invariant, and UnknownIrp for an
+    unregistered operation label.
+    """
+    match = _LINE_RE.fullmatch(line)
+    if match is None:
+        _reject(line, header)
+    (op, year, month, day, clock, millis, dur_text, seq, ppid, pid, tid,
+     image, args, file_path, result) = match.groups()
+    try:
+        when = _datetime(year, month, day, clock, millis, header.base_date)
+    except ValueError:
+        _reject(line, header)
+    seq, ppid, pid, tid = int(seq), int(ppid), int(pid), int(tid)
+    duration = None if dur_text is None else int(dur_text)
+    if max(seq, ppid, pid, tid, duration or 0) > _UINT64_MAX:
+        _reject(line, header)
+
+    args = unescape_field(args)
     if op == "Annot":
         key, sep, value = args.partition("=")
         if not sep or not key:
@@ -209,11 +248,8 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
         kind = _irp_kind(op, args)
         args = ""
 
-    record = EventRecord(
-        global_seq=seq, time=when, kind=kind, pid=pid, ppid=ppid, tid=tid,
-        duration_us=duration, image_path=image, args=args,
-        file_path=file_path, result=result,
-    )
+    record = EventRecord(seq, when, kind, pid, ppid, tid, duration, unescape_field(image),
+                         args, unescape_field(file_path), result or RESULT_OK)
     violations = validate_record(record)
     if violations:
         raise TraceValidationError(violations)
@@ -299,99 +335,109 @@ class _Prefixed(io.RawIOBase):
 
 
 def _open_for_read(source) -> IO[bytes]:
-    if isinstance(source, (str, Path)):
-        raw: IO[bytes] = open(source, "rb")
-    elif isinstance(source, (bytes, bytearray)):
-        raw = io.BytesIO(bytes(source))
-    else:
-        raw = source
-    head = raw.read(2)
-    buffered = io.BufferedReader(_Prefixed(raw, head))
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(bytes(source))
+    head = source.read(2)
+    buffered = io.BufferedReader(_Prefixed(source, head))
     if head == b"\x1f\x8b":
         return gzip.GzipFile(fileobj=buffered)  # type: ignore[return-value]
     return buffered
+
+
+_BLOCK = 65536  # bytes read (and decoded) at a time
 
 
 class TraceReader:
     """Streaming reader: exposes the header up front, then iterates records.
 
     Memory use is bounded by line length, not trace size. Sequence
-    monotonicity and per-record validation are enforced on the fly.
+    monotonicity and per-record validation are enforced on the fly. A file
+    the reader opened from a path is closed once iteration ends, or by
+    close().
     """
 
     def __init__(self, source):
-        self._stream = _open_for_read(source)
-        self._lines = self._read_lines()
+        self._file = open(source, "rb") if isinstance(source, (str, Path)) else None
         self._line_no = 0
-        self._last_seq: int | None = None
-        self._pending_line: str | None = None
-        self.header = self._read_header()
-
-    def _read_lines(self) -> Iterator[str]:
-        pending = b""
-        while True:
-            try:
-                chunk = self._stream.read(65536)
-            except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-                raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
-                                       column="gzip", line_no=self._line_no) from None
-            if not chunk:
-                break
-            lines = (pending + chunk).split(b"\n")
-            pending = lines.pop()
-            for line in lines:
-                yield line.decode("utf-8", errors="replace")
-        if pending:
-            yield pending.decode("utf-8", errors="replace")
-
-    def _read_header(self) -> TraceHeader:
+        self._pending = b""
         try:
-            first = next(self._lines)
-        except StopIteration:
-            raise BadMagic("empty stream") from None
+            self._stream = _open_for_read(source if self._file is None else self._file)
+            self.header, self._body = self._read_header()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Close the file the reader opened; a caller's stream stays open."""
+        if self._file is not None:
+            self._file.close()
+
+    def _read_block(self) -> list[str] | None:
+        """The complete lines of the next block, decoded at once; None at the end."""
+        try:
+            chunk = self._stream.read(_BLOCK)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
+                                   column="gzip", line_no=self._line_no) from None
+        if not chunk:
+            if not self._pending:
+                return None
+            chunk, self._pending = self._pending, b""
+            return [chunk.decode("utf-8", errors="replace")]
+        data = self._pending + chunk
+        end = data.rfind(b"\n")
+        self._pending = data[end + 1:]
+        if end < 0:
+            return []
+        return data[:end].decode("utf-8", errors="replace").split("\n")
+
+    def _read_header(self) -> tuple[TraceHeader, list[str]]:
+        """The header, and the lines of the block read so far that follow it."""
+        lines: list[str] | None = []
+        while lines == []:
+            lines = self._read_block()
+        if lines is None:
+            raise BadMagic("empty stream")
         self._line_no = 1
-        if first != MAGIC:
-            raise BadMagic(f"expected {MAGIC!r} magic line, got {first[:32]!r}")
+        if lines[0] != MAGIC:
+            raise BadMagic(f"expected {MAGIC!r} magic line, got {lines[0][:32]!r}", line_no=1)
         kv: dict = {}
-        for line in self._lines:
-            self._line_no += 1
-            if line.startswith("#"):
+        del lines[0]
+        while lines is not None:
+            for i, line in enumerate(lines):
+                if not line.startswith("#"):
+                    return TraceHeader(**kv), lines[i:]
+                self._line_no += 1
                 _parse_header_line(line, kv, self._line_no)
-            else:
-                self._pending_line = line
-                break
-        return TraceHeader(**kv)
-
-    def _next_line(self) -> str | None:
-        if self._pending_line is not None:
-            line, self._pending_line = self._pending_line, None
-            return line
-        try:
-            line = next(self._lines)
-        except StopIteration:
-            return None
-        self._line_no += 1
-        return line
+            lines = self._read_block()
+        return TraceHeader(**kv), []
 
     def __iter__(self) -> Iterator[EventRecord]:
-        while True:
-            line = self._next_line()
-            if line is None:
-                return
-            if line == "":
-                continue
-            try:
-                record = decode_line(line, self.header)
-            except TraceSyntaxError as exc:
-                raise TraceSyntaxError(str(exc), column=exc.column, line_no=self._line_no) from None
-            except TraceValidationError as exc:
-                raise TraceValidationError(exc.violations, line_no=self._line_no) from None
-            except UnknownIrp as exc:
-                raise UnknownIrp(exc.name, line_no=self._line_no) from None
-            if self._last_seq is not None and record.global_seq <= self._last_seq:
-                raise NonMonotonicSequence(record.global_seq, line_no=self._line_no)
-            self._last_seq = record.global_seq
-            yield record
+        header, line_no, last_seq = self.header, self._line_no, -1
+        lines: list[str] | None
+        lines, self._body = self._body, []
+        try:
+            while lines is not None:
+                for line in lines:
+                    line_no += 1
+                    if not line:
+                        continue
+                    try:
+                        record = decode_line(line, header)
+                    except TraceSyntaxError as exc:
+                        raise TraceSyntaxError(str(exc), column=exc.column, line_no=line_no) from None
+                    except TraceValidationError as exc:
+                        raise TraceValidationError(exc.violations, line_no=line_no) from None
+                    except UnknownIrp as exc:
+                        raise UnknownIrp(exc.name, line_no=line_no) from None
+                    if record.global_seq <= last_seq:
+                        raise NonMonotonicSequence(record.global_seq, line_no=line_no)
+                    last_seq = record.global_seq
+                    yield record
+                self._line_no = line_no
+                lines = self._read_block()
+        finally:
+            self.close()
 
 
 def read_trace(source) -> Trace:

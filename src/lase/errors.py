@@ -43,6 +43,11 @@ class TraceValidationError(LaseError):
 class BadMagic(LaseError):
     """Trace stream does not start with the expected magic line."""
 
+    def __init__(self, message: str, line_no: int | None = None):
+        loc = f" at line {line_no}" if line_no is not None else ""
+        super().__init__(message + loc)
+        self.line_no = line_no
+
 
 class NonMonotonicSequence(LaseError):
     """Global sequence numbers are not strictly increasing."""

@@ -330,11 +330,8 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
              file_path: str = "", result: str = "OK") -> None:
         nonlocal seq, now
         now += _TICKS[rng.randrange(len(_TICKS))]
-        records.append(EventRecord(
-            global_seq=seq, time=now, kind=kind, pid=pid, ppid=ppid, tid=tid,
-            duration_us=duration, image_path=image, args=args,
-            file_path=file_path, result=result,
-        ))
+        records.append(EventRecord(seq, now, kind, pid, ppid, tid, duration, image, args,
+                                   file_path, result))
         seq += 1
 
     def spawn(image: str | None = None) -> _Proc:

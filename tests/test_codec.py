@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import random
 from datetime import date, datetime
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import random_record, random_trace
 
 from lase.codec import (
+    _FIELD_MEMO,
     Trace,
     TraceHeader,
     TraceReader,
@@ -366,3 +368,172 @@ def test_fuzz_read_trace_structured_errors_only(fixture_trace):
             read_trace(blob)
         except LaseError:
             pass
+
+
+# Decode errors, pinned by class and column (None for errors without one).
+# Columns in order: operation, time, duration_us, global_seq, ppid, pid, tid,
+# image_path, args, file_path, result.
+_COLS = ("operation", "time", "duration_us", "global_seq", "ppid", "pid", "tid",
+         "image_path", "args", "file_path", "result")
+_BASE_IRP = ("IRP_Read", "09:00:00:000", "5", "7", "1", "44", "3", "C:\\x.exe", "", "C:\\f", "")
+
+
+def _line(**fields) -> str:
+    row = dict(zip(_COLS, _BASE_IRP))
+    row.update(fields)
+    return "\t".join(row[c] for c in _COLS)
+
+
+_TIME_ERRORS = [
+    # short form: bad text and out-of-range values in each sub-field
+    "x9:00:00:000", "09:x0:00:000", "09:00:x0:000", "09:00:00:x00",
+    "24:00:00:000", "09:60:00:000", "09:00:60:000", "9:00:00:000", "09:00:00:00",
+    "09:00:00", "09-00-00-000", "",
+    # dated form
+    "202x/01/01-09:00:00:000", "2024/x1/01-09:00:00:000", "2024/01/x1-09:00:00:000",
+    "0000/01/01-09:00:00:000", "2024/13/01-09:00:00:000", "2024/00/01-09:00:00:000",
+    "2024/02/30-09:00:00:000", "2024/01/00-09:00:00:000", "24/01/01-09:00:00:000",
+    "2024/01/01-25:00:00:000", "2024/01/01-09:61:00:000", "2024/01/01-09:00:61:000",
+    "2024/01/01-09:00:00:0x0", "2024/01/01-09:00:00", "2024/01/01", "2024/01/01-",
+]
+
+_DECODE_ERRORS = (
+    [("a\tb\tc", TraceSyntaxError, "line"),
+     (_line() + "\textra", TraceSyntaxError, "line"),
+     ("", TraceSyntaxError, "line")]
+    + [(_line(time=t), TraceSyntaxError, "time") for t in _TIME_ERRORS]
+    + [(_line(**{col: bad}), TraceSyntaxError, col)
+       for col in ("duration_us", "global_seq", "ppid", "pid", "tid")
+       for bad in ("x", "-1", str(2**64), "1x", "")
+       if not (col == "duration_us" and bad == "")]
+    + [(_line(args="sideways"), TraceSyntaxError, "args"),
+       (_line(operation="IRP_Bogus"), UnknownIrp, None),
+       (_line(operation="IRP_Bogus", args="sideways"), UnknownIrp, None),
+       (_line(operation="Annot", duration_us="", args="apiRDTSC", file_path=""), TraceSyntaxError, "args"),
+       (_line(operation="Annot", duration_us="", args="=RDTSC", file_path=""), TraceSyntaxError, "args"),
+       (_line(operation="Pr Create", duration_us="", tid="0", image_path=""), TraceValidationError, None),
+       (_line(file_path=""), TraceValidationError, None),
+       # with two faults in one line, the earlier check wins
+       (_line(time="x", pid="x"), TraceSyntaxError, "time"),
+       (_line(global_seq="x", tid="x"), TraceSyntaxError, "global_seq"),
+       (_line(tid="x", duration_us="x"), TraceSyntaxError, "tid"),
+       (_line(duration_us=str(2**64), operation="IRP_Bogus"), TraceSyntaxError, "duration_us"),
+       (_line(time="24:00:00:000", ppid=str(2**64)), TraceSyntaxError, "time"),
+       (_line(ppid=str(2**64), pid="x"), TraceSyntaxError, "ppid"),
+       (_line(operation="IRP_Bogus", file_path=""), UnknownIrp, None),
+       (_line(args="sideways", file_path=""), TraceSyntaxError, "args")]
+)
+
+
+@pytest.mark.parametrize("line, error, column", _DECODE_ERRORS,
+                         ids=[repr(line)[:70] for line, _, _ in _DECODE_ERRORS])
+def test_decode_error_class_and_column(line, error, column):
+    with pytest.raises(LaseError) as exc:
+        decode_line(line, HEADER)
+    assert type(exc.value) is error
+    assert getattr(exc.value, "column", None) == column
+
+
+# Strict numeric grammar: the decoder must refuse, not rewrite, any number
+# that would not re-encode to the same bytes.
+@pytest.mark.parametrize("fields, column", [
+    ({"time": " 9:00:00:000"}, "time"),
+    ({"time": "+9:00:00:000"}, "time"),
+    ({"time": "09:00:00:+12"}, "time"),
+    ({"time": "09:00:00:1_2"}, "time"),
+    ({"time": "09: 0:00:000"}, "time"),
+    ({"time": "\uff10\uff19:00:00:000"}, "time"),  # full-width digits
+    ({"time": "2024/ 1/01-09:00:00:000"}, "time"),
+    ({"time": "+024/01/01-09:00:00:000"}, "time"),
+    ({"global_seq": "0009"}, "global_seq"),
+    ({"global_seq": "00"}, "global_seq"),
+    ({"ppid": "01"}, "ppid"),
+    ({"pid": "044"}, "pid"),
+    ({"tid": "03"}, "tid"),
+    ({"duration_us": "05"}, "duration_us"),
+])
+def test_decode_rejects_non_canonical_numbers(fields, column):
+    with pytest.raises(TraceSyntaxError) as exc:
+        decode_line(_line(**fields), HEADER)
+    assert exc.value.column == column
+    if column == "time":
+        with pytest.raises(TraceSyntaxError):
+            parse_timestamp(fields["time"], HEADER.base_date)
+
+
+def test_zero_and_64_bit_values_stay_valid():
+    top = str(2**64 - 1)
+    line = _line(duration_us="0", global_seq=top, ppid="0", pid=top, tid="0")
+    record = decode_line(line, HEADER)
+    assert (record.duration_us, record.ppid, record.tid) == (0, 0, 0)
+    assert encode_record(record, HEADER) == line
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["time", "duration_us", "global_seq", "ppid", "pid", "tid"]),
+       st.text(alphabet="019 +_-\uff11", min_size=1, max_size=3),
+       st.sampled_from(["09:00:00:000", "2024/01/01-23:59:59:999"]), st.integers(0, 22))
+def test_accepted_lines_re_encode_byte_identically(column, text, time, at):
+    # The number is `text`, or for the time column `text` replaces one character.
+    value = time[:at] + text + time[at + 1:] if column == "time" else text
+    line = _line(**{column: value})
+    try:
+        record = decode_line(line, HEADER)
+    except LaseError:
+        return
+    assert encode_record(record, HEADER) == line
+
+
+def test_text_memo_is_bounded_and_round_trips():
+    n = _FIELD_MEMO + 500
+    records = tuple(
+        decode_line(_line(global_seq=str(i), image_path=f"C:\\\\tools\\p{i}.exe",
+                          file_path=f"C:\\f{i}\\tx\\ty.dat"), HEADER)
+        for i in range(1, n + 1))
+    assert len({r.image_path for r in records}) == n
+    trace = Trace(HEADER, records)
+    first = io.BytesIO()
+    write_trace(trace, first)
+    again = read_trace(first.getvalue())
+    assert again == trace
+    second = io.BytesIO()
+    write_trace(again, second)
+    assert second.getvalue() == first.getvalue()
+    assert unescape_field.cache_info().currsize <= _FIELD_MEMO
+    assert escape_field.cache_info().currsize <= _FIELD_MEMO
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+def test_reader_closes_the_file_it_opened(tmp_path, fixture_path, fixture_trace):
+    assert read_trace(fixture_path) == fixture_trace
+    records = list(TraceReader(fixture_path))
+    assert len(records) == len(fixture_trace)
+    partly = iter(TraceReader(fixture_path))
+    next(partly)
+    del partly
+    bad = tmp_path / "bad.lase"
+    bad.write_bytes(fixture_path.read_bytes().replace(b"\t183668\t", b"\tx\t"))
+    with pytest.raises(TraceSyntaxError):
+        read_trace(bad)
+    wrong = tmp_path / "wrong.lase"
+    wrong.write_bytes(b"#LASEv0\n")
+    with pytest.raises(BadMagic):
+        read_trace(wrong)
+    gc.collect()
+
+
+def test_reader_leaves_a_callers_stream_open(fixture_path):
+    with open(fixture_path, "rb") as fh:
+        read_trace(fh)
+        assert not fh.closed
+
+
+def test_bad_magic_carries_line_number():
+    with pytest.raises(BadMagic) as exc:
+        read_trace(b"#LASEv0\n#date\t2024/01/01\n")
+    assert exc.value.line_no == 1
+    assert "line 1" in str(exc.value)
+    with pytest.raises(BadMagic) as exc:
+        read_trace(b"")
+    assert exc.value.line_no is None
