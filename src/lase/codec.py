@@ -109,29 +109,37 @@ def _unescape_match(m: re.Match) -> str:
     return _UNESCAPE[m.group(1)]
 
 
-# Bounded memo: traces repeat a few thousand paths, so most lookups hit and
-# decoded records share one string per path, while a file with endless
-# distinct paths cannot grow it.
+# Most fields hold no sequence the rule rewrites (a plain Windows path has
+# none) and are returned as they are, without running the substitution.
+def escape_field(text: str) -> str:
+    if "\t" in text or "\n" in text or "\\t" in text or "\\n" in text or "\\\\" in text:
+        return _ESCAPE_RE.sub(_escape_match, text)
+    return text
+
+
+# Bounded memo: decoded records share one string per distinct text (a
+# process's image path repeats on each of its records), while a file of
+# endless distinct paths cannot grow it.
 _FIELD_MEMO = 4096
 
 
 @functools.lru_cache(maxsize=_FIELD_MEMO)
-def escape_field(text: str) -> str:
-    return _ESCAPE_RE.sub(_escape_match, text)
-
-
-@functools.lru_cache(maxsize=_FIELD_MEMO)
 def unescape_field(text: str) -> str:
-    return _UNESCAPE_RE.sub(_unescape_match, text)
+    if "\\t" in text or "\\n" in text or "\\\\" in text:
+        return _UNESCAPE_RE.sub(_unescape_match, text)
+    return text
 
 
 # The strict time and integer grammar, written once and shared by
 # parse_timestamp, _parse_uint and the record-line pattern. Digits are
-# ASCII, time fields have fixed widths, and an integer has no sign, space,
-# underscore or leading zero ("0" itself is fine), so every accepted line
-# re-encodes to the same bytes.
+# ASCII, time fields have fixed widths, the clock's ranges (hour 00-23,
+# minute and second 00-59) are in the pattern rather than left to the
+# datetime parser, and an integer has no sign, space, underscore or leading
+# zero ("0" itself is fine), so every accepted line re-encodes to the same
+# bytes.
 _UINT = r"0|[1-9][0-9]*"
-_TIME = r"(?:([0-9]{4})/([0-9]{2})/([0-9]{2})-)?([0-9]{2}:[0-9]{2}:[0-9]{2}):([0-9]{3})"
+_TIME = (r"(?:([0-9]{4})/([0-9]{2})/([0-9]{2})-)?"
+         r"((?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]):([0-9]{3})")
 _TEXT = r"([^\t]*)"
 _UINT_RE = re.compile(_UINT)
 _TIME_RE = re.compile(_TIME)
@@ -347,97 +355,107 @@ def _open_for_read(source) -> IO[bytes]:
 _BLOCK = 65536  # bytes read (and decoded) at a time
 
 
+def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
+    """The complete lines of each block read from stream, decoded at once."""
+    pending = b""
+    while chunk := stream.read(_BLOCK):
+        data = pending + chunk
+        end = data.rfind(b"\n")
+        pending = data[end + 1:]
+        if end >= 0:
+            yield data[:end].decode("utf-8", errors="replace").split("\n")
+    if pending:
+        yield [pending.decode("utf-8", errors="replace")]
+
+
+def _next_block(blocks: Iterator[list[str]], line_no: int) -> list[str] | None:
+    try:
+        return next(blocks, None)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
+                               column="gzip", line_no=line_no) from None
+
+
+def _read_header(blocks: Iterator[list[str]]) -> tuple[TraceHeader, list[str] | None, int]:
+    """The header, the lines of the current block that follow it, and the
+    number of the last header line."""
+    lines = _next_block(blocks, 0)
+    if lines is None:
+        raise BadMagic("empty stream")
+    if lines[0] != MAGIC:
+        raise BadMagic(f"expected {MAGIC!r} magic line, got {lines[0][:32]!r}", line_no=1)
+    line_no, kv = 1, {}
+    del lines[0]
+    while lines is not None:
+        for i, line in enumerate(lines):
+            if not line.startswith("#"):
+                return TraceHeader(**kv), lines[i:], line_no
+            line_no += 1
+            _parse_header_line(line, kv, line_no)
+        lines = _next_block(blocks, line_no)
+    return TraceHeader(**kv), None, line_no
+
+
+def _records(blocks: Iterator[list[str]], lines: list[str] | None, header: TraceHeader,
+             line_no: int, file: IO[bytes] | None) -> Iterator[EventRecord]:
+    """Decode the record lines; closes file (if any) once iteration ends."""
+    last_seq = -1
+    try:
+        while lines is not None:
+            for line in lines:
+                line_no += 1
+                if not line:
+                    continue
+                try:
+                    record = decode_line(line, header)
+                except TraceSyntaxError as exc:
+                    raise TraceSyntaxError(str(exc), column=exc.column, line_no=line_no) from None
+                except TraceValidationError as exc:
+                    raise TraceValidationError(exc.violations, line_no=line_no) from None
+                except UnknownIrp as exc:
+                    raise UnknownIrp(exc.name, line_no=line_no) from None
+                if record.global_seq <= last_seq:
+                    raise NonMonotonicSequence(record.global_seq, line_no=line_no)
+                last_seq = record.global_seq
+                yield record
+            lines = _next_block(blocks, line_no)
+    finally:
+        if file is not None:
+            file.close()
+
+
 class TraceReader:
     """Streaming reader: exposes the header up front, then iterates records.
 
     Memory use is bounded by line length, not trace size. Sequence
-    monotonicity and per-record validation are enforced on the fly. A file
+    monotonicity and per-record validation are enforced on the fly. The
+    reader is a single pass over the trace: every iter() returns the same
+    iterator, so a later loop resumes where an earlier one stopped. A file
     the reader opened from a path is closed once iteration ends, or by
     close().
     """
 
     def __init__(self, source):
-        self._file = open(source, "rb") if isinstance(source, (str, Path)) else None
-        self._line_no = 0
-        self._pending = b""
+        file = open(source, "rb") if isinstance(source, (str, Path)) else None
         try:
-            self._stream = _open_for_read(source if self._file is None else self._file)
-            self.header, self._body = self._read_header()
+            blocks = _blocks(_open_for_read(source if file is None else file))
+            self.header, lines, line_no = _read_header(blocks)
         except BaseException:
-            self.close()
+            if file is not None:
+                file.close()
             raise
+        self._file = file
+        self._records = _records(blocks, lines, self.header, line_no, file)
 
     def close(self) -> None:
-        """Close the file the reader opened; a caller's stream stays open."""
+        """End iteration and close the file the reader opened; a caller's
+        stream stays open."""
+        self._records.close()
         if self._file is not None:
             self._file.close()
 
-    def _read_block(self) -> list[str] | None:
-        """The complete lines of the next block, decoded at once; None at the end."""
-        try:
-            chunk = self._stream.read(_BLOCK)
-        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
-                                   column="gzip", line_no=self._line_no) from None
-        if not chunk:
-            if not self._pending:
-                return None
-            chunk, self._pending = self._pending, b""
-            return [chunk.decode("utf-8", errors="replace")]
-        data = self._pending + chunk
-        end = data.rfind(b"\n")
-        self._pending = data[end + 1:]
-        if end < 0:
-            return []
-        return data[:end].decode("utf-8", errors="replace").split("\n")
-
-    def _read_header(self) -> tuple[TraceHeader, list[str]]:
-        """The header, and the lines of the block read so far that follow it."""
-        lines: list[str] | None = []
-        while lines == []:
-            lines = self._read_block()
-        if lines is None:
-            raise BadMagic("empty stream")
-        self._line_no = 1
-        if lines[0] != MAGIC:
-            raise BadMagic(f"expected {MAGIC!r} magic line, got {lines[0][:32]!r}", line_no=1)
-        kv: dict = {}
-        del lines[0]
-        while lines is not None:
-            for i, line in enumerate(lines):
-                if not line.startswith("#"):
-                    return TraceHeader(**kv), lines[i:]
-                self._line_no += 1
-                _parse_header_line(line, kv, self._line_no)
-            lines = self._read_block()
-        return TraceHeader(**kv), []
-
     def __iter__(self) -> Iterator[EventRecord]:
-        header, line_no, last_seq = self.header, self._line_no, -1
-        lines: list[str] | None
-        lines, self._body = self._body, []
-        try:
-            while lines is not None:
-                for line in lines:
-                    line_no += 1
-                    if not line:
-                        continue
-                    try:
-                        record = decode_line(line, header)
-                    except TraceSyntaxError as exc:
-                        raise TraceSyntaxError(str(exc), column=exc.column, line_no=line_no) from None
-                    except TraceValidationError as exc:
-                        raise TraceValidationError(exc.violations, line_no=line_no) from None
-                    except UnknownIrp as exc:
-                        raise UnknownIrp(exc.name, line_no=line_no) from None
-                    if record.global_seq <= last_seq:
-                        raise NonMonotonicSequence(record.global_seq, line_no=line_no)
-                    last_seq = record.global_seq
-                    yield record
-                self._line_no = line_no
-                lines = self._read_block()
-        finally:
-            self.close()
+        return self._records
 
 
 def read_trace(source) -> Trace:

@@ -9,7 +9,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
@@ -106,36 +106,11 @@ class EventRecord:
     file_path: str = ""
     result: str = RESULT_OK
 
-    # Same signature as the generated __init__, which would call
-    # object.__setattr__ once per field; storing through each slot's
-    # descriptor skips the frozen __setattr__ lookup.
-    def __init__(self, global_seq: int, time: datetime, kind: EventKind, pid: int,
-                 ppid: int = 0, tid: int = 0, duration_us: int | None = None,
-                 image_path: str = "", args: str = "", file_path: str = "",
-                 result: str = RESULT_OK):
-        _set_global_seq(self, global_seq)
-        _set_time(self, time)
-        _set_kind(self, kind)
-        _set_pid(self, pid)
-        _set_ppid(self, ppid)
-        _set_tid(self, tid)
-        _set_duration_us(self, duration_us)
-        _set_image_path(self, image_path)
-        _set_args(self, args)
-        _set_file_path(self, file_path)
-        _set_result(self, result)
-
     def with_seq(self, global_seq: int) -> EventRecord:
         """Copy of this record stamped with another global sequence number."""
         return EventRecord(global_seq, self.time, self.kind, self.pid, self.ppid, self.tid,
                            self.duration_us, self.image_path, self.args, self.file_path,
                            self.result)
-
-
-# Each slot's descriptor setter, in field order, for EventRecord.__init__.
-(_set_global_seq, _set_time, _set_kind, _set_pid, _set_ppid, _set_tid, _set_duration_us,
- _set_image_path, _set_args, _set_file_path, _set_result) = (
-    getattr(EventRecord, f.name).__set__ for f in fields(EventRecord))
 
 
 class Violation(Enum):
@@ -162,34 +137,29 @@ def validate_record(record: EventRecord) -> list[Violation]:
     """
     out: list[Violation] = []
     kind = record.kind
-    if isinstance(kind, Irp):  # most records: test it first
+    if isinstance(kind, ProcessCreate):
+        if not record.image_path:
+            out.append(Violation.MISSING_IMAGE_PATH)
+        if record.tid != 0:
+            out.append(Violation.PROCESS_EVENT_TID)
+    elif isinstance(kind, (ThreadCreate, ThreadExit)):
+        if record.tid <= 0:
+            out.append(Violation.MISSING_TID)
+    elif isinstance(kind, (ImageLoad, Irp)):
         if not record.file_path and not is_error_result(record.result):
             out.append(Violation.MISSING_FILE_PATH)
-        if record.duration_us is not None and record.duration_us < 0:
-            out.append(Violation.NEGATIVE_DURATION)
-        if kind.mode is IoMode.FAST_IO and kind.code.minor is not None:
-            out.append(Violation.FAST_IO_WITH_MINOR)
-    else:
-        if isinstance(kind, ProcessCreate):
-            if not record.image_path:
-                out.append(Violation.MISSING_IMAGE_PATH)
-            if record.tid != 0:
-                out.append(Violation.PROCESS_EVENT_TID)
-        elif isinstance(kind, (ThreadCreate, ThreadExit)):
-            if record.tid <= 0:
-                out.append(Violation.MISSING_TID)
-        elif isinstance(kind, ImageLoad):
-            if not record.file_path and not is_error_result(record.result):
-                out.append(Violation.MISSING_FILE_PATH)
-        elif isinstance(kind, Annotation):
-            if kind.key not in ANNOTATION_KEYS:
-                out.append(Violation.UNKNOWN_ANNOTATION_KEY)
-            if record.args:
-                out.append(Violation.ANNOTATION_ARGS_NOT_EMPTY)
-        if record.duration_us is not None:
+    if isinstance(kind, Annotation):
+        if kind.key not in ANNOTATION_KEYS:
+            out.append(Violation.UNKNOWN_ANNOTATION_KEY)
+        if record.args:
+            out.append(Violation.ANNOTATION_ARGS_NOT_EMPTY)
+    if record.duration_us is not None:
+        if not isinstance(kind, Irp):
             out.append(Violation.DURATION_ON_NON_IO)
-            if record.duration_us < 0:
-                out.append(Violation.NEGATIVE_DURATION)
+        if record.duration_us < 0:
+            out.append(Violation.NEGATIVE_DURATION)
+    if isinstance(kind, Irp) and kind.mode is IoMode.FAST_IO and kind.code.minor is not None:
+        out.append(Violation.FAST_IO_WITH_MINOR)
     if record.pid < 0 or record.ppid < 0 or record.tid < 0 or record.global_seq < 0:
         out.append(Violation.NEGATIVE_ID)
     return out

@@ -3,7 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import random
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import random_record, random_trace
 
+from lase import codec
 from lase.codec import (
     _FIELD_MEMO,
     Trace,
@@ -461,6 +462,29 @@ def test_decode_rejects_non_canonical_numbers(fields, column):
             parse_timestamp(fields["time"], HEADER.base_date)
 
 
+class _HourTwentyFourDatetime(datetime):
+    """A datetime whose fromisoformat reads hour 24 as midnight of the next
+    day, so the test holds whatever the running Python's parser accepts."""
+
+    @classmethod
+    def fromisoformat(cls, text):
+        day, _, clock = text.partition("T")
+        if clock.startswith("24:"):
+            return datetime.fromisoformat(f"{day}T00{clock[2:]}") + timedelta(days=1)
+        return datetime.fromisoformat(text)
+
+
+@pytest.mark.parametrize("time", ["24:00:00:000", "2024/01/01-24:00:00:000"])
+def test_clock_range_is_in_the_grammar_not_the_datetime_parser(monkeypatch, time):
+    monkeypatch.setattr(codec, "datetime", _HourTwentyFourDatetime)
+    assert _HourTwentyFourDatetime.fromisoformat("2024-01-01T24:00:00.000") == datetime(2024, 1, 2)
+    with pytest.raises(TraceSyntaxError) as exc:
+        decode_line(_line(time=time), HEADER)
+    assert exc.value.column == "time"
+    with pytest.raises(TraceSyntaxError):
+        parse_timestamp(time, HEADER.base_date)
+
+
 def test_zero_and_64_bit_values_stay_valid():
     top = str(2**64 - 1)
     line = _line(duration_us="0", global_seq=top, ppid="0", pid=top, tid="0")
@@ -500,7 +524,6 @@ def test_text_memo_is_bounded_and_round_trips():
     write_trace(again, second)
     assert second.getvalue() == first.getvalue()
     assert unescape_field.cache_info().currsize <= _FIELD_MEMO
-    assert escape_field.cache_info().currsize <= _FIELD_MEMO
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning",
@@ -521,6 +544,35 @@ def test_reader_closes_the_file_it_opened(tmp_path, fixture_path, fixture_trace)
     with pytest.raises(BadMagic):
         read_trace(wrong)
     gc.collect()
+
+
+def test_reader_resumes_where_an_earlier_loop_stopped(fixture_path, fixture_trace):
+    for source in (fixture_path, io.BytesIO(fixture_path.read_bytes())):
+        reader = TraceReader(source)
+        assert iter(reader) is iter(reader)
+        first = next(iter(reader))
+        for second in reader:
+            break
+        rest = list(reader)
+        assert (first, second, *rest) == fixture_trace.records
+        assert list(reader) == []
+
+
+def test_resumed_reader_keeps_line_numbers_and_sequence_check():
+    data = _trace_text(*[_IRP_LINE.format(seq=s) for s in (1, 2, 3, 3)])
+    reader = TraceReader(data)
+    assert [r.global_seq for _, r in zip(range(2), reader)] == [1, 2]
+    with pytest.raises(NonMonotonicSequence) as exc:
+        list(reader)
+    assert exc.value.line_no == 6
+
+
+def test_closed_reader_yields_nothing_more(fixture_path):
+    reader = TraceReader(fixture_path)
+    next(iter(reader))
+    reader.close()
+    assert reader._file.closed
+    assert list(reader) == []
 
 
 def test_reader_leaves_a_callers_stream_open(fixture_path):
