@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -234,14 +233,16 @@ def _cmd_tree(args) -> int:
     return EXIT_OK
 
 
-def _cmd_inject_scan(args) -> int:
-    trace = _read_trace_arg(args.trace)
-    findings = forest.detect_remote_thread_injection(trace, window_ms=args.window_ms)
-    if args.format == "jsonl":
+def _write_findings(findings, fmt: str) -> None:
+    if fmt == "jsonl":
         sys.stdout.write(forest.findings_to_jsonl(findings))
     else:
-        print(json.dumps([json.loads(line) for line in
-                          forest.findings_to_jsonl(findings).splitlines()], indent=2))
+        print(json.dumps([f.to_dict() for f in findings], indent=2, sort_keys=True))
+
+
+def _cmd_inject_scan(args) -> int:
+    trace = _read_trace_arg(args.trace)
+    _write_findings(forest.detect_remote_thread_injection(trace, window_ms=args.window_ms), args.format)
     return EXIT_OK
 
 
@@ -255,12 +256,7 @@ def _load_signatures_arg(arg: str | None):
 def _cmd_fingerprint(args) -> int:
     trace = _read_trace_arg(args.trace)
     signatures = _load_signatures_arg(args.signatures)
-    findings = fingerprint.scan(trace, signatures)
-    if args.format == "jsonl":
-        sys.stdout.write(fingerprint.findings_to_jsonl(findings))
-    else:
-        print(json.dumps([json.loads(line) for line in
-                          fingerprint.findings_to_jsonl(findings).splitlines()], indent=2))
+    _write_findings(fingerprint.scan(trace, signatures), args.format)
     return EXIT_OK
 
 
@@ -282,24 +278,9 @@ def _cmd_intrude(args) -> int:
     rules = intrusion.DEFAULT_RULES
     if args.rules:
         rules = intrusion.load_rules(Path(args.rules).read_text(encoding="utf-8"))
-
-    def load_and_scan(path: str):
-        trace = _read_trace_arg(path)
-        return trace, intrusion.scan_commands(trace, rules)
-
     labels = ["stdin" if p == "-" else p for p in args.traces]
-    if len(args.traces) > 1 and "-" not in args.traces:
-        with ThreadPoolExecutor(max_workers=min(8, len(args.traces))) as pool:
-            results = list(pool.map(load_and_scan, args.traces))
-    else:
-        results = [load_and_scan(p) for p in args.traces]
-    traces = [trace for trace, _ in results]
-    all_findings = [f for _, findings in results for f in findings]
-    if args.format == "jsonl":
-        sys.stdout.write(intrusion.findings_to_jsonl(all_findings))
-    else:
-        print(json.dumps([json.loads(line) for line in
-                          intrusion.findings_to_jsonl(all_findings).splitlines()], indent=2))
+    traces = [_read_trace_arg(p) for p in args.traces]
+    _write_findings([f for trace in traces for f in intrusion.scan_commands(trace, rules)], args.format)
     if args.dwell:
         nonempty = [(t, label) for t, label in zip(traces, labels) if t.records]
         stats = intrusion.dwell_stats([t for t, _ in nonempty], rules,

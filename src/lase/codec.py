@@ -131,17 +131,19 @@ def unescape_field(text: str) -> str:
 
 
 # The strict time and integer grammar, written once and shared by
-# parse_timestamp, _parse_uint and the record-line pattern. Digits are
-# ASCII, time fields have fixed widths, the clock's ranges (hour 00-23,
-# minute and second 00-59) are in the pattern rather than left to the
-# datetime parser, and an integer has no sign, space, underscore or leading
-# zero ("0" itself is fine), so every accepted line re-encodes to the same
-# bytes.
+# parse_timestamp, _parse_uint, the header date and the record-line
+# pattern. Digits are ASCII, time fields have fixed widths, the clock's
+# ranges (hour 00-23, minute and second 00-59) are in the pattern rather
+# than left to the datetime parser, and an integer has no sign, space,
+# underscore or leading zero ("0" itself is fine), so every accepted line
+# re-encodes to the same bytes.
 _UINT = r"0|[1-9][0-9]*"
-_TIME = (r"(?:([0-9]{4})/([0-9]{2})/([0-9]{2})-)?"
+_DATE = r"([0-9]{4})/([0-9]{2})/([0-9]{2})"
+_TIME = (rf"(?:{_DATE}-)?"
          r"((?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]):([0-9]{3})")
 _TEXT = r"([^\t]*)"
 _UINT_RE = re.compile(_UINT)
+_DATE_RE = re.compile(_DATE)
 _TIME_RE = re.compile(_TIME)
 _LINE_RE = re.compile("\t".join(
     [_TEXT, _TIME, f"({_UINT})?", *[f"({_UINT})"] * 4, *[_TEXT] * 4]))
@@ -305,9 +307,11 @@ def _encode_header(header: TraceHeader) -> str:
 def _parse_header_line(line: str, header_kv: dict, line_no: int) -> None:
     key, _, value = line[1:].partition("\t")
     if key == "date":
+        match = _DATE_RE.fullmatch(value)
         try:
-            y, mo, d = value.split("/")
-            header_kv["base_date"] = date(int(y), int(mo), int(d))
+            if match is None:
+                raise ValueError(value)
+            header_kv["base_date"] = date(*map(int, match.groups()))
         except ValueError:
             raise TraceSyntaxError(f"bad header date {value!r}", column="date", line_no=line_no) from None
     elif key == "host":

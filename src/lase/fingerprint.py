@@ -21,14 +21,13 @@ per-process). Consecutive lines with the same name extend one signature.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 from .codec import Trace
 from .errors import SignatureParseError
 from .events import Annotation, EventRecord, kind_name
-from .forest import ProcessForest, ProcessKey
+from .forest import ProcessKey, Resolver
 
 _FIELDS = ("image_path", "file_path", "args", "annotation")
 _KINDS = ("ProcessCreate", "ProcessExit", "ThreadCreate", "ThreadExit",
@@ -89,6 +88,15 @@ class FingerprintFinding:
     @property
     def first_seq(self) -> int:
         return self.evidence[0]
+
+    def to_dict(self) -> dict:
+        return {
+            "signature": self.signature,
+            "pid": self.process.pid,
+            "birth_seq": self.process.birth_seq,
+            "evidence": list(self.evidence),
+            "first_seq": self.first_seq,
+        }
 
 
 def _parse_matcher(kind: str, field_spec: str, regex: str, line_no: int) -> Matcher:
@@ -153,43 +161,14 @@ def default_signatures() -> list[FingerprintSignature]:
     return load_signatures("default")
 
 
-class _Liveness:
-    """Replays process lifetime so events resolve to (pid, birth_seq) keys."""
-
-    def __init__(self):
-        self._live: dict[int, ProcessKey] = {}
-        self._last: dict[int, ProcessKey] = {}
-
-    def resolve(self, record: EventRecord) -> ProcessKey:
-        name = kind_name(record.kind)
-        if name == "ProcessCreate":
-            key = ProcessKey(record.pid, record.global_seq)
-            self._live[record.pid] = key
-            self._last[record.pid] = key
-            return key
-        if name == "ProcessExit":
-            key = self._live.pop(record.pid, None) or self._last.get(record.pid) \
-                or ProcessKey(record.pid, 0)
-            self._last[record.pid] = key
-            return key
-        key = self._live.get(record.pid) or self._last.get(record.pid)
-        if key is None:
-            key = ProcessKey(record.pid, 0)
-            self._live[record.pid] = key
-            self._last[record.pid] = key
-        return key
-
-
-def scan(trace: Trace, signatures: list[FingerprintSignature],
-         forest: ProcessForest | None = None) -> list[FingerprintFinding]:
+def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[FingerprintFinding]:
     """One finding per (signature, process) carrying all matching evidence.
 
-    The forest argument is accepted for symmetry with callers that already
-    built one; liveness is replayed either way, so results depend only on
-    the trace. Deterministic order: (first evidence seq, signature name).
+    Each record belongs to the process instance forest.Resolver gives it,
+    the same one the process forest attributes it to. Deterministic order:
+    (first evidence seq, signature name).
     """
-    del forest
-    liveness = _Liveness()
+    resolve = Resolver().resolve
     by_kind: dict[str, list[tuple[FingerprintSignature, int, Matcher]]] = {}
     for sig in signatures:
         for mi, matcher in enumerate(sig.matchers):
@@ -199,7 +178,7 @@ def scan(trace: Trace, signatures: list[FingerprintSignature],
     hits: dict[str, dict[ProcessKey, dict[int, list[int]]]] = {s.name: {} for s in signatures}
     trace_key: dict[str, ProcessKey] = {}
     for record in trace.records:
-        key = liveness.resolve(record)
+        key = resolve(record)
         candidates = by_kind.get(kind_name(record.kind))
         for sig, mi, matcher in (candidates + wildcard if candidates else wildcard):
             if matcher.matches(record):
@@ -214,16 +193,3 @@ def scan(trace: Trace, signatures: list[FingerprintSignature],
             findings.append(FingerprintFinding(sig.name, process, tuple(evidence)))
     findings.sort(key=lambda f: (f.first_seq, f.signature))
     return findings
-
-
-def findings_to_jsonl(findings: list[FingerprintFinding]) -> str:
-    out = []
-    for f in findings:
-        out.append(json.dumps({
-            "signature": f.signature,
-            "pid": f.process.pid,
-            "birth_seq": f.process.birth_seq,
-            "evidence": list(f.evidence),
-            "first_seq": f.first_seq,
-        }, sort_keys=True))
-    return "\n".join(out) + ("\n" if out else "")

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from typing import NamedTuple
 
 from .codec import Trace
 from .errors import UnknownKey
@@ -38,8 +39,7 @@ PRE_EXISTING_IMAGE = "<pre-existing>"
 DEFAULT_INJECTION_WINDOW_MS = 2000
 
 
-@dataclass(frozen=True, order=True)
-class ProcessKey:
+class ProcessKey(NamedTuple):  # a tuple: the per-record node lookup hashes it in C
     pid: int
     birth_seq: int  # 0 = pre-existing
 
@@ -109,57 +109,135 @@ class InjectionFinding:
     thread_seq: int
     confidence: InjectionConfidence
 
+    def to_dict(self) -> dict:
+        return {
+            "target_pid": self.target.pid,
+            "target_birth_seq": self.target.birth_seq,
+            "injector_pid": self.injector.pid,
+            "injector_birth_seq": self.injector.birth_seq,
+            "thread_seq": self.thread_seq,
+            "confidence": self.confidence.value,
+        }
+
 
 def _norm(path: str) -> str:
     return path.replace("/", "\\").lower()
 
 
+class Resolver:
+    """Which process instance each record belongs to: the one pid ->
+    ProcessKey liveness model behind the forest, the injection scan and the
+    fingerprint scan. Feed it every record in trace order.
+
+    A create starts (pid, global_seq) and closes a still-live instance of the
+    same pid. An exit ends the pid's live instance. Any other record belongs
+    to the live instance, or else to the pid's latest one (a stale attach,
+    with a warning). A pid never seen before, and a parent that is not live
+    and has no (ppid, 0) yet, is synthesized as the pre-existing (pid, 0).
+    """
+
+    def __init__(self):
+        self.warnings: list[str] = []
+        self._live: dict[int, ProcessKey] = {}
+        self._latest: dict[int, ProcessKey] = {}  # latest instance per pid, live or not
+        self._zero: set[int] = set()  # pids whose (pid, 0) exists
+
+    def _preexisting(self, pid: int) -> ProcessKey:
+        key = ProcessKey(pid, 0)
+        if pid not in self._zero:
+            self._zero.add(pid)
+            self._live[pid] = self._latest[pid] = key
+        return key
+
+    def resolve(self, record: EventRecord) -> ProcessKey:
+        kind = record.kind
+        if isinstance(kind, ProcessCreate):
+            return self.create(record)[0]
+        if isinstance(kind, ProcessExit):
+            return self.exit(record)[0]
+        return self.actor(record)
+
+    def create(self, record: EventRecord) -> tuple[ProcessKey, ProcessKey | None, ProcessKey | None]:
+        """Returns the new instance, its parent (None when ppid is 0, the
+        unknown parent) and the still-live instance of the pid it closed."""
+        stale = self._live.pop(record.pid, None)
+        if stale is not None:
+            self.warnings.append(
+                f"seq {record.global_seq}: create for already-live pid {record.pid}, closing stale node")
+        parent = None
+        if record.ppid != 0:
+            parent = self._live.get(record.ppid) or self._preexisting(record.ppid)
+        key = ProcessKey(record.pid, record.global_seq)
+        if record.global_seq == 0:  # a create at seq 0 takes the (pid, 0) key
+            self._zero.add(record.pid)
+        self._live[record.pid] = self._latest[record.pid] = key
+        return key, parent, stale
+
+    def exit(self, record: EventRecord) -> tuple[ProcessKey, bool]:
+        """Returns the instance and whether it ended here (False when the
+        pid had already exited)."""
+        pid = record.pid
+        if pid in self._latest and pid not in self._live:
+            self.warnings.append(f"seq {record.global_seq}: exit for already-exited pid {pid}")
+            return self._latest[pid], False
+        key = self._live.get(pid) or self._preexisting(pid)
+        del self._live[pid]
+        return key, True
+
+    def actor(self, record: EventRecord) -> ProcessKey:
+        """The instance a record other than a create or an exit belongs to."""
+        key = self._live.get(record.pid)
+        if key is not None:
+            return key
+        key = self._latest.get(record.pid)
+        if key is not None:
+            self.warnings.append(
+                f"seq {record.global_seq}: event for exited pid {record.pid}, attached to stale node")
+            return key
+        return self._preexisting(record.pid)
+
+
 class _Builder:
-    def __init__(self, window_ms: int = DEFAULT_INJECTION_WINDOW_MS):
+    def __init__(self, window_ms: int):
         self.window = timedelta(milliseconds=window_ms)
+        self.resolver = Resolver()
         self.roots: list[ProcessKey] = []
         self.index: dict[ProcessKey, ProcessNode] = {}
-        self.warnings: list[str] = []
         self.findings: list[InjectionFinding] = []
-        self._live: dict[int, ProcessNode] = {}
-        self._history: dict[int, ProcessNode] = {}  # latest node per pid, live or not
         self._live_by_image: dict[str, dict[ProcessKey, ProcessNode]] = {}
         self._pending: list[tuple[InjectionFinding, datetime]] = []
         self._synthetic_tid = -1
 
-    def _add_live(self, node: ProcessNode) -> None:
-        self._live[node.key.pid] = node
-        self._history[node.key.pid] = node
+    def _add(self, node: ProcessNode) -> ProcessNode:
+        self.index[node.key] = node
         self._live_by_image.setdefault(_norm(node.image_path), {})[node.key] = node
+        return node
 
-    def _remove_live(self, node: ProcessNode) -> None:
-        self._live.pop(node.key.pid, None)
+    def _ended(self, node: ProcessNode) -> None:
         self._live_by_image.get(_norm(node.image_path), {}).pop(node.key, None)
 
-    def _preexisting(self, pid: int) -> ProcessNode:
-        key = ProcessKey(pid, 0)
+    def _node(self, key: ProcessKey) -> ProcessNode:
         node = self.index.get(key)
-        if node is None:
-            node = ProcessNode(key=key, parent=None, image_path=PRE_EXISTING_IMAGE)
-            self.index[key] = node
+        if node is None:  # a pre-existing process the resolver just synthesized
+            node = self._add(ProcessNode(key=key, parent=None, image_path=PRE_EXISTING_IMAGE))
             self.roots.append(key)
-            self._add_live(node)
         return node
 
     def _actor(self, record: EventRecord) -> ProcessNode:
-        node = self._live.get(record.pid)
-        if node is not None:
-            return node
-        stale = self._history.get(record.pid)
-        if stale is not None:
-            self.warnings.append(
-                f"seq {record.global_seq}: event for exited pid {record.pid}, attached to stale node")
-            return stale
-        return self._preexisting(record.pid)
+        return self._node(self.resolver.actor(record))
 
     def feed(self, record: EventRecord) -> None:
         kind = record.kind
-        if isinstance(kind, ProcessCreate):
+        if isinstance(kind, Irp):  # most records; tested first
+            node = self._actor(record)
+            totals = node.io_summary.get(kind.code.major)
+            if totals is None:
+                totals = node.io_summary[kind.code.major] = IoTotals()
+            totals.count += 1
+            totals.duration_us += record.duration_us or 0
+            if kind.code.major in (IRP_MJ_WRITE, IRP_MJ_CREATE):
+                node.writes.append((record.file_path, record.global_seq))
+        elif isinstance(kind, ProcessCreate):
             self._on_create(record)
         elif isinstance(kind, ProcessExit):
             self._on_exit(record)
@@ -171,56 +249,34 @@ class _Builder:
             node = self._actor(record)
             node.images.append((record.file_path, record.global_seq))
             self._check_upgrades(node, record.time)
-        elif isinstance(kind, Irp):
-            node = self._actor(record)
-            totals = node.io_summary.get(kind.code.major)
-            if totals is None:
-                totals = node.io_summary[kind.code.major] = IoTotals()
-            totals.count += 1
-            totals.duration_us += record.duration_us or 0
-            if kind.code.major in (IRP_MJ_WRITE, IRP_MJ_CREATE):
-                node.writes.append((record.file_path, record.global_seq))
         elif isinstance(kind, Annotation):
             self._actor(record)  # ensure the acting pid is represented
 
     def _on_create(self, record: EventRecord) -> None:
-        stale = self._live.get(record.pid)
-        if stale is not None:
-            self.warnings.append(
-                f"seq {record.global_seq}: create for already-live pid {record.pid}, closing stale node")
+        key, parent_key, stale_key = self.resolver.create(record)
+        if stale_key is not None:
+            stale = self.index[stale_key]
             stale.exit_seq = record.global_seq
-            self._remove_live(stale)
-        parent: ProcessNode | None = None
-        if record.ppid != 0:  # 0 = unknown parent; the node becomes a root
-            parent = self._live.get(record.ppid)
-            if parent is None:
-                parent = self._preexisting(record.ppid)
-        node = ProcessNode(
-            key=ProcessKey(record.pid, record.global_seq),
-            parent=parent.key if parent else None,
+            self._ended(stale)
+        if parent_key is None:
+            self.roots.append(key)
+        else:
+            self._node(parent_key).children.append(key)
+        self._add(ProcessNode(
+            key=key,
+            parent=parent_key,
             image_path=record.image_path,
             args=record.args,
             create_time=record.time,
-        )
-        self.index[node.key] = node
-        if parent is not None:
-            parent.children.append(node.key)
-        else:
-            self.roots.append(node.key)
-        self._add_live(node)
+        ))
 
     def _on_exit(self, record: EventRecord) -> None:
-        node = self._live.get(record.pid)
-        if node is None:
-            stale = self._history.get(record.pid)
-            if stale is not None:
-                self.warnings.append(
-                    f"seq {record.global_seq}: exit for already-exited pid {record.pid}")
-                return
-            node = self._preexisting(record.pid)
-        node.exit_time = record.time
-        node.exit_seq = record.global_seq
-        self._remove_live(node)
+        key, ended = self.resolver.exit(record)
+        if ended:
+            node = self._node(key)
+            node.exit_time = record.time
+            node.exit_seq = record.global_seq
+            self._ended(node)
 
     def _on_thread_create(self, record: EventRecord) -> None:
         owner = self._actor(record)
@@ -251,7 +307,7 @@ class _Builder:
             if info.tid == record.tid and info.exit_seq is None:
                 owner.threads[i] = ThreadInfo(info.tid, info.create_seq, record.global_seq, info.creator)
                 return
-        self.warnings.append(f"seq {record.global_seq}: thread exit for unknown tid {record.tid}")
+        self.resolver.warnings.append(f"seq {record.global_seq}: thread exit for unknown tid {record.tid}")
 
     def _check_upgrades(self, node: ProcessNode, when: datetime) -> None:
         if not self._pending:
@@ -269,24 +325,25 @@ class _Builder:
 
     def result(self) -> ProcessForest:
         self.roots.sort(key=lambda k: (k.birth_seq, k.pid))
-        return ProcessForest(self.roots, self.index, self.warnings)
+        return ProcessForest(self.roots, self.index, self.resolver.warnings)
+
+
+def _build(trace: Trace, window_ms: int) -> _Builder:
+    builder = _Builder(window_ms)
+    for record in trace.records:
+        builder.feed(record)
+    return builder
 
 
 def build_forest(trace: Trace, injection_window_ms: int = DEFAULT_INJECTION_WINDOW_MS) -> ProcessForest:
     """Reconstruct the process forest from a trace (deterministic)."""
-    builder = _Builder(injection_window_ms)
-    for record in trace.records:
-        builder.feed(record)
-    return builder.result()
+    return _build(trace, injection_window_ms).result()
 
 
 def detect_remote_thread_injection(trace: Trace,
                                    window_ms: int = DEFAULT_INJECTION_WINDOW_MS) -> list[InjectionFinding]:
     """Flag thread creations attributable to a different live process."""
-    builder = _Builder(window_ms)
-    for record in trace.records:
-        builder.feed(record)
-    return builder.findings
+    return _build(trace, window_ms).findings
 
 
 @dataclass
@@ -358,16 +415,7 @@ def render_dot(forest_or_subtree: ProcessForest | AttackTreeNode, name: str = "t
     return "\n".join(lines) + "\n"
 
 
-def findings_to_jsonl(findings: list[InjectionFinding]) -> str:
-    """One JSON object per finding, newline-delimited."""
-    out = []
-    for f in findings:
-        out.append(json.dumps({
-            "target_pid": f.target.pid,
-            "target_birth_seq": f.target.birth_seq,
-            "injector_pid": f.injector.pid,
-            "injector_birth_seq": f.injector.birth_seq,
-            "thread_seq": f.thread_seq,
-            "confidence": f.confidence.value,
-        }, sort_keys=True))
-    return "\n".join(out) + ("\n" if out else "")
+def findings_to_jsonl(findings) -> str:
+    """One JSON object per finding (anything with to_dict: injection,
+    fingerprint or intrusion findings), newline-delimited."""
+    return "".join(json.dumps(f.to_dict(), sort_keys=True) + "\n" for f in findings)

@@ -14,7 +14,6 @@ where category is one of the six fixed tactic categories.
 
 from __future__ import annotations
 
-import json
 import re
 import statistics
 from dataclasses import dataclass
@@ -49,6 +48,15 @@ class IntrusionFinding:
     process: ProcessKey
     matched_text: str
     seq: int
+
+    def to_dict(self) -> dict:
+        return {
+            "category": self.category.value,
+            "pid": self.process.pid,
+            "birth_seq": self.process.birth_seq,
+            "matched_text": self.matched_text,
+            "seq": self.seq,
+        }
 
 
 def normalize_command(text: str) -> str:
@@ -92,7 +100,7 @@ def scan_commands(trace: Trace,
             if match:
                 findings.append(IntrusionFinding(
                     category=rule.category,
-                    process=ProcessKey(record.pid, record.global_seq),
+                    process=ProcessKey(record.pid, record.global_seq),  # forest.Resolver's key
                     matched_text=match.group(0),
                     seq=record.global_seq,
                 ))
@@ -182,16 +190,3 @@ def find_system32_writes(trace: Trace) -> list[tuple[int, str]]:
             if record.file_path and SYSTEM32_WRITE_PATTERN.search(record.file_path.replace("/", "\\")):
                 hits.append((record.global_seq, record.file_path))
     return hits
-
-
-def findings_to_jsonl(findings: list[IntrusionFinding]) -> str:
-    out = []
-    for f in findings:
-        out.append(json.dumps({
-            "category": f.category.value,
-            "pid": f.process.pid,
-            "birth_seq": f.process.birth_seq,
-            "matched_text": f.matched_text,
-            "seq": f.seq,
-        }, sort_keys=True))
-    return "\n".join(out) + ("\n" if out else "")

@@ -228,12 +228,12 @@ def test_criterion_5_detector_suites(capsys):
     fired: dict[str, list[str]] = {}
     for name in names:
         trace = template_trace(name)
-        findings = scan(trace, signatures, build_forest(trace))
+        findings = scan(trace, signatures)
         fired[name] = [f.signature for f in findings]
     assert fired == {name: [name] for name in names}  # zero cross-fires
 
     fixture = macro_malware()
-    fixture_findings = scan(fixture, signatures, build_forest(fixture))
+    fixture_findings = scan(fixture, signatures)
     assert [(f.signature, f.process) for f in fixture_findings] == \
         [("calls-wmi", ProcessKey(11916, 381227))]
 
@@ -261,7 +261,7 @@ def test_criterion_6_oracle_equivalence(capsys):
                                            events_per_producer=events // 2))
         forest = build_forest(trace)
         assert len(forest.index) == node_count_oracle(trace), f"seed {seed}"
-        assert scan(trace, signatures, forest) == naive_scan_oracle(trace, signatures), \
+        assert scan(trace, signatures) == naive_scan_oracle(trace, signatures), \
             f"seed {seed}"
         naive_ops = collections.Counter(
             r.kind.code.major for r in trace.records if isinstance(r.kind, Irp))

@@ -589,3 +589,14 @@ def test_bad_magic_carries_line_number():
     with pytest.raises(BadMagic) as exc:
         read_trace(b"")
     assert exc.value.line_no is None
+
+
+@pytest.mark.parametrize("value", [
+    "2024/1/1", "2024/01/ 1", "2024/+1/01", "2024/01/01 ", "\uff12024/01/01",  # full-width 2
+    "24/01/01", "2024-01-01", "2024/13/01",
+])
+def test_header_date_is_strict(value):
+    with pytest.raises(TraceSyntaxError) as exc:
+        read_trace(f"#LASEv1\n#date\t{value}\n#env\tbaremetal\n".encode())
+    assert exc.value.column == "date"
+    assert exc.value.line_no == 2

@@ -11,6 +11,7 @@ from lase.errors import SignatureParseError
 from lase.events import (
     IMAGE_LOAD,
     PROCESS_CREATE,
+    PROCESS_EXIT,
     Annotation,
     Irp,
     kind_name,
@@ -18,11 +19,10 @@ from lase.events import (
 from lase.fingerprint import (
     FingerprintFinding,
     default_signatures,
-    findings_to_jsonl,
     load_signatures,
     scan,
 )
-from lase.forest import ProcessKey, build_forest
+from lase.forest import ProcessKey, build_forest, findings_to_jsonl
 from lase.irp import IrpCode
 from lase.pipeline import WorkloadSpec, run_synthetic
 
@@ -78,7 +78,7 @@ def test_unknown_kind_and_field_rejected():
 
 
 def test_fixture_wmi_finding(fixture_trace):
-    findings = scan(fixture_trace, default_signatures(), build_forest(fixture_trace))
+    findings = scan(fixture_trace, default_signatures())
     assert findings == [
         FingerprintFinding("calls-wmi", ProcessKey(11916, 381227), (381227,))
     ]
@@ -90,11 +90,31 @@ def test_rdtsc_annotation_finding():
         (PROCESS_CREATE, 70, 4, 0, "C:\\mal\\sample.exe"),
         (Annotation("api", "RDTSC"), 70, 4, 0, "C:\\mal\\sample.exe"),
     ])
-    findings = scan(trace, default_signatures(), build_forest(trace))
+    findings = scan(trace, default_signatures())
     assert len(findings) == 1
     assert findings[0].signature == "direct-cpu-clock-access"
     assert findings[0].process == ProcessKey(70, 1)
     assert findings[0].evidence == (2,)
+
+
+def test_scan_attributes_records_to_the_forests_process():
+    # pid 9 has exited when pid 5 names it as parent, so the forest
+    # synthesizes a pre-existing (9, 0); later records of pid 9 belong to it
+    wmi_dll = "C:\\Windows\\System32\\wbem\\wbemcomn.dll"
+    trace = build_trace([
+        (PROCESS_CREATE, 9, 0, 0, "C:\\a\\nine.exe"),
+        (PROCESS_EXIT, 9, 0, 0, "C:\\a\\nine.exe"),
+        (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
+        (Annotation("api", "RDTSC"), 9, 0, 0, ""),
+        (IMAGE_LOAD, 9, 0, 0, "", "", wmi_dll),
+    ])
+    forest = build_forest(trace)
+    assert forest.node(ProcessKey(5, 3)).parent == ProcessKey(9, 0)
+    assert forest.node(ProcessKey(9, 0)).images == [(wmi_dll, 5)]
+    assert forest.warnings == []
+    findings = scan(trace, default_signatures())
+    assert [(f.signature, f.process) for f in findings] == [
+        ("direct-cpu-clock-access", ProcessKey(9, 0)), ("calls-wmi", ProcessKey(9, 0))]
 
 
 def test_no_matching_events_yields_empty():
@@ -102,7 +122,7 @@ def test_no_matching_events_yields_empty():
         (PROCESS_CREATE, 70, 4, 0, "C:\\plain\\app.exe"),
         (READ, 70, 4, 0, "C:\\plain\\app.exe", "", "C:\\data\\file.txt"),
     ])
-    assert scan(trace, default_signatures(), build_forest(trace)) == []
+    assert scan(trace, default_signatures()) == []
 
 
 def template_trace(which: str):
@@ -131,7 +151,7 @@ def template_trace(which: str):
                                   "GetTickCount", "checks-bios"])
 def test_each_template_fires_only_its_signature(name):
     trace = template_trace(name)
-    findings = scan(trace, default_signatures(), build_forest(trace))
+    findings = scan(trace, default_signatures())
     assert [f.signature for f in findings] == [name]
 
 
@@ -140,7 +160,7 @@ def test_checks_bios_annotation_route():
         (PROCESS_CREATE, 84, 4, 0, "C:\\mal\\d.exe"),
         (Annotation("api", "GetSystemFirmwareTable"), 84, 4, 0, "C:\\mal\\d.exe"),
     ])
-    findings = scan(trace, default_signatures(), build_forest(trace))
+    findings = scan(trace, default_signatures())
     assert [f.signature for f in findings] == ["checks-bios"]
 
 
@@ -148,7 +168,7 @@ def test_matching_is_case_insensitive_and_separator_normalized():
     trace = build_trace([
         (PROCESS_CREATE, 85, 4, 0, "%SYSWOW64%/WBEM/WMIPRVSE.EXE"),
     ])
-    findings = scan(trace, default_signatures(), build_forest(trace))
+    findings = scan(trace, default_signatures())
     assert [f.signature for f in findings] == ["calls-wmi"]
 
 
@@ -160,7 +180,7 @@ def test_evidence_grouped_per_process_and_sorted():
         (Annotation("api", "RDTSC"), 91, 4, 0, "C:\\m\\y.exe"),
         (Annotation("api", "RDTSC"), 90, 4, 0, "C:\\m\\x.exe"),
     ])
-    findings = scan(trace, default_signatures(), build_forest(trace))
+    findings = scan(trace, default_signatures())
     assert [(f.process.pid, f.evidence) for f in findings] == [(90, (2, 5)), (91, (4,))]
 
 
@@ -172,13 +192,13 @@ def test_require_all_semantics():
         (PROCESS_CREATE, 92, 4, 0, "C:\\m\\z.exe"),
         (IMAGE_LOAD, 92, 4, 0, "C:\\m\\z.exe", "", "C:\\payload.dll"),
     ])
-    assert scan(only_load, sigs, build_forest(only_load)) == []
+    assert scan(only_load, sigs) == []
     both = build_trace([
         (PROCESS_CREATE, 92, 4, 0, "C:\\m\\z.exe"),
         (IMAGE_LOAD, 92, 4, 0, "C:\\m\\z.exe", "", "C:\\payload.dll"),
         (Annotation("api", "RDTSC"), 92, 4, 0, "C:\\m\\z.exe"),
     ])
-    findings = scan(both, sigs, build_forest(both))
+    findings = scan(both, sigs)
     assert len(findings) == 1
     assert findings[0].evidence == (2, 3)
 
@@ -228,13 +248,13 @@ def test_scan_matches_naive_oracle_on_synthetic_traces():
     sigs = default_signatures()
     for seed in range(10):
         trace = run_synthetic(WorkloadSpec(seed=seed, producers=2, events_per_producer=300))
-        assert scan(trace, sigs, None) == naive_scan_oracle(trace, sigs), f"seed {seed}"
+        assert scan(trace, sigs) == naive_scan_oracle(trace, sigs), f"seed {seed}"
 
 
 def test_scan_is_pure_and_idempotent(fixture_trace):
     sigs = default_signatures()
-    first = scan(fixture_trace, sigs, None)
-    second = scan(fixture_trace, sigs, None)
+    first = scan(fixture_trace, sigs)
+    second = scan(fixture_trace, sigs)
     assert first == second
 
 
@@ -246,17 +266,17 @@ def test_concatenating_traces_unions_findings():
     shift = len(t1.records)
     rebased = [replace(r, global_seq=r.global_seq + shift) for r in t2.records]
     combined = trace_from_records(list(t1.records) + rebased, t1.header)
-    combined_findings = scan(combined, sigs, None)
+    combined_findings = scan(combined, sigs)
     names = {f.signature for f in combined_findings}
     assert names == {"direct-cpu-clock-access", "GetTickCount"}
-    f1 = scan(t1, sigs, None)
+    f1 = scan(t1, sigs)
     assert combined_findings[0].evidence == f1[0].evidence  # first trace unshifted
-    f2 = scan(t2, sigs, None)
+    f2 = scan(t2, sigs)
     second = next(f for f in combined_findings if f.signature == "GetTickCount")
     assert second.evidence == tuple(s + shift for s in f2[0].evidence)  # re-based
 
 
 def test_findings_jsonl(fixture_trace):
-    findings = scan(fixture_trace, default_signatures(), None)
+    findings = scan(fixture_trace, default_signatures())
     lines = findings_to_jsonl(findings).splitlines()
     assert [json.loads(x)["signature"] for x in lines] == ["calls-wmi"]

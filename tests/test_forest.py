@@ -254,6 +254,41 @@ def test_random_trace_node_counts_match_oracle():
         assert len(forest.index) == node_count_oracle(trace), f"seed {seed}"
 
 
+def test_create_at_seq_zero_takes_the_preexisting_key():
+    # the create at seq 0 is (7, 0); once it has exited, a child naming pid 7
+    # as parent attaches to it rather than synthesizing another (7, 0)
+    trace = build_trace([
+        (PROCESS_CREATE, 7, 0, 0, "C:\\a\\seven.exe"),
+        (PROCESS_EXIT, 7),
+        (PROCESS_CREATE, 8, 7),
+        (IMAGE_LOAD, 7, 0, 0, "", "", "C:\\x.dll"),
+    ])
+    from lase.codec import trace_from_records
+    records = [r.with_seq(r.global_seq - 1) for r in trace.records]
+    forest = build_forest(trace_from_records(records, trace.header))
+    seven = forest.node(ProcessKey(7, 0))
+    assert (seven.image_path, seven.exit_seq, seven.images) == ("C:\\a\\seven.exe", 1, [("C:\\x.dll", 3)])
+    assert forest.node(ProcessKey(8, 2)).parent == ProcessKey(7, 0)
+    assert forest.warnings == ["seq 3: event for exited pid 7, attached to stale node"]
+
+
+def test_scan_findings_name_forest_processes():
+    from lase.fingerprint import default_signatures, load_signatures, scan
+    from lase.intrusion import DEFAULT_RULES, IntrusionRule, Tactic, scan_commands
+
+    # catch-all matchers, so every create and every record is checked
+    rules = DEFAULT_RULES + (IntrusionRule(Tactic.SCHEDULED_TASK, re.compile("")),)
+    sigs = default_signatures() + load_signatures("any\t*\timage_path\t")
+    for seed in range(20):
+        trace = run_synthetic(WorkloadSpec(seed=seed, producers=2, events_per_producer=250))
+        index = build_forest(trace).index
+        tactics = scan_commands(trace, rules)
+        fingerprints = scan(trace, sigs)
+        assert tactics and fingerprints, f"seed {seed}"
+        assert all(f.process in index for f in tactics), f"seed {seed}"
+        assert all(f.process in index for f in fingerprints), f"seed {seed}"
+
+
 def shape(forest) -> frozenset:
     """Forest shape ignoring sequence numbers: (pid, image, parent pid)."""
     out = []
@@ -341,7 +376,7 @@ def test_pathological_trace_consistency():
     assert len(forest.warnings) == 4
     # annotation lands on the third incarnation of pid 20
     sigs = default_signatures()
-    findings = scan(trace, sigs, forest)
+    findings = scan(trace, sigs)
     assert [(f.signature, f.process) for f in findings] == [
         ("direct-cpu-clock-access", ProcessKey(20, 7))]
     from test_fingerprint import naive_scan_oracle

@@ -18,11 +18,11 @@ from lase.intrusion import (
     command_evidence,
     dwell_stats,
     find_system32_writes,
-    findings_to_jsonl,
     load_rules,
     normalize_command,
     scan_commands,
 )
+from lase.forest import findings_to_jsonl
 from lase.irp import IrpCode
 
 # Verbatim attacker command lines with their expected tactic.
