@@ -8,8 +8,10 @@ fields escape raw tabs and newlines, and double a backslash only before
 't', 'n', a backslash, a tab or a newline, so plain Windows paths are
 stored verbatim. Numbers follow one strict grammar (ASCII digits, fixed
 time widths, no sign or leading zero), so every accepted line re-encodes
-to the same bytes. Files ending in .lase.gz (or any stream starting with
-the gzip magic) are transparently decompressed.
+to the same bytes; for the same reason an I/O label must be its exact
+display form, a result is never the literal "OK", and the text must be
+UTF-8. Files ending in .lase.gz (or any stream starting with the gzip
+magic) are transparently decompressed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import gzip
 import io
 import re
+import weakref
 import zlib
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -26,6 +29,7 @@ from typing import IO, Iterable, Iterator, NoReturn
 
 from .errors import BadMagic, NonMonotonicSequence, TraceSyntaxError, TraceValidationError, UnknownIrp
 from .events import (
+    ANNOTATION_KEYS,
     IMAGE_LOAD,
     PROCESS_CREATE,
     PROCESS_EXIT,
@@ -39,7 +43,7 @@ from .events import (
     op_label,
     validate_record,
 )
-from .irp import parse_irp_code
+from .irp import irp_code_from_label
 
 MAGIC = "#LASEv1"
 ENVIRONMENTS = ("baremetal", "virtual", "unspecified")
@@ -191,16 +195,20 @@ def _parse_uint(text: str, column: str) -> int:
     return value
 
 
-# Bounded: case and spacing variants of a label are distinct keys, so an
-# adversarial file could otherwise grow the cache without limit.
-@functools.lru_cache(maxsize=1024)
+# Shared Irp kind per (operation label, I/O mode token) seen so far. Only
+# canonical labels and tokens enter, so it holds at most one entry per
+# registered code and mode.
+_IRP_KINDS: dict[tuple[str, str], Irp] = {}
+
+
 def _irp_kind(op: str, mode_token: str) -> Irp:
-    """Shared Irp kind for an operation label and I/O mode token."""
-    code = parse_irp_code(op)
+    """The Irp kind for a label and mode token not yet in _IRP_KINDS."""
+    code = irp_code_from_label(op)
     mode = _MODE_TOKENS.get(mode_token)
     if mode is None:
         raise TraceSyntaxError(f"bad I/O mode token {mode_token!r}", column="args")
-    return Irp(code, mode)
+    kind = _IRP_KINDS[op, mode_token] = Irp(code, mode)
+    return kind
 
 
 def _reject(line: str, header: TraceHeader) -> NoReturn:
@@ -245,6 +253,10 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
     if max(seq, ppid, pid, tid, duration or 0) > _UINT64_MAX:
         _reject(line, header)
 
+    # Each branch sets `proven` where the line leaves validate_record
+    # nothing to find: the pattern already rules out NEGATIVE_ID and
+    # NEGATIVE_DURATION, and a text field is empty exactly when its escaped
+    # form is. Any other line is checked, so errors carry the full list.
     args = unescape_field(args)
     if op == "Annot":
         key, sep, value = args.partition("=")
@@ -252,17 +264,26 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
             raise TraceSyntaxError("annotation args must be key=value", column="args")
         kind = Annotation(key, value)
         args = ""
+        proven = duration is None and key in ANNOTATION_KEYS
     elif op in _KIND_BY_LABEL:
         kind = _KIND_BY_LABEL[op]
+        proven = duration is None and (
+            kind is PROCESS_EXIT or kind is IMAGE_LOAD and file_path != ""
+            or kind is PROCESS_CREATE and image != "" and tid == 0
+            or (kind is THREAD_CREATE or kind is THREAD_EXIT) and tid != 0)
     else:
-        kind = _irp_kind(op, args)
+        kind = _IRP_KINDS.get((op, args)) or _irp_kind(op, args)
         args = ""
+        proven = file_path != "" and kind.mode is not IoMode.FAST_IO
+    if result == RESULT_OK:
+        raise TraceSyntaxError("a result of OK is written as an empty column", column="result")
 
     record = EventRecord(seq, when, kind, pid, ppid, tid, duration, unescape_field(image),
                          args, unescape_field(file_path), result or RESULT_OK)
-    violations = validate_record(record)
-    if violations:
-        raise TraceValidationError(violations)
+    if not proven:
+        violations = validate_record(record)
+        if violations:
+            raise TraceValidationError(violations)
     return record
 
 
@@ -359,17 +380,37 @@ def _open_for_read(source) -> IO[bytes]:
 _BLOCK = 65536  # bytes read (and decoded) at a time
 
 
+def _decoded(data: bytes, end: int, line_no: int) -> Iterator[list[str]]:
+    """The lines of data[:end], decoded as UTF-8; line_no is the number of
+    the line before data.
+
+    At the first line that is not valid UTF-8, yields the lines before it
+    and then raises TraceSyntaxError(column="encoding") for that line, so an
+    earlier bad line is still reported first.
+    """
+    try:
+        lines = data[:end].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        if start:
+            yield data[:start - 1].decode("utf-8").split("\n")
+        raise TraceSyntaxError(f"invalid UTF-8 ({exc.reason})", column="encoding",
+                               line_no=line_no + data.count(b"\n", 0, start) + 1) from None
+    yield lines
+
+
 def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
     """The complete lines of each block read from stream, decoded at once."""
-    pending = b""
+    pending, line_no = b"", 0
     while chunk := stream.read(_BLOCK):
         data = pending + chunk
         end = data.rfind(b"\n")
         pending = data[end + 1:]
         if end >= 0:
-            yield data[:end].decode("utf-8", errors="replace").split("\n")
+            yield from _decoded(data, end, line_no)
+            line_no += data.count(b"\n", 0, end) + 1
     if pending:
-        yield [pending.decode("utf-8", errors="replace")]
+        yield from _decoded(pending, len(pending), line_no)
 
 
 def _next_block(blocks: Iterator[list[str]], line_no: int) -> list[str] | None:
@@ -450,6 +491,10 @@ class TraceReader:
             raise
         self._file = file
         self._records = _records(blocks, lines, self.header, line_no, file)
+        if file is not None:
+            # A generator that never started runs no finally block, so a
+            # reader dropped before its first record would leak the file.
+            weakref.finalize(self._records, file.close)
 
     def close(self) -> None:
         """End iteration and close the file the reader opened; a caller's

@@ -86,7 +86,7 @@ def kind_name(kind: EventKind) -> str:
     return type(kind).__name__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EventRecord:
     """One timestamped forensic event with its global sequence number.
 
@@ -106,11 +106,43 @@ class EventRecord:
     file_path: str = ""
     result: str = RESULT_OK
 
+    # The generated frozen __init__ stores each field with
+    # object.__setattr__; writing through the slot descriptors directly
+    # builds a record in about half the time. Same signature and defaults.
+    def __init__(self, global_seq: int, time: datetime, kind: EventKind, pid: int,
+                 ppid: int = 0, tid: int = 0, duration_us: int | None = None,
+                 image_path: str = "", args: str = "", file_path: str = "",
+                 result: str = RESULT_OK) -> None:
+        _set_global_seq(self, global_seq)
+        _set_time(self, time)
+        _set_kind(self, kind)
+        _set_pid(self, pid)
+        _set_ppid(self, ppid)
+        _set_tid(self, tid)
+        _set_duration_us(self, duration_us)
+        _set_image_path(self, image_path)
+        _set_args(self, args)
+        _set_file_path(self, file_path)
+        _set_result(self, result)
+
     def with_seq(self, global_seq: int) -> EventRecord:
         """Copy of this record stamped with another global sequence number."""
         return EventRecord(global_seq, self.time, self.kind, self.pid, self.ppid, self.tid,
                            self.duration_us, self.image_path, self.args, self.file_path,
                            self.result)
+
+
+_set_global_seq = EventRecord.global_seq.__set__
+_set_time = EventRecord.time.__set__
+_set_kind = EventRecord.kind.__set__
+_set_pid = EventRecord.pid.__set__
+_set_ppid = EventRecord.ppid.__set__
+_set_tid = EventRecord.tid.__set__
+_set_duration_us = EventRecord.duration_us.__set__
+_set_image_path = EventRecord.image_path.__set__
+_set_args = EventRecord.args.__set__
+_set_file_path = EventRecord.file_path.__set__
+_set_result = EventRecord.result.__set__
 
 
 class Violation(Enum):

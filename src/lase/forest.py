@@ -205,7 +205,8 @@ class _Builder:
         self.index: dict[ProcessKey, ProcessNode] = {}
         self.findings: list[InjectionFinding] = []
         self._live_by_image: dict[str, dict[ProcessKey, ProcessNode]] = {}
-        self._pending: list[tuple[InjectionFinding, datetime]] = []
+        # Findings still open to an upgrade, keyed by target, in finding order.
+        self._pending: dict[ProcessKey, list[tuple[InjectionFinding, datetime]]] = {}
         self._synthetic_tid = -1
 
     def _add(self, node: ProcessNode) -> ProcessNode:
@@ -298,7 +299,7 @@ class _Builder:
                         confidence=InjectionConfidence.REMOTE_THREAD,
                     )
                     self.findings.append(finding)
-                    self._pending.append((finding, record.time))
+                    self._pending.setdefault(owner.key, []).append((finding, record.time))
         owner.threads.append(ThreadInfo(tid, record.global_seq, None, creator))
 
     def _on_thread_exit(self, record: EventRecord) -> None:
@@ -310,18 +311,22 @@ class _Builder:
         self.resolver.warnings.append(f"seq {record.global_seq}: thread exit for unknown tid {record.tid}")
 
     def _check_upgrades(self, node: ProcessNode, when: datetime) -> None:
-        if not self._pending:
+        pending = self._pending.get(node.key)
+        if pending is None:
             return
         kept = []
-        for finding, started in self._pending:
+        for finding, started in pending:
             delta = when - started
-            if finding.target == node.key and timedelta(0) <= delta <= self.window:
+            if timedelta(0) <= delta <= self.window:
                 finding.confidence = InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY
                 continue  # upgraded once; no longer pending
-            if finding.target == node.key and delta > self.window:
+            if delta > self.window:
                 continue  # window elapsed for this target
             kept.append((finding, started))
-        self._pending = kept
+        if kept:
+            self._pending[node.key] = kept
+        else:
+            del self._pending[node.key]
 
     def result(self) -> ProcessForest:
         self.roots.sort(key=lambda k: (k.birth_seq, k.pid))

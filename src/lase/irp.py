@@ -5,6 +5,8 @@ filesystem-filter groups) and 48 minor identifiers, 93 identifiers total.
 Identifiers parse case-insensitively, either in canonical form
 ("IRP_MJ_WRITE") or in the display form used in trace files ("IRP_Write");
 a minor rides along as "MAJOR/MINOR" since a minor never stands alone.
+Trace files themselves hold only the exact display form
+(irp_code_from_label), so every label re-encodes to the same bytes.
 """
 
 from __future__ import annotations
@@ -162,6 +164,10 @@ for _n in MINOR_REGISTRY:
     _MINOR_LOOKUP[_n.upper()] = _n
     _MINOR_LOOKUP[minor_label(_n).upper()] = _n
 
+# Exact display labels, one entry per registered identifier.
+_MAJOR_BY_LABEL = {major_label(m): m for m in MAJOR_REGISTRY}
+_MINOR_BY_LABEL = {minor_label(n): n for n in MINOR_REGISTRY}
+
 
 @dataclass(frozen=True)
 class IrpCode:
@@ -209,4 +215,18 @@ def parse_irp_code(name: str) -> IrpCode:
     minor = _MINOR_LOOKUP.get(minor_part.strip().upper())
     if minor is None:
         raise UnknownIrp(name)
+    return IrpCode(major, minor)
+
+
+def irp_code_from_label(label: str) -> IrpCode:
+    """The code whose display label (IrpCode.label) is exactly label.
+
+    Unlike parse_irp_code, this accepts no other spelling: no canonical
+    identifier, no case or spacing variant. Raises UnknownIrp otherwise.
+    """
+    major_text, sep, minor_text = label.partition("/")
+    major = _MAJOR_BY_LABEL.get(major_text)
+    minor = _MINOR_BY_LABEL.get(minor_text) if sep else None
+    if major is None or (sep and minor is None):
+        raise UnknownIrp(label)
     return IrpCode(major, minor)

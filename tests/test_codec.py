@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import gzip
 import io
 import random
 from datetime import date, datetime, timedelta
@@ -35,7 +36,7 @@ from lase.errors import (
     TraceValidationError,
     UnknownIrp,
 )
-from lase.events import Annotation, IoMode, Irp, ProcessCreate
+from lase.events import Annotation, IoMode, Irp, ProcessCreate, Violation, validate_record
 
 HEADER = TraceHeader(base_date=date(2018, 10, 1))
 
@@ -398,6 +399,12 @@ _TIME_ERRORS = [
     "2024/01/01-09:00:00:0x0", "2024/01/01-09:00:00", "2024/01/01", "2024/01/01-",
 ]
 
+_NON_CANONICAL_LABELS = (
+    "irp_read", "IRP_READ", "IRP_MJ_READ", "IRP_Read ", " IRP_Read", "IRP_Read/",
+    "IRP_Directory_Control/query_directory", "IRP_Directory_Control/IRP_MN_QUERY_DIRECTORY",
+    "IRP_Directory_Control/ Query_Directory", "IRP_Directory_Control/Query_Directory/Query_Directory",
+)
+
 _DECODE_ERRORS = (
     [("a\tb\tc", TraceSyntaxError, "line"),
      (_line() + "\textra", TraceSyntaxError, "line"),
@@ -422,7 +429,13 @@ _DECODE_ERRORS = (
        (_line(time="24:00:00:000", ppid=str(2**64)), TraceSyntaxError, "time"),
        (_line(ppid=str(2**64), pid="x"), TraceSyntaxError, "ppid"),
        (_line(operation="IRP_Bogus", file_path=""), UnknownIrp, None),
-       (_line(args="sideways", file_path=""), TraceSyntaxError, "args")]
+       (_line(args="sideways", file_path=""), TraceSyntaxError, "args"),
+       # a literal OK result would re-encode as an empty column
+       (_line(result="OK"), TraceSyntaxError, "result"),
+       (_line(result="OK", file_path=""), TraceSyntaxError, "result"),
+       (_line(operation="IRP_READ", result="OK"), UnknownIrp, None)]
+    # only the canonical display label (IrpCode.label) names an I/O request
+    + [(_line(operation=label), UnknownIrp, None) for label in _NON_CANONICAL_LABELS]
 )
 
 
@@ -600,3 +613,122 @@ def test_header_date_is_strict(value):
         read_trace(f"#LASEv1\n#date\t{value}\n#env\tbaremetal\n".encode())
     assert exc.value.column == "date"
     assert exc.value.line_no == 2
+
+
+def test_rejected_labels_leave_the_irp_kind_table_alone():
+    decode_line(_line(), HEADER)
+    known = dict(codec._IRP_KINDS)
+    for i in range(1, 2000):
+        label = "IRP_Read" + " " * (i % 7) + "/" * (i // 7 % 2) + "x" * (i // 14)
+        with pytest.raises(UnknownIrp) as exc:
+            decode_line(_line(operation=label), HEADER)
+        assert exc.value.name == label
+    assert codec._IRP_KINDS == known
+
+
+def _encoding_error(data: bytes) -> TraceSyntaxError:
+    with pytest.raises(TraceSyntaxError) as exc:
+        read_trace(data)
+    assert exc.value.column == "encoding"
+    return exc.value
+
+
+def _with_bad_byte(text: str) -> bytes:
+    return text.encode("utf-8").replace(b"@", b"\xff")
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_invalid_utf8_is_rejected_not_rewritten(compress):
+    lines = [_IRP_LINE.format(seq=s) for s in range(1, 4)]
+    lines[1] = lines[1].replace("C:\\x.exe", "C:\\x@.exe")  # \xff in an image path
+    data = _with_bad_byte(_trace_text(*lines).decode())
+    if compress:
+        data = gzip.compress(data)
+    assert _encoding_error(data).line_no == 4
+
+
+def test_invalid_utf8_line_number_in_header_and_in_later_blocks():
+    assert _encoding_error(_with_bad_byte("#LASEv1\n#host\tlab@\n")).line_no == 2
+    assert _encoding_error(_with_bad_byte("#LASEv1\n#host\tlab@")).line_no == 2  # no final newline
+    body = [_IRP_LINE.format(seq=s) for s in range(1, 3001)]  # several 64 KiB blocks
+    body[2500] = body[2500].replace("C:\\f", "C:\\@")
+    assert _encoding_error(_with_bad_byte(_trace_text(*body).decode())).line_no == 2503
+
+
+def test_an_earlier_bad_line_wins_over_a_later_bad_byte():
+    body = [_IRP_LINE.format(seq=s) for s in range(1, 7)]
+    body[1] = body[1].replace("\t2\t", "\tx\t")
+    body[3] = body[3].replace("C:\\f", "C:\\@")  # same block, not its last line
+    with pytest.raises(TraceSyntaxError) as exc:
+        read_trace(_with_bad_byte(_trace_text(*body).decode()))
+    assert (exc.value.column, exc.value.line_no) == ("global_seq", 4)
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+def test_reader_dropped_before_iteration_closes_its_file(fixture_path):
+    TraceReader(fixture_path)
+    reader = TraceReader(fixture_path)
+    file = reader._file
+    del reader
+    gc.collect()
+    assert file.closed
+
+
+# Every decoded line that can break an invariant: decode_line must raise
+# exactly validate_record's list for the record the line describes.
+_VIOLATING_LINES = [
+    (_line(operation="Tr Create", duration_us="", tid="0", file_path=""), [Violation.MISSING_TID]),
+    (_line(operation="Tr Exit", duration_us="", tid="0", file_path=""), [Violation.MISSING_TID]),
+    (_line(operation="Pr Create", duration_us="", tid="0", image_path=""),
+     [Violation.MISSING_IMAGE_PATH]),
+    (_line(operation="Pr Create", duration_us=""), [Violation.PROCESS_EVENT_TID]),
+    (_line(operation="Pr Create", tid="0", image_path=""),
+     [Violation.MISSING_IMAGE_PATH, Violation.DURATION_ON_NON_IO]),
+    (_line(operation="Ld Image", duration_us="", file_path=""), [Violation.MISSING_FILE_PATH]),
+    (_line(file_path=""), [Violation.MISSING_FILE_PATH]),
+    (_line(args="async", file_path=""), [Violation.MISSING_FILE_PATH]),
+    (_line(operation="IRP_Mdl_Read/Complete", args="fastio"), [Violation.FAST_IO_WITH_MINOR]),
+    (_line(operation="IRP_Mdl_Read/Complete", args="fastio", file_path=""),
+     [Violation.MISSING_FILE_PATH, Violation.FAST_IO_WITH_MINOR]),
+    (_line(operation="Pr Exit"), [Violation.DURATION_ON_NON_IO]),
+    (_line(operation="Tr Create"), [Violation.DURATION_ON_NON_IO]),
+    (_line(operation="Tr Exit", tid="0"), [Violation.MISSING_TID, Violation.DURATION_ON_NON_IO]),
+    (_line(operation="Ld Image"), [Violation.DURATION_ON_NON_IO]),
+    (_line(operation="Annot", args="api=RDTSC", file_path=""), [Violation.DURATION_ON_NON_IO]),
+    (_line(operation="Annot", duration_us="", args="bogus=RDTSC"),
+     [Violation.UNKNOWN_ANNOTATION_KEY]),
+    (_line(operation="Annot", args="bogus=RDTSC"),
+     [Violation.UNKNOWN_ANNOTATION_KEY, Violation.DURATION_ON_NON_IO]),
+]
+
+
+@pytest.mark.parametrize("line, expected", _VIOLATING_LINES,
+                         ids=[repr(line)[:60] for line, _ in _VIOLATING_LINES])
+def test_decoded_violations_are_validate_records_list(monkeypatch, line, expected):
+    with pytest.raises(TraceValidationError) as exc:
+        decode_line(line, HEADER)
+    monkeypatch.setattr(codec, "validate_record", lambda record: [])
+    record = decode_line(line, HEADER)  # the record the line describes, unchecked
+    assert exc.value.violations == validate_record(record) == expected
+
+
+_LABELS = ("Pr Create", "Pr Exit", "Tr Create", "Tr Exit", "Ld Image", "Annot", "IRP_Read",
+           "IRP_Write", "IRP_Mdl_Read", "IRP_Mdl_Read/Complete",
+           "IRP_Directory_Control/Query_Directory", "IRP_READ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_LABELS), st.sampled_from(["", "0", "17"]), st.sampled_from(["0", "3"]),
+       st.sampled_from(["", "C:\\x.exe"]),
+       st.sampled_from(["", "async", "fastio", "paging", "api=RDTSC", "note=x", "bogus=1", "/c"]),
+       st.sampled_from(["", "C:\\f"]), st.sampled_from(["", "ACCESS_DENIED", "OK"]))
+def test_accepted_lines_validate_and_re_encode(op, duration, tid, image, args, file_path, result):
+    line = _line(operation=op, duration_us=duration, tid=tid, image_path=image, args=args,
+                 file_path=file_path, result=result)
+    try:
+        record = decode_line(line, HEADER)
+    except LaseError:
+        return
+    assert validate_record(record) == []
+    assert encode_record(record, HEADER) == line

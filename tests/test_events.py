@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import pickle
 import random
 from datetime import datetime
@@ -148,3 +149,44 @@ def test_with_seq_changes_only_global_seq():
     assert dataclasses.replace(copy, global_seq=7) == record
 
 
+
+
+def test_record_init_keeps_the_field_signature():
+    names = [f.name for f in dataclasses.fields(EventRecord)]
+    assert names == ["global_seq", "time", "kind", "pid", "ppid", "tid", "duration_us",
+                     "image_path", "args", "file_path", "result"]
+    params = inspect.signature(EventRecord).parameters
+    assert list(params) == names
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params.values())
+    defaults = {f.name: f.default for f in dataclasses.fields(EventRecord)
+                if f.default is not dataclasses.MISSING}
+    assert {n: p.default for n, p in params.items() if p.default is not p.empty} == defaults
+    assert defaults == {"ppid": 0, "tid": 0, "duration_us": None, "image_path": "", "args": "",
+                        "file_path": "", "result": "OK"}
+
+
+def test_record_init_by_keyword_position_and_default():
+    kind = Irp(IrpCode("IRP_MJ_WRITE"))
+    by_keyword = EventRecord(result="DENIED", file_path="C:\\f", args="a", image_path="C:\\x.exe",
+                             duration_us=5, tid=3, ppid=2, pid=1, kind=kind, time=T0, global_seq=9)
+    by_position = EventRecord(9, T0, kind, 1, 2, 3, 5, "C:\\x.exe", "a", "C:\\f", "DENIED")
+    assert by_keyword == by_position
+    assert [getattr(by_keyword, f.name) for f in dataclasses.fields(EventRecord)] == [
+        9, T0, kind, 1, 2, 3, 5, "C:\\x.exe", "a", "C:\\f", "DENIED"]
+    short = EventRecord(4, T0, PROCESS_EXIT, 8)
+    assert (short.ppid, short.tid, short.duration_us, short.image_path, short.args,
+            short.file_path, short.result) == (0, 0, None, "", "", "", "OK")
+    assert repr(short).startswith("EventRecord(global_seq=4, time=")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, T0, PROCESS_EXIT), {}),
+    ((1, T0), {"pid": 3}),
+    ((), {"time": T0, "kind": PROCESS_EXIT, "pid": 3}),
+    ((1, T0, PROCESS_EXIT, 3), {"bogus": 1}),
+    ((1, T0, PROCESS_EXIT, 3), {"pid": 3}),
+    ((1, T0, PROCESS_EXIT, 3, 0, 0, None, "", "", "", "OK", "extra"), {}),
+])
+def test_record_init_rejects_bad_arguments(args, kwargs):
+    with pytest.raises(TypeError):
+        EventRecord(*args, **kwargs)

@@ -12,6 +12,7 @@ from lase.irp import (
     MINOR_COUNT,
     MINOR_REGISTRY,
     IrpCode,
+    irp_code_from_label,
     major_label,
     parse_irp_code,
 )
@@ -70,6 +71,9 @@ def test_all_majors_round_trip_via_label():
         code = IrpCode(major)
         assert parse_irp_code(code.label) == code
         assert parse_irp_code(major) == code
+        assert irp_code_from_label(code.label) == code
+        with pytest.raises(UnknownIrp):
+            irp_code_from_label(major)  # the trace form is the label only
 
 
 def test_all_minors_round_trip_paired():
@@ -77,6 +81,9 @@ def test_all_minors_round_trip_paired():
         code = IrpCode("IRP_MJ_DIRECTORY_CONTROL", minor)
         assert parse_irp_code(code.label) == code
         assert parse_irp_code(f"IRP_MJ_DIRECTORY_CONTROL/{minor}") == code
+        assert irp_code_from_label(code.label) == code
+        with pytest.raises(UnknownIrp):
+            irp_code_from_label(code.label.upper())
 
 
 def test_composite_parse_mixed_forms():
