@@ -24,10 +24,10 @@ from datetime import datetime
 from pathlib import Path
 
 from .codec import TraceHeader, trace_from_records, write_trace
-from .errors import MissingCell
+from .errors import MissingCell, PipelineClosed
 from .events import EventRecord, Irp
 from .irp import IrpCode
-from .pipeline import EventPipeline, PipelineConfig, WriteBackConsumer
+from .pipeline import EventPipeline, PipelineConfig
 
 OPERATIONS = ("write", "rewrite", "read", "reread")
 SIZE_LABELS = ("small", "large")
@@ -95,17 +95,22 @@ class BenchReport:
 
 
 class _Recorder:
-    """Pipeline + write-back consumer thread persisting events to a trace."""
+    """Pipeline + consumer thread collecting events, written as a trace on finish."""
 
     def __init__(self, out_path: Path):
         self.pipeline = EventPipeline(PipelineConfig(ring_capacity=1024, chunk_size=256))
         self.out_path = out_path
         self.submitted = 0
         self._drained: list[EventRecord] = []
-        self.consumer = WriteBackConsumer(self.pipeline, self._drained.extend,
-                                          flush_threshold=2048)
-        self._thread = threading.Thread(target=self.consumer.run, daemon=True)
+        self._thread = threading.Thread(target=self._consume, daemon=True)
         self._thread.start()
+
+    def _consume(self) -> None:
+        while True:
+            try:
+                self._drained.extend(self.pipeline.drain())
+            except PipelineClosed:
+                return
 
     def record(self, op: str, file_path: str, duration_us: int) -> None:
         proto = EventRecord(

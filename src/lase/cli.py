@@ -158,6 +158,9 @@ def _cmd_replay(args) -> int:
     result = pipeline.replay_fixture(trace, speed=speed, config=config,
                                      producers=args.producers, consumers=args.consumers)
     _write_trace_out(result, args.out, args.compress)
+    if len(result) < len(trace):
+        print(f"warning: replay kept {len(result)} of {len(trace)} events (policy {args.policy})",
+              file=sys.stderr)
     return EXIT_OK
 
 

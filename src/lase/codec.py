@@ -4,14 +4,15 @@ A trace file is a "#LASEv1" magic line, "#key<TAB>value" header lines, then
 one tab-separated record per line in the fixed column order: operation
 label, time, duration (empty unless an I/O event), global sequence, ppid,
 pid, tid, image path, args, file path, result (empty means OK). Text
-fields escape raw tabs and newlines, and double a backslash only before
-'t', 'n', a backslash, a tab or a newline, so plain Windows paths are
-stored verbatim. Numbers follow one strict grammar (ASCII digits, fixed
-time widths, no sign or leading zero), so every accepted line re-encodes
-to the same bytes; for the same reason an I/O label must be its exact
-display form, a result is never the literal "OK", and the text must be
-UTF-8. Files ending in .lase.gz (or any stream starting with the gzip
-magic) are transparently decompressed.
+fields (the paths, args and result) escape raw tabs and newlines, and
+double a backslash only before 't', 'n', a backslash, a tab or a
+newline, so plain Windows paths are stored verbatim. Numbers follow one
+strict grammar (ASCII digits, fixed time widths, no sign or leading
+zero), so every accepted line re-encodes to the same bytes; for the same
+reason an I/O label must be its exact display form, a result is never
+the literal "OK", and the text must be UTF-8. Files ending in .lase.gz
+(or any stream starting with the gzip magic) are transparently
+decompressed.
 """
 
 from __future__ import annotations
@@ -279,7 +280,8 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
         raise TraceSyntaxError("a result of OK is written as an empty column", column="result")
 
     record = EventRecord(seq, when, kind, pid, ppid, tid, duration, unescape_field(image),
-                         args, unescape_field(file_path), result or RESULT_OK)
+                         args, unescape_field(file_path),
+                         unescape_field(result) if result else RESULT_OK)
     if not proven:
         violations = validate_record(record)
         if violations:
@@ -311,7 +313,7 @@ def encode_record(record: EventRecord, header: TraceHeader | None = None) -> str
         escape_field(record.image_path),
         escape_field(args),
         escape_field(record.file_path),
-        "" if record.result == RESULT_OK else record.result,
+        "" if record.result == RESULT_OK else escape_field(record.result),
     )
     return "\t".join(fields)
 

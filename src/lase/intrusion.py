@@ -166,9 +166,9 @@ def dwell_stats(traces: list[Trace],
         label = labels[i] if labels else f"trace-{i}"
         findings = scan_commands(trace, rules)
         first_finding = None
-        if findings:
-            by_seq = {r.global_seq: r.time for r in trace.records}
-            first_finding = by_seq[min(f.seq for f in findings)]
+        if findings:  # in record order, so the first is the earliest
+            first_seq = findings[0].seq
+            first_finding = next(r.time for r in trace.records if r.global_seq == first_seq)
         sessions.append(SessionDwell(label, trace.records[0].time, first_finding))
     latencies = [s.latency for s in sessions if s.latency is not None]
     mean = sum(latencies, timedelta()) / len(latencies) if latencies else None

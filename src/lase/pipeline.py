@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .codec import Trace, TraceHeader, resequence
 from .errors import PipelineClosed
@@ -72,29 +72,6 @@ class PipelineConfig:
             raise ValueError("chunk_size must be in 1..ring_capacity")
 
 
-@dataclass(frozen=True)
-class ProducerSpan:
-    count: int
-    first_seq: int
-    last_seq: int
-
-
-@dataclass(frozen=True)
-class Chunk:
-    records: tuple[EventRecord, ...]
-    producer_span: dict[int, ProducerSpan]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def _spans(entries: list[tuple[int, EventRecord]]) -> dict[int, ProducerSpan]:
-    seqs: dict[int, list[int]] = {}
-    for producer_id, rec in entries:
-        seqs.setdefault(producer_id, []).append(rec.global_seq)
-    return {p: ProducerSpan(len(s), s[0], s[-1]) for p, s in seqs.items()}
-
-
 @dataclass
 class PipelineStats:
     accepted: int = 0
@@ -105,16 +82,20 @@ class PipelineStats:
 
 
 class EventPipeline:
-    """Shareable MPMC pipeline; submit and drain are both thread-safe."""
+    """Shareable MPMC pipeline; submit and drain are both thread-safe.
+
+    It holds only the buffered ring and the counters in stats. Every
+    accepted event is drained, handed to the priority sink or evicted, and
+    sequence numbers are gap-free, so the seqs missing from what callers
+    took out are exactly the evicted ones.
+    """
 
     def __init__(self, config: PipelineConfig | None = None,
                  priority_sink: Callable[[int, EventRecord], None] | None = None):
         self.config = config or PipelineConfig()
         self.stats = PipelineStats()
-        self.priority_events: list[tuple[int, EventRecord]] = []
-        self.evicted_events: list[tuple[int, EventRecord]] = []
         self._priority_sink = priority_sink
-        self._ring: deque[tuple[int, EventRecord]] = deque()
+        self._ring: deque[EventRecord] = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
@@ -128,9 +109,14 @@ class EventPipeline:
         Returns DROPPED when the event was refused (Reject policy, or the
         pipeline is closed) and WOULD_BLOCK for a non-blocking submit
         against a full ring under the Block policy. Under DropOldest the
-        new event is always accepted; the evicted one is logged.
+        new event is always accepted and the oldest buffered one discarded.
+        A priority event goes to the priority sink with producer_id; a
+        pipeline without a sink raises ValueError for it, before any
+        sequence number is assigned.
         """
         is_priority = priority or kind_name(proto_event.kind) in self.config.priority_kinds
+        if is_priority and self._priority_sink is None:
+            raise ValueError("priority event submitted to a pipeline without a priority sink")
         with self._lock:
             if self._closed:
                 self.stats.rejected += 1
@@ -140,9 +126,7 @@ class EventPipeline:
                 self._next_seq += 1
                 self.stats.accepted += 1
                 self.stats.priority_delivered += 1
-                self.priority_events.append((producer_id, record))
-                if self._priority_sink is not None:
-                    self._priority_sink(producer_id, record)
+                self._priority_sink(producer_id, record)
                 return SubmitResult.ACCEPTED
             while len(self._ring) >= self.config.ring_capacity:
                 policy = self.config.backpressure_policy
@@ -150,7 +134,7 @@ class EventPipeline:
                     self.stats.rejected += 1
                     return SubmitResult.DROPPED
                 if policy is BackpressurePolicy.DROP_OLDEST:
-                    self.evicted_events.append(self._ring.popleft())
+                    self._ring.popleft()
                     self.stats.evicted += 1
                     break
                 if not block:
@@ -162,31 +146,29 @@ class EventPipeline:
             record = proto_event.with_seq(self._next_seq)
             self._next_seq += 1
             self.stats.accepted += 1
-            self._ring.append((producer_id, record))
+            self._ring.append(record)
             self._not_empty.notify()
             return SubmitResult.ACCEPTED
 
-    def drain(self, max_records: int | None = None, block: bool = True,
-              timeout: float | None = None) -> Chunk:
-        """Remove up to min(max_records, chunk_size) buffered events.
+    def drain(self, block: bool = True) -> tuple[EventRecord, ...]:
+        """Remove up to chunk_size buffered events, oldest first.
 
-        Blocks while the ring is empty unless block=False. Raises
-        PipelineClosed once the pipeline is closed and fully drained.
+        Blocks while the ring is empty unless block=False, which returns
+        an empty tuple instead. Raises PipelineClosed once the pipeline is
+        closed and fully drained.
         """
-        limit = self.config.chunk_size if max_records is None else min(max_records, self.config.chunk_size)
         with self._lock:
             while not self._ring:
                 if self._closed:
                     raise PipelineClosed("pipeline closed and empty")
                 if not block:
-                    return Chunk((), {})
-                if not self._not_empty.wait(timeout=timeout):
-                    return Chunk((), {})
+                    return ()
+                self._not_empty.wait()
             ring = self._ring
-            taken = [ring.popleft() for _ in range(min(limit, len(ring)))]
+            taken = tuple([ring.popleft() for _ in range(min(self.config.chunk_size, len(ring)))])
             self.stats.drained += len(taken)
             self._not_full.notify_all()
-            return Chunk(tuple(rec for _, rec in taken), _spans(taken))
+            return taken
 
     def close(self) -> None:
         """Stop accepting submissions; drains continue until empty."""
@@ -447,7 +429,8 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     Under a lossless policy the output multiset (ignoring global_seq)
     equals the input, and per-pid order is preserved: with several
     producers, records are sharded by pid so one pid never crosses
-    producers, and the drained output is merged by assigned sequence.
+    producers (shard i submits as producer i), and the drained output is
+    merged by assigned sequence.
     speed scales inter-event gaps (inf = no pacing). The single
     producer/consumer form is fully deterministic.
     """
@@ -460,29 +443,23 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     out: list[EventRecord] = []
     out_lock = threading.Lock()
 
-    def produce(shard: list[EventRecord]) -> None:
-        prev_time: datetime | None = None
-        for record in shard:
-            if speed != math.inf and prev_time is not None:
-                gap = (record.time - prev_time).total_seconds()
-                if gap > 0:
-                    _time.sleep(gap / speed)
-            prev_time = record.time
-            pipeline.submit(0, record)
+    def produce(producer_id: int, shard: list[EventRecord]) -> None:
+        for record in _paced(shard, speed):
+            pipeline.submit(producer_id, record)
 
     def consume() -> None:
         local: list[EventRecord] = []
         while True:
             try:
-                chunk = pipeline.drain()
+                local.extend(pipeline.drain())
             except PipelineClosed:
                 break
-            local.extend(chunk.records)
         with out_lock:
             out.extend(local)
 
     consumer_threads = [threading.Thread(target=consume) for _ in range(consumers)]
-    producer_threads = [threading.Thread(target=produce, args=(s,)) for s in shards]
+    producer_threads = [threading.Thread(target=produce, args=(i, shard))
+                        for i, shard in enumerate(shards)]
     for t in consumer_threads + producer_threads:
         t.start()
     for t in producer_threads:
@@ -499,24 +476,28 @@ def _replay_single(trace: Trace, speed: float, config: PipelineConfig | None) ->
     out: list[EventRecord] = []
 
     def pump() -> None:
-        while True:
-            chunk = pipeline.drain(block=False)
-            if not chunk.records:
-                return
-            out.extend(chunk.records)
+        while chunk := pipeline.drain(block=False):
+            out.extend(chunk)
 
-    prev_time: datetime | None = None
-    for record in trace.records:
-        if speed != math.inf and prev_time is not None:
-            gap = (record.time - prev_time).total_seconds()
-            if gap > 0:
-                _time.sleep(gap / speed)
-        prev_time = record.time
+    for record in _paced(trace.records, speed):
         while pipeline.submit(0, record, block=False) is SubmitResult.WOULD_BLOCK:
             pump()
     pump()
     pipeline.close()
     return Trace(trace.header, _resequenced(out))
+
+
+def _paced(records: Iterable[EventRecord], speed: float) -> Iterator[EventRecord]:
+    """Yield records, first sleeping each forward time gap divided by speed
+    (inf = no pacing)."""
+    prev_time: datetime | None = None
+    for record in records:
+        if speed != math.inf and prev_time is not None:
+            gap = (record.time - prev_time).total_seconds()
+            if gap > 0:
+                _time.sleep(gap / speed)
+        prev_time = record.time
+        yield record
 
 
 def _resequenced(records: list[EventRecord]) -> tuple[EventRecord, ...]:
@@ -527,44 +508,3 @@ def _resequenced(records: list[EventRecord]) -> tuple[EventRecord, ...]:
     if records and records[-1].global_seq != len(records):
         records = resequence(records)
     return tuple(records)
-
-
-class WriteBackConsumer:
-    """Batch-flush consumer strategy: the alternative to eager persistence.
-
-    Drained records accumulate in memory and are handed to the flush
-    callback only when the buffer reaches flush_threshold records (and once
-    more on stop). Flush counts are exposed so the buffering trade-off
-    against per-chunk persistence is measurable. run() is meant to be the
-    body of a consumer thread; stop() is implied by closing the pipeline.
-    """
-
-    def __init__(self, pipeline: EventPipeline,
-                 flush: Callable[[list[EventRecord]], None],
-                 flush_threshold: int = 1024):
-        if flush_threshold < 1:
-            raise ValueError("flush_threshold must be >= 1")
-        self._pipeline = pipeline
-        self._flush = flush
-        self._threshold = flush_threshold
-        self._buffer: list[EventRecord] = []
-        self.flushes = 0
-        self.records_seen = 0
-
-    def _flush_now(self) -> None:
-        if self._buffer:
-            self._flush(self._buffer)
-            self._buffer = []
-            self.flushes += 1
-
-    def run(self) -> None:
-        while True:
-            try:
-                chunk = self._pipeline.drain()
-            except PipelineClosed:
-                break
-            self._buffer.extend(chunk.records)
-            self.records_seen += len(chunk.records)
-            if len(self._buffer) >= self._threshold:
-                self._flush_now()
-        self._flush_now()

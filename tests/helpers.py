@@ -18,6 +18,7 @@ from lase.events import (
     Irp,
 )
 from lase.irp import FAST_IO_MAJORS, MAJOR_REGISTRY, MINOR_REGISTRY, IrpCode
+from lase.pipeline import EventPipeline
 
 BASE_TIME = datetime(2024, 5, 6, 10, 0, 0)
 
@@ -99,3 +100,19 @@ def build_trace(rows: list[tuple], base: datetime = BASE_TIME) -> Trace:
             image_path=image, args=args, file_path=file_path,
         ))
     return trace_from_records(records, TraceHeader(base_date=base.date()))
+
+
+def evicted_seqs(pipeline: EventPipeline, taken: list[int]) -> list[int]:
+    """The seqs a fully drained pipeline evicted: those in 1..accepted that
+    no caller took out, by drain or through the priority sink.
+
+    Asserts that the taken seqs are unique and in range, and that the rest
+    number exactly stats.evicted.
+    """
+    accepted = pipeline.stats.accepted
+    assert pipeline.buffered() == 0
+    assert len(set(taken)) == len(taken)
+    assert all(1 <= seq <= accepted for seq in taken)
+    evicted = sorted(set(range(1, accepted + 1)).difference(taken))
+    assert len(evicted) == pipeline.stats.evicted
+    return evicted

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from helpers import BASE_TIME
+from helpers import BASE_TIME, build_trace, evicted_seqs
 
 from test_fingerprint import naive_scan_oracle, template_trace
 from test_forest import node_count_oracle
@@ -28,7 +28,7 @@ from lase.diffreport import (
     overlap_from_sizes,
 )
 from lase.errors import LaseError, PipelineClosed
-from lase.events import PROCESS_CREATE, EventRecord, Irp
+from lase.events import PROCESS_CREATE, PROCESS_EXIT, Annotation, EventRecord, Irp
 from lase.fingerprint import default_signatures, scan
 from lase.fixtures import macro_malware, macro_malware_path
 from lase.forest import ProcessKey, build_forest
@@ -159,7 +159,7 @@ def _drive_combo(producers: int, consumers: int, policy: BackpressurePolicy,
                 break
             with tick_lock:
                 tick = next(tick_counter)
-            local.extend((r, tick) for r in chunk.records)
+            local.extend((r, tick) for r in chunk)
         with tick_lock:
             drained.extend(local)
 
@@ -189,13 +189,12 @@ def test_criterion_4_pipeline_property_suite(capsys):
                         producers, consumers, policy, ring, 10_000)
                     drained_seqs = [r.global_seq for r, _ in drained]
                     sink_seqs = [seq for _, seq, _ in sink_log]
-                    evicted_seqs = [r.global_seq for _, r in pipeline.evicted_events]
-                    # accepted multiset equals drained multiset (plus the
-                    # priority sink; DropOldest additionally logs evictions)
+                    # drained and sink seqs are unique and within the
+                    # gap-free 1..accepted; the rest are the evictions,
+                    # which only DropOldest makes
+                    evicted = evicted_seqs(pipeline, drained_seqs + sink_seqs)
                     if policy is not BackpressurePolicy.DROP_OLDEST:
-                        assert not evicted_seqs
-                    assert sorted(drained_seqs + sink_seqs + evicted_seqs) == \
-                        list(range(1, pipeline.stats.accepted + 1))  # gap-free
+                        assert not evicted
                     if policy is BackpressurePolicy.BLOCK:
                         assert pipeline.stats.accepted == submitted  # lossless
                     # per-producer FIFO: submission index increases with seq
@@ -256,22 +255,32 @@ def test_criterion_6_oracle_equivalence(capsys):
     signatures = default_signatures()
     events = 10_000
     traces = 100
-    for seed in range(traces):
-        trace = run_synthetic(WorkloadSpec(seed=seed, producers=2,
-                                           events_per_producer=events // 2))
+
+    def inputs():
+        for seed in range(traces):
+            yield f"seed {seed}", run_synthetic(WorkloadSpec(
+                seed=seed, producers=2, events_per_producer=events // 2))
+        # a child names an exited pid as parent, which then acts again
+        yield "exited parent", build_trace([
+            (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
+            (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
+            (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
+            (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+        ])
+
+    for label, trace in inputs():
         forest = build_forest(trace)
-        assert len(forest.index) == node_count_oracle(trace), f"seed {seed}"
-        assert scan(trace, signatures) == naive_scan_oracle(trace, signatures), \
-            f"seed {seed}"
+        assert len(forest.index) == node_count_oracle(trace), label
+        assert scan(trace, signatures) == naive_scan_oracle(trace, signatures), label
         naive_ops = collections.Counter(
             r.kind.code.major for r in trace.records if isinstance(r.kind, Irp))
-        assert operation_counts(trace) == dict(naive_ops), f"seed {seed}"
+        assert operation_counts(trace) == dict(naive_ops), label
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     with capsys.disabled():
         report(6, f"forest node counts, fingerprint scans and per-operation "
                   f"counts match brute-force oracles on {traces} traces of "
-                  f"{events} events ({elapsed:.1f}s)")
+                  f"{events} events and an exited-parent trace ({elapsed:.1f}s)")
 
 
 def test_criterion_7_decode_fuzzing(capsys):

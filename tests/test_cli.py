@@ -264,6 +264,17 @@ def test_replay_with_pipeline_knobs(fixture_path, tmp_path, capsys):
     assert len(read_trace(out_path)) == 38
 
 
+def test_replay_reports_loss_on_stderr(fixture_path, tmp_path, capsys):
+    out_path = tmp_path / "replayed.lase"
+    code, out, err = run_cli(capsys, "replay", str(fixture_path), "--out", str(out_path),
+                             "--policy", "reject", "--ring", "8", "--chunk", "8")
+    assert (code, out) == (0, "")
+    assert err == "warning: replay kept 8 of 38 events (policy reject)\n"
+    assert len(read_trace(out_path)) == 8
+    code, out, err = run_cli(capsys, "replay", str(fixture_path), "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")  # a lossless replay stays silent
+
+
 def test_intrude_multiple_traces_parallel(tmp_path, capsys):
     t1 = build_trace([
         (PROCESS_CREATE, 10, 4, 0, "C:\\Windows\\System32\\cmd.exe",

@@ -36,7 +36,16 @@ from lase.errors import (
     TraceValidationError,
     UnknownIrp,
 )
-from lase.events import Annotation, IoMode, Irp, ProcessCreate, Violation, validate_record
+from lase.events import (
+    Annotation,
+    EventRecord,
+    IoMode,
+    Irp,
+    ProcessCreate,
+    Violation,
+    validate_record,
+)
+from lase.irp import IrpCode
 
 HEADER = TraceHeader(base_date=date(2018, 10, 1))
 
@@ -124,6 +133,17 @@ def test_result_token_round_trip():
     assert record.result == "ACCESS_DENIED"
     assert record.file_path == ""
     assert encode_record(record, header) == line
+
+
+@pytest.mark.parametrize("result", ["A\tB", "A\nB", "A\\tB", "TAIL\\", "\\\\n"])
+def test_result_text_round_trips_like_other_fields(result):
+    record = EventRecord(5, datetime(2024, 1, 2, 9), Irp(IrpCode("IRP_MJ_WRITE")), pid=44,
+                         image_path="C:\\x.exe", result=result)
+    header = TraceHeader(base_date=date(2024, 1, 2))
+    line = encode_record(record, header)
+    assert line.count("\t") == 10 and "\n" not in line
+    assert line.rsplit("\t", 1)[1] == escape_field(result)
+    assert decode_line(line, header) == record
 
 
 def test_decode_rejects_negative_duration():

@@ -206,20 +206,32 @@ def test_require_all_semantics():
 def naive_scan_oracle(trace, signatures):
     """Filter-then-group reference: regex filter per matcher, then resolve
     each hit's owning process from create/exit intervals."""
-    # liveness intervals per pid
-    intervals: dict[int, list[tuple[int, int | None, ProcessKey]]] = {}
+    # liveness intervals per pid: [start, end or None while live, key]; at
+    # most one is open, because a create closes the pid's live interval
+    intervals: dict[int, list[list]] = {}
+
+    def open_row(pid: int) -> list | None:
+        return next((row for row in intervals.get(pid, ()) if row[1] is None), None)
+
     for r in trace.records:
         name = kind_name(r.kind)
+        seq = r.global_seq
+        rows = intervals.setdefault(r.pid, [])
         if name == "ProcessCreate":
-            intervals.setdefault(r.pid, []).append((r.global_seq, None, ProcessKey(r.pid, r.global_seq)))
+            live = open_row(r.pid)
+            if live is not None:
+                live[1] = seq - 1
+            if r.ppid != 0 and open_row(r.ppid) is None and not any(
+                    key.birth_seq == 0 for _, _, key in intervals.get(r.ppid, ())):
+                # a parent neither live nor pre-existing becomes a live (ppid, 0)
+                intervals.setdefault(r.ppid, []).append([seq, None, ProcessKey(r.ppid, 0)])
+            rows.append([seq, None, ProcessKey(r.pid, seq)])
+        elif not rows:  # a pid first seen here is the pre-existing (pid, 0)
+            rows.append([0, seq if name == "ProcessExit" else None, ProcessKey(r.pid, 0)])
         elif name == "ProcessExit":
-            rows = intervals.setdefault(r.pid, [])
-            for i, (start, end, key) in enumerate(rows):
-                if end is None:
-                    rows[i] = (start, r.global_seq, key)
-                    break
-            else:
-                rows.append((0, r.global_seq, ProcessKey(r.pid, 0)))
+            live = open_row(r.pid)
+            if live is not None:
+                live[1] = seq
 
     def resolve(pid: int, seq: int) -> ProcessKey:
         rows = intervals.get(pid, [])
@@ -242,6 +254,20 @@ def naive_scan_oracle(trace, signatures):
                 for (name, key), seqs in grouped.items()]
     findings.sort(key=lambda f: (f.first_seq, f.signature))
     return findings
+
+
+def test_oracle_takes_an_exited_parent_as_preexisting():
+    # Naming the exited pid 9 as a parent makes (9, 0) its live instance,
+    # so the later annotation belongs to (9, 0), not to the exited (9, 1).
+    trace = build_trace([
+        (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
+        (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
+        (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
+        (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+    ])
+    sigs = default_signatures()
+    want = [FingerprintFinding("direct-cpu-clock-access", ProcessKey(9, 0), (4,))]
+    assert naive_scan_oracle(trace, sigs) == scan(trace, sigs) == want
 
 
 def test_scan_matches_naive_oracle_on_synthetic_traces():

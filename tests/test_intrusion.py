@@ -197,6 +197,16 @@ def test_empty_trace_rejected():
         dwell_stats([trace_from_records([])])
 
 
+def test_latency_runs_to_the_first_of_several_findings():
+    start = datetime(2024, 1, 5)
+    create, erase = session(start, timedelta(minutes=20)).records[:2]
+    add_user = EventRecord(3, start + timedelta(hours=3), PROCESS_CREATE, pid=13, ppid=10,
+                           image_path="C:\\Windows\\System32\\net.exe", args="user eve /add")
+    trace = trace_from_records([create, erase, add_user])
+    assert len(scan_commands(trace)) == 2
+    assert dwell_stats([trace]).sessions[0].latency == timedelta(minutes=20)
+
+
 def test_latency_never_negative():
     start = datetime(2024, 1, 5)
     stats = dwell_stats([session(start, timedelta(0))])

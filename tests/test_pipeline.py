@@ -3,20 +3,21 @@ from __future__ import annotations
 import collections
 import io
 import threading
+import tracemalloc
 
 import pytest
 
-from helpers import BASE_TIME
+from helpers import BASE_TIME, evicted_seqs
 
-from lase.codec import read_trace, write_trace
+from lase.codec import Trace, read_trace, write_trace
 from lase.errors import PipelineClosed
-from lase.events import PROCESS_CREATE, EventRecord, kind_name
+from lase.events import PROCESS_CREATE, PROCESS_EXIT, EventRecord, kind_name
 from lase.forest import build_forest
 from lase.pipeline import (
     BackpressurePolicy,
-    Chunk,
     EventPipeline,
     PipelineConfig,
+    PipelineStats,
     SubmitResult,
     WorkloadSpec,
     replay_fixture,
@@ -28,11 +29,9 @@ PROTO = EventRecord(0, BASE_TIME, PROCESS_CREATE, pid=7, image_path="C:\\x.exe")
 
 def drain_all(pipeline: EventPipeline) -> list[EventRecord]:
     out: list[EventRecord] = []
-    while True:
-        chunk = pipeline.drain(block=False)
-        if not chunk.records:
-            return out
-        out.extend(chunk.records)
+    while chunk := pipeline.drain(block=False):
+        out.extend(chunk)
+    return out
 
 
 def test_config_validation():
@@ -56,8 +55,9 @@ def test_drop_oldest_evicts_exactly_one():
     for _ in range(9):
         assert pipeline.submit(1, PROTO) is SubmitResult.ACCEPTED
     assert pipeline.stats.evicted == 1
-    assert [r.global_seq for _, r in pipeline.evicted_events] == [1]
-    assert [r.global_seq for r in drain_all(pipeline)] == list(range(2, 10))
+    drained = [r.global_seq for r in drain_all(pipeline)]
+    assert drained == list(range(2, 10))
+    assert evicted_seqs(pipeline, drained) == [1]
 
 
 def test_reject_policy_drops_new_event():
@@ -81,9 +81,7 @@ def test_block_policy_nonblocking_submit_reports_would_block():
 
 def test_drain_on_empty_nonblocking_returns_empty_chunk():
     pipeline = EventPipeline()
-    chunk = pipeline.drain(block=False)
-    assert isinstance(chunk, Chunk)
-    assert len(chunk) == 0
+    assert pipeline.drain(block=False) == ()
 
 
 def test_drain_after_close_raises_when_empty():
@@ -96,15 +94,15 @@ def test_drain_after_close_raises_when_empty():
         pipeline.drain(block=False)
 
 
-def test_chunk_respects_chunk_size_and_spans():
+def test_chunk_respects_chunk_size():
     pipeline = EventPipeline(PipelineConfig(ring_capacity=64, chunk_size=4))
     for producer in (1, 2):
         for _ in range(6):
             pipeline.submit(producer, PROTO)
-    chunk = pipeline.drain(max_records=100, block=False)
-    assert len(chunk) == 4
-    span = chunk.producer_span[1]
-    assert (span.count, span.first_seq, span.last_seq) == (4, 1, 4)
+    chunk = pipeline.drain(block=False)
+    assert isinstance(chunk, tuple)
+    assert [r.global_seq for r in chunk] == [1, 2, 3, 4]
+    assert [len(pipeline.drain(block=False)) for _ in range(3)] == [4, 4, 0]
 
 
 def test_priority_delivered_before_later_nonpriority():
@@ -123,10 +121,26 @@ def test_priority_delivered_before_later_nonpriority():
 def test_priority_kinds_route_by_selector():
     config = PipelineConfig(ring_capacity=16, chunk_size=16,
                             priority_kinds=frozenset({"ProcessCreate"}))
-    pipeline = EventPipeline(config)
-    pipeline.submit(1, PROTO)
-    assert len(pipeline.priority_events) == 1
+    sink: list[tuple[int, EventRecord]] = []
+    pipeline = EventPipeline(config, priority_sink=lambda producer, rec: sink.append((producer, rec)))
+    assert pipeline.submit(1, PROTO) is SubmitResult.ACCEPTED
+    assert sink == [(1, PROTO.with_seq(1))]
     assert drain_all(pipeline) == []
+    assert pipeline.stats.priority_delivered == 1
+
+
+@pytest.mark.parametrize("config, priority", [
+    (PipelineConfig(), True),
+    (PipelineConfig(priority_kinds=frozenset({"ProcessCreate"})), False),
+])
+def test_priority_without_sink_raises_before_stamping(config, priority):
+    pipeline = EventPipeline(config)
+    with pytest.raises(ValueError, match="priority sink"):
+        pipeline.submit(1, PROTO, priority=priority)
+    assert pipeline.stats == PipelineStats()
+    exit_event = EventRecord(0, BASE_TIME, PROCESS_EXIT, pid=7, image_path="C:\\x.exe")
+    assert pipeline.submit(1, exit_event) is SubmitResult.ACCEPTED
+    assert [r.global_seq for r in drain_all(pipeline)] == [1]  # no seq was spent
 
 
 # --- deterministic single-threaded oracle scenarios -----------------------
@@ -164,14 +178,14 @@ def test_single_threaded_matches_oracle(policy, ring, drain_every):
     for i in range(1, events + 1):
         result = pipeline.submit(1, PROTO, block=False)
         if result is SubmitResult.WOULD_BLOCK:  # BLOCK policy, full ring
-            drained.extend(r.global_seq for r in pipeline.drain(block=False).records)
+            drained.extend(r.global_seq for r in pipeline.drain(block=False))
             assert pipeline.submit(1, PROTO, block=False) is SubmitResult.ACCEPTED
         if i % drain_every == 0:
-            drained.extend(r.global_seq for r in pipeline.drain(block=False).records)
+            drained.extend(r.global_seq for r in pipeline.drain(block=False))
     drained.extend(r.global_seq for r in drain_all(pipeline))
     want_drained, want_evicted = oracle_fifo(events, ring, policy, drain_every)
     assert drained == want_drained
-    assert [r.global_seq for _, r in pipeline.evicted_events] == want_evicted
+    assert evicted_seqs(pipeline, drained) == want_evicted
 
 
 # --- threaded invariant suite ---------------------------------------------
@@ -207,9 +221,9 @@ def run_threaded(producers: int, consumers: int, policy: BackpressurePolicy,
                 chunk = pipeline.drain()
             except PipelineClosed:
                 return
-            if chunk.records:
+            if chunk:
                 with drained_lock:
-                    drained.append((cid, list(chunk.records)))
+                    drained.append((cid, list(chunk)))
 
     consumer_threads = [threading.Thread(target=consumer, args=(c,)) for c in range(consumers)]
     producer_threads = [threading.Thread(target=producer, args=(p,)) for p in range(producers)]
@@ -226,12 +240,13 @@ def run_threaded(producers: int, consumers: int, policy: BackpressurePolicy,
 def check_invariants(pipeline: EventPipeline, drained, sink_log) -> None:
     drained_seqs = [r.global_seq for _, records in drained for r in records]
     sink_seqs = [seq for _, seq in sink_log]
-    evicted_seqs = [r.global_seq for _, r in pipeline.evicted_events]
     # conservation: every accepted event lands in exactly one place
     assert pipeline.stats.accepted == pipeline.stats.drained + pipeline.stats.evicted \
         + pipeline.stats.priority_delivered + pipeline.buffered()
-    everything = sorted(drained_seqs + sink_seqs + evicted_seqs)
-    assert everything == list(range(1, pipeline.stats.accepted + 1))  # gap-free, no dupes
+    # drained and sink seqs: unique, within 1..accepted, the rest evicted
+    evicted = evicted_seqs(pipeline, drained_seqs + sink_seqs)
+    if pipeline.config.backpressure_policy is not BackpressurePolicy.DROP_OLDEST:
+        assert evicted == []
     # chunks never exceed chunk_size and their union is seq-ordered per chunk
     for _, records in drained:
         seqs = [r.global_seq for r in records]
@@ -271,7 +286,7 @@ def test_threaded_per_producer_order_preserved():
             except PipelineClosed:
                 return
             with lock:
-                drained.extend(chunk.records)
+                drained.extend(chunk)
 
     consumers = [threading.Thread(target=consumer) for _ in range(3)]
     workers = [threading.Thread(target=producer, args=(p,)) for p in range(producers)]
@@ -323,7 +338,7 @@ def test_priority_beats_later_same_producer_nonpriority():
                 return
             with tick_lock:
                 tick = next(ticks)
-                for r in chunk.records:
+                for r in chunk:
                     drain_ticks[r.global_seq] = tick
                     producer_of[r.global_seq] = r.pid - 100
 
@@ -435,22 +450,22 @@ def test_lossy_replay_is_resequenced(fixture_trace):
         [record_content_key(r) for r in fixture_trace.records[-4:]]
 
 
-def test_write_back_consumer_batches_flushes():
-    from lase.pipeline import WriteBackConsumer
-    pipeline = EventPipeline(PipelineConfig(ring_capacity=64, chunk_size=16))
-    flushed: list[list[int]] = []
-    consumer = WriteBackConsumer(pipeline, lambda recs: flushed.append([r.global_seq for r in recs]),
-                                 flush_threshold=25)
-    worker = threading.Thread(target=consumer.run)
-    worker.start()
-    for _ in range(60):
-        pipeline.submit(1, PROTO)
-    pipeline.close()
-    worker.join()
-    assert [seq for batch in flushed for seq in batch] == list(range(1, 61))
-    assert consumer.records_seen == 60
-    assert consumer.flushes >= 2  # buffered, not per-chunk
-    assert all(len(batch) >= 25 for batch in flushed[:-1])
+def test_lossy_replay_memory_does_not_grow_with_input():
+    # Drop-oldest keeps no copy of what it evicts: replaying twice the
+    # records through a 64-slot ring must not raise the allocation peak.
+    config = PipelineConfig(ring_capacity=64, backpressure_policy=BackpressurePolicy.DROP_OLDEST)
+    full = run_synthetic(WorkloadSpec(seed=1, events_per_producer=40_000))
+    peaks = []
+    for n in (20_000, 40_000):
+        trace = Trace(full.header, full.records[:n])
+        tracemalloc.start()
+        try:
+            replayed = replay_fixture(trace, config=config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(replayed) == 64
+    assert peaks[1] <= peaks[0] * 1.1
 
 
 def test_replay_multi_producer_consumer(fixture_trace):
@@ -463,3 +478,18 @@ def test_replay_multi_producer_consumer(fixture_trace):
         original = [record_content_key(r) for r in fixture_trace.records if r.pid == pid]
         after = [record_content_key(r) for r in replayed.records if r.pid == pid]
         assert original == after
+
+
+def test_replay_producers_submit_under_their_shard_index(fixture_trace, monkeypatch):
+    seen: set[tuple[int, int]] = set()
+    submit = EventPipeline.submit
+
+    def spy(self, producer_id, proto_event, *args, **kwargs):
+        seen.add((producer_id, proto_event.pid))
+        return submit(self, producer_id, proto_event, *args, **kwargs)
+
+    monkeypatch.setattr(EventPipeline, "submit", spy)
+    paced = replay_fixture(fixture_trace, speed=1e9, producers=3, consumers=2)
+    assert len(paced) == 38
+    assert {producer for producer, _ in seen} == {0, 1, 2}
+    assert all(producer == pid % 3 for producer, pid in seen)
