@@ -9,14 +9,17 @@ randomness flows through an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
-from . import diffreport, fingerprint, forest, intrusion, pipeline
+# The parser needs forest and pipeline for a default and a choice list; each
+# command imports the other analysis modules it calls, so a process loads
+# only what its command runs.
+from . import forest, pipeline
 from .codec import read_trace, write_trace
 from .errors import LaseError
 
@@ -218,8 +221,8 @@ def _subtree_to_json(tree: forest.AttackTreeNode) -> dict:
 
 
 def _cmd_tree(args) -> int:
-    trace = _read_trace_arg(args.trace)
-    built = forest.build_forest(trace)
+    # Hold no reference to the trace: its records are freed before rendering.
+    built = forest.build_forest(_read_trace_arg(args.trace))
     for warning in built.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.root:
@@ -249,21 +252,22 @@ def _cmd_inject_scan(args) -> int:
     return EXIT_OK
 
 
-def _load_signatures_arg(arg: str | None):
-    source = arg or os.environ.get("LASE_SIGNATURES") or "default"
-    if source == "default":
-        return fingerprint.default_signatures()
-    return fingerprint.load_signatures(Path(source).read_text(encoding="utf-8"))
-
-
 def _cmd_fingerprint(args) -> int:
+    from . import fingerprint
+
     trace = _read_trace_arg(args.trace)
-    signatures = _load_signatures_arg(args.signatures)
+    source = args.signatures or os.environ.get("LASE_SIGNATURES") or "default"
+    if source == "default":
+        signatures = fingerprint.default_signatures()
+    else:
+        signatures = fingerprint.load_signatures(Path(source).read_text(encoding="utf-8"))
     _write_findings(fingerprint.scan(trace, signatures), args.format)
     return EXIT_OK
 
 
 def _cmd_diff(args) -> int:
+    from . import diffreport
+
     bare, vm = Path(args.bare), Path(args.vm)
     if bare.is_dir() != vm.is_dir():
         raise LaseError("--bare and --vm must both be files or both directories")
@@ -278,6 +282,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_intrude(args) -> int:
+    from . import intrusion
+
     rules = intrusion.DEFAULT_RULES
     if args.rules:
         rules = intrusion.load_rules(Path(args.rules).read_text(encoding="utf-8"))
@@ -305,21 +311,23 @@ def _cmd_intrude(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    base_config = bench_mod.BenchConfig(
+    from . import bench
+
+    base_config = bench.BenchConfig(
         target_dir=args.dir, file_count=args.files, small_size=args.small,
         large_size=args.large, repetitions=args.reps, instrumented=False,
     )
-    baseline = bench_mod.run_workload(base_config)
+    baseline = bench.run_workload(base_config)
     if args.instrumented:
-        inst_config = bench_mod.BenchConfig(
+        inst_config = bench.BenchConfig(
             target_dir=args.dir, file_count=args.files, small_size=args.small,
             large_size=args.large, repetitions=args.reps, instrumented=True,
         )
-        instrumented = bench_mod.run_workload(inst_config)
-        report = bench_mod.overhead(baseline, instrumented)
+        instrumented = bench.run_workload(inst_config)
+        report = bench.overhead(baseline, instrumented)
     else:
-        report = bench_mod.overhead(baseline, baseline)
-    out = bench_mod.report_to_tsv(report) if args.format == "tsv" else bench_mod.report_to_json(report)
+        report = bench.overhead(baseline, baseline)
+    out = bench.report_to_tsv(report) if args.format == "tsv" else bench.report_to_json(report)
     sys.stdout.write(out)
     return EXIT_OK
 
@@ -344,6 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # A command runs to completion and builds no reference cycles per record,
+    # so the cyclic collector would only rescan the records it holds.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
@@ -354,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - internal failures
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

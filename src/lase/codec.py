@@ -10,7 +10,8 @@ newline, so plain Windows paths are stored verbatim. Numbers follow one
 strict grammar (ASCII digits, fixed time widths, no sign or leading
 zero), so every accepted line re-encodes to the same bytes; for the same
 reason an I/O label must be its exact display form, a result is never
-the literal "OK", and the text must be UTF-8. Files ending in .lase.gz
+the literal "OK", a text field holds only escapes the rule above writes,
+and the text must be UTF-8. Files ending in .lase.gz
 (or any stream starting with the gzip magic) are transparently
 decompressed.
 """
@@ -130,8 +131,14 @@ _FIELD_MEMO = 4096
 
 @functools.lru_cache(maxsize=_FIELD_MEMO)
 def unescape_field(text: str) -> str:
+    """Inverse of escape_field. Raises ValueError for text escape_field never
+    writes (a doubled backslash not followed by 't', 'n' or a backslash),
+    which would re-encode to other bytes."""
     if "\\t" in text or "\\n" in text or "\\\\" in text:
-        return _UNESCAPE_RE.sub(_unescape_match, text)
+        plain = _UNESCAPE_RE.sub(_unescape_match, text)
+        if escape_field(plain) != text:
+            raise ValueError(f"non-canonical escape in {text!r}")
+        return plain
     return text
 
 
@@ -147,11 +154,12 @@ _DATE = r"([0-9]{4})/([0-9]{2})/([0-9]{2})"
 _TIME = (rf"(?:{_DATE}-)?"
          r"((?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]):([0-9]{3})")
 _TEXT = r"([^\t]*)"
+_ESCAPED = r"([^\t\n]*)"  # a text field: a raw newline is always escaped
 _UINT_RE = re.compile(_UINT)
 _DATE_RE = re.compile(_DATE)
 _TIME_RE = re.compile(_TIME)
 _LINE_RE = re.compile("\t".join(
-    [_TEXT, _TIME, f"({_UINT})?", *[f"({_UINT})"] * 4, *[_TEXT] * 4]))
+    [_TEXT, _TIME, f"({_UINT})?", *[f"({_UINT})"] * 4, *[_ESCAPED] * 4]))
 _UINT64_MAX = 2**64 - 1
 
 _iso_date = functools.lru_cache(maxsize=16)(date.isoformat)
@@ -230,7 +238,21 @@ def _reject(line: str, header: TraceHeader) -> NoReturn:
         _parse_uint(text, column)
     if fields[2]:
         _parse_uint(fields[2], "duration_us")
+    for text, column in zip(fields[7:], _COLUMNS[7:]):
+        if "\n" in text:
+            raise TraceSyntaxError("raw newline in a text field", column=column)
     raise AssertionError(f"line pattern and field checks disagree on {line!r}")
+
+
+def _reject_text(texts: Iterable[str]) -> NoReturn:
+    """Raise the error for the first of the text fields (image path, args,
+    file path, result) that unescape_field refuses."""
+    for text, column in zip(texts, _COLUMNS[7:]):
+        try:
+            unescape_field(text)
+        except ValueError as exc:
+            raise TraceSyntaxError(str(exc), column=column) from None
+    raise AssertionError(f"no text field of {texts!r} is refused")
 
 
 def decode_line(line: str, header: TraceHeader) -> EventRecord:
@@ -254,11 +276,16 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
     if max(seq, ppid, pid, tid, duration or 0) > _UINT64_MAX:
         _reject(line, header)
 
+    try:
+        image, args, file_path = unescape_field(image), unescape_field(args), unescape_field(file_path)
+        text_result = unescape_field(result) if result else RESULT_OK
+    except ValueError:
+        _reject_text(match.groups()[11:])
+
     # Each branch sets `proven` where the line leaves validate_record
     # nothing to find: the pattern already rules out NEGATIVE_ID and
     # NEGATIVE_DURATION, and a text field is empty exactly when its escaped
     # form is. Any other line is checked, so errors carry the full list.
-    args = unescape_field(args)
     if op == "Annot":
         key, sep, value = args.partition("=")
         if not sep or not key:
@@ -279,9 +306,8 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
     if result == RESULT_OK:
         raise TraceSyntaxError("a result of OK is written as an empty column", column="result")
 
-    record = EventRecord(seq, when, kind, pid, ppid, tid, duration, unescape_field(image),
-                         args, unescape_field(file_path),
-                         unescape_field(result) if result else RESULT_OK)
+    record = EventRecord(seq, when, kind, pid, ppid, tid, duration, image, args, file_path,
+                         text_result)
     if not proven:
         violations = validate_record(record)
         if violations:
@@ -338,7 +364,10 @@ def _parse_header_line(line: str, header_kv: dict, line_no: int) -> None:
         except ValueError:
             raise TraceSyntaxError(f"bad header date {value!r}", column="date", line_no=line_no) from None
     elif key == "host":
-        header_kv["host_label"] = unescape_field(value)
+        try:
+            header_kv["host_label"] = unescape_field(value)
+        except ValueError as exc:
+            raise TraceSyntaxError(str(exc), column="host", line_no=line_no) from None
     elif key == "env":
         if value not in ENVIRONMENTS:
             raise TraceSyntaxError(f"bad environment {value!r}", column="env", line_no=line_no)

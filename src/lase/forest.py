@@ -361,29 +361,35 @@ class AttackTreeNode:
     children: list["AttackTreeNode"]
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return sum(1 for _ in self.walk())
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Depth-first, parents before children, children in order; a loop,
+        not a recursion, so a deep process chain cannot overflow the stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def attack_tree(forest: ProcessForest, root: ProcessKey) -> AttackTreeNode:
     """Depth-first subtree under root, annotated with I/O evidence."""
-    node = forest.node(root)
 
-    def build(n: ProcessNode) -> AttackTreeNode:
+    def annotated(n: ProcessNode) -> AttackTreeNode:
         return AttackTreeNode(
             key=n.key,
             image_path=n.image_path,
             args=n.args,
             io_summary=n.io_summary,
             dropped_files=[p for p, _ in n.writes],
-            children=[build(forest.node(c)) for c in n.children],
+            children=[],
         )
 
-    return build(node)
+    top = annotated(forest.node(root))
+    for tn in top.walk():  # walk reads each children list after it is filled
+        tn.children.extend(annotated(forest.node(c)) for c in forest.index[tn.key].children)
+    return top
 
 
 def _dot_escape(text: str) -> str:
@@ -408,14 +414,17 @@ def render_dot(forest_or_subtree: ProcessForest | AttackTreeNode, name: str = "t
             for child in forest.index[key].children:
                 lines.append(f"  {_node_id(key)} -> {_node_id(child)};")
     else:
-        def visit(tn: AttackTreeNode) -> None:
+        # Preorder, each node after the edge from its parent: the order of a
+        # recursive visit, without a stack frame per generation.
+        stack: list[tuple[AttackTreeNode | None, AttackTreeNode]] = [(None, forest_or_subtree)]
+        while stack:
+            parent, tn = stack.pop()
+            if parent is not None:
+                lines.append(f"  {_node_id(parent.key)} -> {_node_id(tn.key)};")
             base = tn.image_path.replace("/", "\\").rsplit("\\", 1)[-1]
             label = _dot_escape(f"{base} ({tn.key.pid})")
             lines.append(f'  {_node_id(tn.key)} [label="{label}"];')
-            for child in tn.children:
-                lines.append(f"  {_node_id(tn.key)} -> {_node_id(child.key)};")
-                visit(child)
-        visit(forest_or_subtree)
+            stack.extend((tn, child) for child in reversed(tn.children))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

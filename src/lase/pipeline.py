@@ -434,7 +434,10 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     speed scales inter-event gaps (inf = no pacing). The single
     producer/consumer form is fully deterministic.
     """
-    if producers <= 1 and consumers <= 1:
+    if producers < 1 or consumers < 1:
+        raise ValueError("replay needs at least one producer and one consumer, "
+                         f"got {producers} and {consumers}")
+    if producers == 1 and consumers == 1:
         return _replay_single(trace, speed, config)
     pipeline = EventPipeline(config or PipelineConfig())
     shards: list[list[EventRecord]] = [[] for _ in range(producers)]

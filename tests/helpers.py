@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 from lase.codec import Trace, TraceHeader, trace_from_records
 from lase.events import (
@@ -21,6 +25,8 @@ from lase.irp import FAST_IO_MAJORS, MAJOR_REGISTRY, MINOR_REGISTRY, IrpCode
 from lase.pipeline import EventPipeline
 
 BASE_TIME = datetime(2024, 5, 6, 10, 0, 0)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _PATH_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 .%$()&-_"
 
@@ -116,3 +122,19 @@ def evicted_seqs(pipeline: EventPipeline, taken: list[int]) -> list[int]:
     evicted = sorted(set(range(1, accepted + 1)).difference(taken))
     assert len(evicted) == pipeline.stats.evicted
     return evicted
+
+
+def run_lase(*argv, timeout: float = 60) -> tuple[int, str, str]:
+    """Run ``python -m lase.cli *argv`` in a fresh interpreter with src on
+    PYTHONPATH; returns (exit code, stdout, stderr).
+
+    A command still running after timeout seconds is killed and fails the
+    calling test with the command line, instead of hanging the suite.
+    """
+    command = [sys.executable, "-m", "lase.cli", *map(str, argv)]
+    try:
+        done = subprocess.run(command, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise AssertionError(f"{' '.join(command)} did not exit within {timeout} s") from None
+    return done.returncode, done.stdout, done.stderr

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from helpers import build_trace
+from helpers import build_trace, run_lase
 
 from lase.cli import main
 from lase.codec import read_trace, write_trace
@@ -273,6 +273,36 @@ def test_replay_reports_loss_on_stderr(fixture_path, tmp_path, capsys):
     assert len(read_trace(out_path)) == 8
     code, out, err = run_cli(capsys, "replay", str(fixture_path), "--out", str(out_path))
     assert (code, out, err) == (0, "", "")  # a lossless replay stays silent
+
+
+@pytest.mark.parametrize("producers, consumers", [(2, 0), (0, 2), (1, 0), (0, 1), (-1, 1)])
+def test_replay_needs_a_producer_and_a_consumer(fixture_path, tmp_path, producers, consumers):
+    # In a fresh interpreter: with no consumer the producers used to block
+    # on a full ring forever.
+    out_path = tmp_path / "replayed.lase"
+    code, out, err = run_lase("replay", fixture_path, "--out", out_path,
+                              "--producers", producers, "--consumers", consumers,
+                              "--ring", "8", "--chunk", "4", timeout=30)
+    assert (code, out) == (2, "")
+    assert err == (f"error: replay needs at least one producer and one consumer, "
+                   f"got {producers} and {consumers}\n")
+    assert not out_path.exists()
+
+
+def test_tree_of_a_deep_process_chain(tmp_path, capsys):
+    # Each process is created by the one before; a recursive subtree walk
+    # ran out of stack at about 1,000 generations.
+    depth = 10_000
+    path = tmp_path / "chain.lase"
+    write_trace(build_trace([(PROCESS_CREATE, 4 + i, 3 + i) for i in range(1, depth)]), path)
+    code, out, err = run_cli(capsys, "tree", str(path), "--root", "4")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert sum(" [label=" in line for line in lines) == depth
+    assert sum(" -> " in line for line in lines) == depth - 1
+    code, out, err = run_cli(capsys, "tree", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["nodes"]) == depth
 
 
 def test_intrude_multiple_traces_parallel(tmp_path, capsys):

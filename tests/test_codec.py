@@ -350,6 +350,27 @@ def test_escape_round_trip_backslash_alphabet(text):
     assert unescape_field(escaped) == text
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab\\tnT", max_size=12))
+@example("\\\\T")
+@example("C:\\\\")
+def test_unescape_accepts_only_what_escape_writes(escaped):
+    # A text unescape_field accepts must re-encode to the same bytes.
+    try:
+        text = unescape_field(escaped)
+    except ValueError:
+        with pytest.raises(ValueError):
+            unescape_field(escaped)  # the refusal is not cached as a result
+        return
+    assert escape_field(text) == escaped
+
+
+def test_header_host_with_a_non_canonical_escape_is_refused():
+    with pytest.raises(TraceSyntaxError) as exc:
+        read_trace(b"#LASEv1\n#date\t2024/01/01\n#host\tlab\\\\x\n")
+    assert (exc.value.column, exc.value.line_no) == ("host", 3)
+
+
 def test_escape_keeps_plain_windows_paths_verbatim():
     for path in ("%MSOffice%\\EXCEL.EXE", "C:\\Users\\grace\\AppData\\Local\\Temp\\xx",
                  "mp\\q v& WSCrIpT mp\\v?..wsf C"):
@@ -456,6 +477,19 @@ _DECODE_ERRORS = (
        (_line(operation="IRP_READ", result="OK"), UnknownIrp, None)]
     # only the canonical display label (IrpCode.label) names an I/O request
     + [(_line(operation=label), UnknownIrp, None) for label in _NON_CANONICAL_LABELS]
+    # a doubled backslash escape_field would not write (not before t, n or
+    # a backslash) decodes to text that re-encodes differently
+    + [(_line(image_path="C:\\\\Temp"), TraceSyntaxError, "image_path"),
+       (_line(operation="Annot", duration_us="", args="note=a\\\\b", file_path=""),
+        TraceSyntaxError, "args"),
+       (_line(file_path="C:\\f\\\\"), TraceSyntaxError, "file_path"),
+       (_line(result="E\\\\x"), TraceSyntaxError, "result"),
+       (_line(image_path="\\\\\\\\X", file_path="\\\\"), TraceSyntaxError, "image_path")]
+    # a raw newline ends a line in a file, so a line never holds one
+    + [(_line(**{col: "a\nb"}), TraceSyntaxError, col)
+       for col in ("image_path", "args", "file_path", "result")]
+    + [(_line(operation="Pr Create", duration_us="", tid="0", args="a\nb", result="x\ny"),
+        TraceSyntaxError, "args")]
 )
 
 
@@ -752,3 +786,95 @@ def test_accepted_lines_validate_and_re_encode(op, duration, tid, image, args, f
         return
     assert validate_record(record) == []
     assert encode_record(record, HEADER) == line
+
+
+# Decoder round-trip over mutated tokens: valid lines with one to three
+# tokens changed the ways a hand-edited or foreign trace differs from ours.
+_OTHER_DIGITS = ("٠", "۰", "०", "０", "\U0001d7ce")  # each a zero
+_INVALID_UTF8 = (b"\xff", b"\x80", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")
+
+
+def _other_digits(token: str, which: int) -> str:
+    """token with its ASCII digits written in another script's digits."""
+    zero = ord(_OTHER_DIGITS[which % len(_OTHER_DIGITS)])
+    return "".join(chr(zero + int(c)) if "0" <= c <= "9" else c for c in token)
+
+
+_MUTATIONS = {
+    "swapcase": lambda t, at, n: t.swapcase(),
+    "upper": lambda t, at, n: t.upper(),
+    "lower": lambda t, at, n: t.lower(),
+    "space": lambda t, at, n: t[:at] + " " * (n % 3 + 1) + t[at:],
+    "tab": lambda t, at, n: t[:at] + "\t" + t[at:],
+    "cr": lambda t, at, n: t[:at] + "\r" + t[at:],
+    "lf": lambda t, at, n: t[:at] + "\n" + t[at:],
+    "strip": lambda t, at, n: t.strip(),
+    "drop": lambda t, at, n: t[:at] + t[at + 1:],
+    "sign": lambda t, at, n: "+-"[n % 2] + t,
+    "inner sign": lambda t, at, n: t[:at] + "+-"[n % 2] + t[at:],
+    "leading zero": lambda t, at, n: "0" * (n % 2 + 1) + t,
+    "digits": lambda t, at, n: _other_digits(t, n),
+    "one digit": lambda t, at, n: t[:at] + _other_digits(t[at:at + 1], n) + t[at + 1:],
+    "non-ascii": lambda t, at, n: t[:at] + "é \x85١"[n % 4] + t[at:],
+    "empty": lambda t, at, n: "",
+}
+
+
+@st.composite
+def _mutated_lines(draw):
+    """(header, line text, invalid UTF-8 to splice into its bytes or None)."""
+    record = random_record(random.Random(draw(st.integers(0, 2**32 - 1))),
+                           draw(st.sampled_from([1, 7, 1000, 10**6])))
+    header = draw(st.sampled_from([HEADER, TraceHeader(base_date=record.time.date())]))
+    fields = encode_record(record, header).split("\t")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(fields) - 1))
+        mutate = _MUTATIONS[draw(st.sampled_from(sorted(_MUTATIONS)))]
+        fields[i] = mutate(fields[i], draw(st.integers(0, len(fields[i]))), draw(st.integers(0, 99)))
+    bad = draw(st.one_of(st.none(), st.tuples(st.sampled_from(_INVALID_UTF8), st.integers(0, 10**6))))
+    return header, "\t".join(fields), bad
+
+
+def _names_its_column(exc: LaseError, line: str) -> bool:
+    if isinstance(exc, TraceSyntaxError):
+        return exc.column in _COLS + ("line", "encoding")
+    if isinstance(exc, UnknownIrp):  # the operation column, by class
+        return exc.name == line.split("\t")[0]
+    return isinstance(exc, TraceValidationError) and exc.violations != []
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_mutated_lines())
+def test_mutated_lines_round_trip_or_name_their_column(case):
+    header, line, bad = case
+    data = line.encode("utf-8")
+    if bad is not None:
+        splice, at = bad
+        at %= len(data) + 1
+        data = data[:at] + splice + data[at:]
+    else:
+        try:
+            record = decode_line(line, header)
+        except LaseError as exc:
+            assert _names_its_column(exc, line), repr(exc)
+        else:
+            assert encode_record(record, header) == line
+    if "\n" in line:
+        return  # in a file, a raw newline ends the line
+    head = io.BytesIO()
+    write_trace(Trace(header, ()), head)
+    text = head.getvalue() + data + b"\n"
+    record_line_no = text.count(b"\n")  # the last line
+    try:
+        trace = read_trace(text)
+    except LaseError as exc:
+        assert exc.line_no == record_line_no, repr(exc)
+        if bad is not None:
+            assert exc.column == "encoding"
+        else:
+            assert _names_its_column(exc, line), repr(exc)
+    else:
+        assert bad is None
+        again = io.BytesIO()
+        write_trace(trace, again)
+        assert again.getvalue() == text

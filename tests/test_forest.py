@@ -450,3 +450,58 @@ def test_render_dot_subtree(fixture_trace):
     nodes, edges = assert_valid_dot(render_dot(tree, name="subtree"))
     assert nodes == tree.size()
     assert edges == nodes - 1
+
+
+# The recursive forms the subtree walks replaced: the reference for their
+# node structure and visit order.
+def recursive_attack_tree(forest, key):
+    n = forest.node(key)
+    return (n.key, n.image_path, n.args, [p for p, _ in n.writes],
+            [recursive_attack_tree(forest, c) for c in n.children])
+
+
+def as_nested(tn):
+    return (tn.key, tn.image_path, tn.args, tn.dropped_files, [as_nested(c) for c in tn.children])
+
+
+def recursive_walk(tn):
+    yield tn.key
+    for child in tn.children:
+        yield from recursive_walk(child)
+
+
+def recursive_dot(tn, name):
+    lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
+
+    def visit(t):
+        base = t.image_path.replace("/", "\\").rsplit("\\", 1)[-1]
+        lines.append(f'  n{t.key.pid}_{t.key.birth_seq} [label="{base} ({t.key.pid})"];')
+        for child in t.children:
+            lines.append(f"  n{t.key.pid}_{t.key.birth_seq} -> n{child.key.pid}_{child.key.birth_seq};")
+            visit(child)
+
+    visit(tn)
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_subtree_walks_match_the_recursive_order(fixture_trace, seed):
+    trace = fixture_trace if seed is None else run_synthetic(
+        WorkloadSpec(events_per_producer=400, seed=seed))
+    forest = build_forest(trace)
+    for key in forest.index:
+        tree = attack_tree(forest, key)
+        assert as_nested(tree) == recursive_attack_tree(forest, key)
+        order = list(recursive_walk(tree))
+        assert [n.key for n in tree.walk()] == order
+        assert tree.size() == len(order)
+        assert render_dot(tree, name="subtree") == recursive_dot(tree, "subtree")
+
+
+def test_subtree_walks_do_not_recurse_per_generation():
+    depth = 10_000  # a chain: each process created by the one before
+    forest = build_forest(build_trace([(PROCESS_CREATE, 4 + i, 3 + i) for i in range(1, depth)]))
+    tree = attack_tree(forest, ProcessKey(4, 0))
+    assert tree.size() == depth
+    assert [n.key.pid for n in tree.walk()] == list(range(4, 4 + depth))
+    assert assert_valid_dot(render_dot(tree)) == (depth, depth - 1)

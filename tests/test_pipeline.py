@@ -493,3 +493,11 @@ def test_replay_producers_submit_under_their_shard_index(fixture_trace, monkeypa
     assert len(paced) == 38
     assert {producer for producer, _ in seen} == {0, 1, 2}
     assert all(producer == pid % 3 for producer, pid in seen)
+
+
+# Only counts that cannot hang here: several producers and no consumer are
+# covered in a subprocess by test_cli.
+@pytest.mark.parametrize("producers, consumers", [(0, 1), (0, 2), (1, 0), (1, -1)])
+def test_replay_rejects_counts_below_one(fixture_trace, producers, consumers):
+    with pytest.raises(ValueError, match="at least one producer and one consumer"):
+        replay_fixture(fixture_trace, producers=producers, consumers=consumers)
