@@ -179,6 +179,11 @@ def _parse_root(spec: str, built) -> forest.ProcessKey:
     return candidates[0]
 
 
+def _io_summary_to_json(io_summary: dict) -> dict:
+    return {major: {"count": t.count, "duration_us": t.duration_us}
+            for major, t in sorted(io_summary.items())}
+
+
 def _forest_to_json(built: forest.ProcessForest) -> dict:
     return {
         "roots": [[k.pid, k.birth_seq] for k in built.roots],
@@ -192,12 +197,9 @@ def _forest_to_json(built: forest.ProcessForest) -> dict:
                 "parent": [node.parent.pid, node.parent.birth_seq] if node.parent else None,
                 "image_path": node.image_path,
                 "args": node.args,
-                "threads": len(node.threads),
+                "threads": node.threads,
                 "images": len(node.images),
-                "io_summary": {
-                    major: {"count": t.count, "duration_us": t.duration_us}
-                    for major, t in sorted(node.io_summary.items())
-                },
+                "io_summary": _io_summary_to_json(node.io_summary),
                 "children": [[c.pid, c.birth_seq] for c in node.children],
             }
             for _, node in sorted(built.index.items(), key=lambda kv: (kv[0].birth_seq, kv[0].pid))
@@ -206,18 +208,46 @@ def _forest_to_json(built: forest.ProcessForest) -> dict:
 
 
 def _subtree_to_json(tree: forest.AttackTreeNode) -> dict:
-    return {
-        "pid": tree.key.pid,
-        "birth_seq": tree.key.birth_seq,
-        "image_path": tree.image_path,
-        "args": tree.args,
-        "io_summary": {
-            major: {"count": t.count, "duration_us": t.duration_us}
-            for major, t in sorted(tree.io_summary.items())
-        },
-        "dropped_files": tree.dropped_files,
-        "children": [_subtree_to_json(c) for c in tree.children],
-    }
+    # Built in reverse preorder, each node after all of its descendants, so
+    # a deep process chain needs no stack frame per generation.
+    docs: dict[int, dict] = {}
+    for tn in reversed(list(tree.walk())):
+        docs[id(tn)] = {
+            "pid": tn.key.pid,
+            "birth_seq": tn.key.birth_seq,
+            "image_path": tn.image_path,
+            "args": tn.args,
+            "io_summary": _io_summary_to_json(tn.io_summary),
+            "dropped_files": tn.dropped_files,
+            "children": [docs.pop(id(c)) for c in tn.children],
+        }
+    return docs[id(tree)]
+
+
+def _dumps_indented(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for str-keyed dicts, lists
+    and scalars, with a stack instead of one recursion per level of nesting."""
+    out: list[str] = []
+    todo: list = [(value, 0)]  # (value, depth) to write, or literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, depth = item
+        if not (value and isinstance(value, (dict, list))):
+            out.append(json.dumps(value))
+            continue
+        pad = "\n" + "  " * depth
+        if isinstance(value, dict):
+            parts, close = ["{"], pad + "}"
+            items = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
+        else:
+            parts, close, items = ["["], pad + "]", [("", v) for v in value]
+        for i, (key, v) in enumerate(items):
+            parts += [("," if i else "") + pad + "  " + key, (v, depth + 1)]
+        todo += reversed(parts + [close])
+    return "".join(out)
 
 
 def _cmd_tree(args) -> int:
@@ -230,7 +260,7 @@ def _cmd_tree(args) -> int:
         if args.format == "dot":
             sys.stdout.write(forest.render_dot(subtree, name=f"subtree_{subtree.key.pid}"))
         else:
-            print(json.dumps(_subtree_to_json(subtree), indent=2, sort_keys=True))
+            print(_dumps_indented(_subtree_to_json(subtree)))
     else:
         if args.format == "dot":
             sys.stdout.write(forest.render_dot(built))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import gzip
 import io
+import itertools
 import re
 import weakref
 import zlib
@@ -29,7 +30,7 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NoReturn
 
-from .errors import BadMagic, NonMonotonicSequence, TraceSyntaxError, TraceValidationError, UnknownIrp
+from .errors import BadMagic, NonMonotonicSequence, TraceError, TraceSyntaxError, TraceValidationError
 from .events import (
     ANNOTATION_KEYS,
     IMAGE_LOAD,
@@ -353,7 +354,7 @@ def _encode_header(header: TraceHeader) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header_line(line: str, header_kv: dict, line_no: int) -> None:
+def _parse_header_line(line: str, header_kv: dict) -> None:
     key, _, value = line[1:].partition("\t")
     if key == "date":
         match = _DATE_RE.fullmatch(value)
@@ -362,15 +363,15 @@ def _parse_header_line(line: str, header_kv: dict, line_no: int) -> None:
                 raise ValueError(value)
             header_kv["base_date"] = date(*map(int, match.groups()))
         except ValueError:
-            raise TraceSyntaxError(f"bad header date {value!r}", column="date", line_no=line_no) from None
+            raise TraceSyntaxError(f"bad header date {value!r}", column="date") from None
     elif key == "host":
         try:
             header_kv["host_label"] = unescape_field(value)
         except ValueError as exc:
-            raise TraceSyntaxError(str(exc), column="host", line_no=line_no) from None
+            raise TraceSyntaxError(str(exc), column="host") from None
     elif key == "env":
         if value not in ENVIRONMENTS:
-            raise TraceSyntaxError(f"bad environment {value!r}", column="env", line_no=line_no)
+            raise TraceSyntaxError(f"bad environment {value!r}", column="env")
         header_kv["environment"] = value
     # unknown header keys are ignored for forward compatibility
 
@@ -431,70 +432,59 @@ def _decoded(data: bytes, end: int, line_no: int) -> Iterator[list[str]]:
 
 
 def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
-    """The complete lines of each block read from stream, decoded at once."""
+    """The complete lines of each block read from stream, decoded at once; a
+    corrupt compressed stream names the last line yielded before it."""
     pending, line_no = b"", 0
-    while chunk := stream.read(_BLOCK):
-        data = pending + chunk
-        end = data.rfind(b"\n")
-        pending = data[end + 1:]
-        if end >= 0:
-            yield from _decoded(data, end, line_no)
-            line_no += data.count(b"\n", 0, end) + 1
+    try:
+        while chunk := stream.read(_BLOCK):
+            data = pending + chunk
+            end = data.rfind(b"\n")
+            pending = data[end + 1:]
+            if end >= 0:
+                yield from _decoded(data, end, line_no)
+                line_no += data.count(b"\n", 0, end) + 1
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
+                               column="gzip", line_no=line_no) from None
     if pending:
         yield from _decoded(pending, len(pending), line_no)
 
 
-def _next_block(blocks: Iterator[list[str]], line_no: int) -> list[str] | None:
-    try:
-        return next(blocks, None)
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
-                               column="gzip", line_no=line_no) from None
+def _read_header(lines: Iterator[tuple[int, str]]) -> tuple[TraceHeader, Iterator[tuple[int, str]]]:
+    """The header, and the numbered lines from the first record line on."""
+    line_no, line = next(lines, (None, None))
+    if line != MAGIC:
+        raise BadMagic("empty stream" if line is None else
+                       f"expected {MAGIC!r} magic line, got {line[:32]!r}", line_no=line_no)
+    kv: dict = {}
+    for line_no, line in lines:
+        if not line.startswith("#"):
+            return TraceHeader(**kv), itertools.chain([(line_no, line)], lines)
+        try:
+            _parse_header_line(line, kv)
+        except TraceError as exc:
+            exc.line_no = line_no
+            raise
+    return TraceHeader(**kv), lines
 
 
-def _read_header(blocks: Iterator[list[str]]) -> tuple[TraceHeader, list[str] | None, int]:
-    """The header, the lines of the current block that follow it, and the
-    number of the last header line."""
-    lines = _next_block(blocks, 0)
-    if lines is None:
-        raise BadMagic("empty stream")
-    if lines[0] != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r} magic line, got {lines[0][:32]!r}", line_no=1)
-    line_no, kv = 1, {}
-    del lines[0]
-    while lines is not None:
-        for i, line in enumerate(lines):
-            if not line.startswith("#"):
-                return TraceHeader(**kv), lines[i:], line_no
-            line_no += 1
-            _parse_header_line(line, kv, line_no)
-        lines = _next_block(blocks, line_no)
-    return TraceHeader(**kv), None, line_no
-
-
-def _records(blocks: Iterator[list[str]], lines: list[str] | None, header: TraceHeader,
-             line_no: int, file: IO[bytes] | None) -> Iterator[EventRecord]:
+def _records(lines: Iterator[tuple[int, str]], header: TraceHeader,
+             file: IO[bytes] | None) -> Iterator[EventRecord]:
     """Decode the record lines; closes file (if any) once iteration ends."""
     last_seq = -1
     try:
-        while lines is not None:
-            for line in lines:
-                line_no += 1
-                if not line:
-                    continue
-                try:
-                    record = decode_line(line, header)
-                except TraceSyntaxError as exc:
-                    raise TraceSyntaxError(str(exc), column=exc.column, line_no=line_no) from None
-                except TraceValidationError as exc:
-                    raise TraceValidationError(exc.violations, line_no=line_no) from None
-                except UnknownIrp as exc:
-                    raise UnknownIrp(exc.name, line_no=line_no) from None
-                if record.global_seq <= last_seq:
-                    raise NonMonotonicSequence(record.global_seq, line_no=line_no)
-                last_seq = record.global_seq
-                yield record
-            lines = _next_block(blocks, line_no)
+        for line_no, line in lines:
+            if not line:
+                continue
+            try:
+                record = decode_line(line, header)
+            except TraceError as exc:
+                exc.line_no = line_no
+                raise
+            if record.global_seq <= last_seq:
+                raise NonMonotonicSequence(record.global_seq, line_no=line_no)
+            last_seq = record.global_seq
+            yield record
     finally:
         if file is not None:
             file.close()
@@ -515,13 +505,13 @@ class TraceReader:
         file = open(source, "rb") if isinstance(source, (str, Path)) else None
         try:
             blocks = _blocks(_open_for_read(source if file is None else file))
-            self.header, lines, line_no = _read_header(blocks)
+            self.header, lines = _read_header(enumerate(itertools.chain.from_iterable(blocks), 1))
         except BaseException:
             if file is not None:
                 file.close()
             raise
         self._file = file
-        self._records = _records(blocks, lines, self.header, line_no, file)
+        self._records = _records(lines, self.header, file)
         if file is not None:
             # A generator that never started runs no finally block, so a
             # reader dropped before its first record would leak the file.

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import Trace, read_trace
-from .events import Irp
+from .events import Irp, normalize_path, path_basename
 from .irp import IRP_MJ_CREATE, IRP_MJ_WRITE
-
-
-def normalize_path(path: str) -> str:
-    """Lowercase, separators unified to backslash; env-var prefixes kept."""
-    return path.replace("/", "\\").lower()
 
 
 @dataclass(frozen=True)
@@ -72,9 +67,7 @@ def path_extension(path: str) -> str:
 
     "asc.txt:script1.vbs" counts as vbs; no extension -> "(none)".
     """
-    component = path.replace("/", "\\").rsplit("\\", 1)[-1]
-    if ":" in component:
-        component = component.rsplit(":", 1)[-1]
+    component = path_basename(path).rsplit(":", 1)[-1]
     dot = component.rfind(".")
     if dot <= 0 or dot == len(component) - 1:
         return "(none)"

@@ -7,56 +7,52 @@ class LaseError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnknownIrp(LaseError):
-    """An IRP identifier that is in neither the major nor the minor registry."""
+class TraceError(LaseError):
+    """An error in a trace: its message, the column it names (None where the
+    error has none) and its line number (None until the reader knows it).
+    The location is written only by __str__, as "message (column C) at line N"."""
 
-    def __init__(self, name: str, line_no: int | None = None):
-        loc = f" at line {line_no}" if line_no is not None else ""
-        super().__init__(f"unknown IRP identifier: {name!r}{loc}")
-        self.name = name
-        self.line_no = line_no
-
-
-class TraceSyntaxError(LaseError):
-    """A malformed trace line; carries the offending column and line number."""
-
-    def __init__(self, message: str, column: str = "", line_no: int | None = None):
-        loc = f" (column {column})" if column else ""
-        if line_no is not None:
-            loc += f" at line {line_no}"
-        super().__init__(message + loc)
+    def __init__(self, message: str, column: str | None = None, line_no: int | None = None):
+        super().__init__(message)
+        self.message = message
         self.column = column
         self.line_no = line_no
 
+    def __str__(self) -> str:
+        column = "" if self.column is None else f" (column {self.column})"
+        return self.message + column + ("" if self.line_no is None else f" at line {self.line_no}")
 
-class TraceValidationError(LaseError):
+
+class UnknownIrp(TraceError):
+    """An IRP identifier that is in neither the major nor the minor registry."""
+
+    def __init__(self, name: str):
+        super().__init__(f"unknown IRP identifier: {name!r}")
+        self.name = name
+
+
+class TraceSyntaxError(TraceError):
+    """A malformed trace line, naming the offending column."""
+
+
+class TraceValidationError(TraceError):
     """A decoded record failed its structural invariants."""
 
-    def __init__(self, violations, line_no: int | None = None):
-        names = ", ".join(v.value for v in violations)
-        loc = f" at line {line_no}" if line_no is not None else ""
-        super().__init__(f"invalid record ({names}){loc}")
+    def __init__(self, violations):
+        super().__init__(f"invalid record ({', '.join(v.value for v in violations)})")
         self.violations = list(violations)
-        self.line_no = line_no
 
 
-class BadMagic(LaseError):
+class BadMagic(TraceError):
     """Trace stream does not start with the expected magic line."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        loc = f" at line {line_no}" if line_no is not None else ""
-        super().__init__(message + loc)
-        self.line_no = line_no
 
-
-class NonMonotonicSequence(LaseError):
+class NonMonotonicSequence(TraceError):
     """Global sequence numbers are not strictly increasing."""
 
     def __init__(self, at_seq: int, line_no: int | None = None):
-        loc = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"global sequence not strictly increasing at {at_seq}{loc}")
+        super().__init__(f"global sequence not strictly increasing at {at_seq}", line_no=line_no)
         self.at_seq = at_seq
-        self.line_no = line_no
 
 
 class PipelineClosed(LaseError):

@@ -81,6 +81,16 @@ def op_label(kind: EventKind) -> str:
     return kind.label
 
 
+def normalize_path(path: str) -> str:
+    """Lowercase, separators unified to backslash; env-var prefixes kept."""
+    return path.replace("/", "\\").lower()
+
+
+def path_basename(path: str) -> str:
+    """Final component of a Windows path, with either separator."""
+    return path.replace("/", "\\").rsplit("\\", 1)[-1]
+
+
 def kind_name(kind: EventKind) -> str:
     """Selector name used by signatures and pipeline config ("Irp", "ProcessCreate", ...)."""
     return type(kind).__name__

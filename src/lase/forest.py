@@ -32,6 +32,8 @@ from .events import (
     ProcessExit,
     ThreadCreate,
     ThreadExit,
+    normalize_path,
+    path_basename,
 )
 from .irp import IRP_MJ_CREATE, IRP_MJ_WRITE
 
@@ -42,14 +44,6 @@ DEFAULT_INJECTION_WINDOW_MS = 2000
 class ProcessKey(NamedTuple):  # a tuple: the per-record node lookup hashes it in C
     pid: int
     birth_seq: int  # 0 = pre-existing
-
-
-@dataclass(frozen=True)
-class ThreadInfo:
-    tid: int
-    create_seq: int
-    exit_seq: int | None
-    creator: ProcessKey
 
 
 @dataclass(slots=True)
@@ -67,15 +61,12 @@ class ProcessNode:
     create_time: datetime | None = None
     exit_time: datetime | None = None
     exit_seq: int | None = None
-    threads: list[ThreadInfo] = field(default_factory=list)
+    threads: int = 0  # thread creates seen
+    live_threads: dict[int, int] = field(default_factory=dict)  # tid -> creates not yet exited
     images: list[tuple[str, int]] = field(default_factory=list)
     io_summary: dict[str, IoTotals] = field(default_factory=dict)
     writes: list[tuple[str, int]] = field(default_factory=list)
     children: list[ProcessKey] = field(default_factory=list)
-
-    @property
-    def basename(self) -> str:
-        return self.image_path.replace("/", "\\").rsplit("\\", 1)[-1]
 
 
 @dataclass
@@ -118,10 +109,6 @@ class InjectionFinding:
             "thread_seq": self.thread_seq,
             "confidence": self.confidence.value,
         }
-
-
-def _norm(path: str) -> str:
-    return path.replace("/", "\\").lower()
 
 
 class Resolver:
@@ -207,15 +194,14 @@ class _Builder:
         self._live_by_image: dict[str, dict[ProcessKey, ProcessNode]] = {}
         # Findings still open to an upgrade, keyed by target, in finding order.
         self._pending: dict[ProcessKey, list[tuple[InjectionFinding, datetime]]] = {}
-        self._synthetic_tid = -1
 
     def _add(self, node: ProcessNode) -> ProcessNode:
         self.index[node.key] = node
-        self._live_by_image.setdefault(_norm(node.image_path), {})[node.key] = node
+        self._live_by_image.setdefault(normalize_path(node.image_path), {})[node.key] = node
         return node
 
     def _ended(self, node: ProcessNode) -> None:
-        self._live_by_image.get(_norm(node.image_path), {}).pop(node.key, None)
+        self._live_by_image.get(normalize_path(node.image_path), {}).pop(node.key, None)
 
     def _node(self, key: ProcessKey) -> ProcessNode:
         node = self.index.get(key)
@@ -281,18 +267,12 @@ class _Builder:
 
     def _on_thread_create(self, record: EventRecord) -> None:
         owner = self._actor(record)
-        tid = record.tid
-        if tid == 0:
-            tid = self._synthetic_tid
-            self._synthetic_tid -= 1
-        creator = owner.key
         if owner.threads:  # the first observed thread is always external
-            image = _norm(record.image_path)
-            if image and image != _norm(owner.image_path):
+            image = normalize_path(record.image_path)
+            if image and image != normalize_path(owner.image_path):
                 peers = [p for p in self._live_by_image.get(image, {}).values() if p.key != owner.key]
                 if peers:
                     injector = max(peers, key=lambda p: p.key.birth_seq)
-                    creator = injector.key
                     finding = InjectionFinding(
                         target=owner.key, injector=injector.key,
                         thread_seq=record.global_seq,
@@ -300,15 +280,16 @@ class _Builder:
                     )
                     self.findings.append(finding)
                     self._pending.setdefault(owner.key, []).append((finding, record.time))
-        owner.threads.append(ThreadInfo(tid, record.global_seq, None, creator))
+        owner.threads += 1
+        if record.tid:  # tid 0 names no thread an exit could match
+            owner.live_threads[record.tid] = owner.live_threads.get(record.tid, 0) + 1
 
     def _on_thread_exit(self, record: EventRecord) -> None:
         owner = self._actor(record)
-        for i, info in enumerate(owner.threads):
-            if info.tid == record.tid and info.exit_seq is None:
-                owner.threads[i] = ThreadInfo(info.tid, info.create_seq, record.global_seq, info.creator)
-                return
-        self.resolver.warnings.append(f"seq {record.global_seq}: thread exit for unknown tid {record.tid}")
+        if owner.live_threads.get(record.tid):
+            owner.live_threads[record.tid] -= 1
+        else:
+            self.resolver.warnings.append(f"seq {record.global_seq}: thread exit for unknown tid {record.tid}")
 
     def _check_upgrades(self, node: ProcessNode, when: datetime) -> None:
         pending = self._pending.get(node.key)
@@ -408,7 +389,7 @@ def render_dot(forest_or_subtree: ProcessForest | AttackTreeNode, name: str = "t
         keys = sorted(forest.index, key=lambda k: (k.birth_seq, k.pid))
         for key in keys:
             node = forest.index[key]
-            label = _dot_escape(f"{node.basename} ({key.pid})")
+            label = _dot_escape(f"{path_basename(node.image_path)} ({key.pid})")
             lines.append(f'  {_node_id(key)} [label="{label}"];')
         for key in keys:
             for child in forest.index[key].children:
@@ -421,8 +402,7 @@ def render_dot(forest_or_subtree: ProcessForest | AttackTreeNode, name: str = "t
             parent, tn = stack.pop()
             if parent is not None:
                 lines.append(f"  {_node_id(parent.key)} -> {_node_id(tn.key)};")
-            base = tn.image_path.replace("/", "\\").rsplit("\\", 1)[-1]
-            label = _dot_escape(f"{base} ({tn.key.pid})")
+            label = _dot_escape(f"{path_basename(tn.image_path)} ({tn.key.pid})")
             lines.append(f'  {_node_id(tn.key)} [label="{label}"];')
             stack.extend((tn, child) for child in reversed(tn.children))
     lines.append("}")

@@ -22,7 +22,7 @@ from enum import Enum
 
 from .codec import Trace
 from .errors import SignatureParseError
-from .events import Irp, ProcessCreate
+from .events import Irp, ProcessCreate, path_basename
 from .forest import ProcessKey
 from .irp import IRP_MJ_CREATE, IRP_MJ_WRITE
 
@@ -81,9 +81,7 @@ DEFAULT_RULES: tuple[IntrusionRule, ...] = (
 
 def command_evidence(image_path: str, args: str) -> str:
     """Image basename without extension, joined with args, normalized."""
-    base = image_path.replace("/", "\\").rsplit("\\", 1)[-1]
-    if "." in base:
-        base = base.rsplit(".", 1)[0]
+    base = path_basename(image_path).rsplit(".", 1)[0]
     return normalize_command(f"{base} {args}")
 
 

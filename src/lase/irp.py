@@ -177,7 +177,7 @@ class IrpCode:
     minor: str | None = None
 
     def __post_init__(self):
-        if self.major not in _MAJOR_LOOKUP.values() and self.major.upper() not in _MAJOR_LOOKUP:
+        if self.major.upper() not in _MAJOR_LOOKUP:
             raise UnknownIrp(self.major)
         object.__setattr__(self, "major", _MAJOR_LOOKUP[self.major.upper()])
         if self.minor is not None:

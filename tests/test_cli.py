@@ -7,6 +7,7 @@ import pytest
 
 from helpers import build_trace, run_lase
 
+from lase import forest
 from lase.cli import main
 from lase.codec import read_trace, write_trace
 from lase.events import PROCESS_CREATE, Annotation
@@ -36,6 +37,14 @@ def test_validate_corrupt_file(capsys, tmp_path):
     bad.write_text("#LASEv1\n#date\t2024/01/01\ngarbage line\n")
     code, _, err = run_cli(capsys, "validate", str(bad))
     assert code == 2
+
+
+def test_validate_names_the_bad_column_once(capsys, tmp_path):
+    bad = tmp_path / "bad.lase"
+    bad.write_text("#LASEv1\n#date\t2024/01/01\n"
+                   "IRP_Read\tx9:00:00:000\t5\t1\t0\t44\t0\tC:\\x.exe\t\tC:\\f\t\n")
+    assert run_cli(capsys, "validate", str(bad)) == (
+        2, "", "error: bad timestamp 'x9:00:00:000' (column time) at line 3\n")
 
 
 def test_validate_corrupt_gzip_is_input_error(capsys, tmp_path):
@@ -303,6 +312,41 @@ def test_tree_of_a_deep_process_chain(tmp_path, capsys):
     code, out, err = run_cli(capsys, "tree", str(path), "--format", "json")
     assert (code, err) == (0, "")
     assert len(json.loads(out)["nodes"]) == depth
+    code, out, err = run_cli(capsys, "tree", str(path), "--root", "4", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.count('"pid": ') == depth
+    assert out.endswith('\n  "pid": 4\n}\n')
+
+
+def nested_subtree_doc(tn) -> dict:
+    """The subtree document built by recursion: the reference the iterative
+    subtree JSON must print byte for byte through json.dumps."""
+    return {
+        "pid": tn.key.pid,
+        "birth_seq": tn.key.birth_seq,
+        "image_path": tn.image_path,
+        "args": tn.args,
+        "io_summary": {m: {"count": t.count, "duration_us": t.duration_us}
+                       for m, t in sorted(tn.io_summary.items())},
+        "dropped_files": tn.dropped_files,
+        "children": [nested_subtree_doc(c) for c in tn.children],
+    }
+
+
+@pytest.mark.parametrize("depth", [None, 300])
+def test_subtree_json_matches_json_dumps(fixture_trace, tmp_path, capsys, depth):
+    trace = fixture_trace if depth is None else build_trace(
+        [(PROCESS_CREATE, 4 + i, 3 + i, 0, f"C:\\p{i}.exe", f"-n {i}") for i in range(1, depth)])
+    path = tmp_path / "t.lase"
+    write_trace(trace, path)
+    built = forest.build_forest(trace)
+    # every fixture process; the chain's root, whose subtree is the whole chain
+    for key in built.index if depth is None else [forest.ProcessKey(4, 0)]:
+        expected = json.dumps(nested_subtree_doc(forest.attack_tree(built, key)), indent=2,
+                              sort_keys=True)
+        code, out, err = run_cli(capsys, "tree", str(path), "--root", f"{key.pid}:{key.birth_seq}",
+                                 "--format", "json")
+        assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_intrude_multiple_traces_parallel(tmp_path, capsys):

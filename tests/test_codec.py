@@ -718,6 +718,40 @@ def test_an_earlier_bad_line_wins_over_a_later_bad_byte():
     assert (exc.value.column, exc.value.line_no) == ("global_seq", 4)
 
 
+_SECOND_LINE = _IRP_LINE.format(seq=2)
+# (trace bytes, error class, column or None, line number) for each error the
+# reader raises.
+_READER_ERRORS = [
+    (_trace_text(_IRP_LINE.format(seq=1), _SECOND_LINE.replace("09:00", "x9:00")),
+     TraceSyntaxError, "time", 4),
+    (_trace_text(_IRP_LINE.format(seq=1), "Tr Create\t09:00:00:000\t\t2\t0\t44\t0\tC:\\x.exe\t\t\t"),
+     TraceValidationError, None, 4),
+    (_trace_text(_IRP_LINE.format(seq=1), _SECOND_LINE.replace("IRP_Read", "IRP_Bogus")),
+     UnknownIrp, None, 4),
+    (_trace_text(_IRP_LINE.format(seq=1), _IRP_LINE.format(seq=1)), NonMonotonicSequence, None, 4),
+    (b"#LASEv0\n#date\t2024/01/01\n", BadMagic, None, 1),
+    (b"#LASEv1\n#date\t2024/1/1\n", TraceSyntaxError, "date", 2),
+    (b"#LASEv1\n#date\t2024/01/01\n#host\tlab\\\\x\n", TraceSyntaxError, "host", 3),
+    (b"#LASEv1\n#date\t2024/01/01\n#env\tcloud\n", TraceSyntaxError, "env", 3),
+    (_with_bad_byte(_trace_text(_IRP_LINE.format(seq=1), _SECOND_LINE.replace("C:\\f", "C:\\@")).decode()),
+     TraceSyntaxError, "encoding", 4),
+    # the number of the last line read before the corrupt block: none here
+    (gzip.compress(_trace_text(_IRP_LINE.format(seq=1)))[:-12], TraceSyntaxError, "gzip", 0),
+]
+
+
+@pytest.mark.parametrize("data, error, column, line_no", _READER_ERRORS,
+                         ids=[f"{e.__name__}-{c}-{n}" for _, e, c, n in _READER_ERRORS])
+def test_reader_errors_write_their_location_once(data, error, column, line_no):
+    with pytest.raises(error) as exc:
+        read_trace(data)
+    text = str(exc.value)
+    assert (exc.value.column, exc.value.line_no) == (column, line_no)
+    assert text.count("(column") == (column is not None)
+    place = "" if column is None else f" (column {column})"
+    assert text == f"{exc.value.message}{place} at line {line_no}"
+
+
 @pytest.mark.filterwarnings("error::ResourceWarning",
                             "error::pytest.PytestUnraisableExceptionWarning")
 def test_reader_dropped_before_iteration_closes_its_file(fixture_path):

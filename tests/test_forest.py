@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,13 +14,17 @@ from lase.events import (
     PROCESS_CREATE,
     PROCESS_EXIT,
     THREAD_CREATE,
+    THREAD_EXIT,
     Irp,
     ProcessCreate,
+    ThreadCreate,
+    ThreadExit,
     kind_name,
 )
 from lase.forest import (
     InjectionConfidence,
     ProcessKey,
+    Resolver,
     attack_tree,
     build_forest,
     detect_remote_thread_injection,
@@ -252,6 +258,55 @@ def test_random_trace_node_counts_match_oracle():
         trace = run_synthetic(WorkloadSpec(seed=seed, producers=2, events_per_producer=250))
         forest = build_forest(trace)
         assert len(forest.index) == node_count_oracle(trace), f"seed {seed}"
+
+
+@dataclass
+class ThreadInfo:  # one entry per thread create, as the forest once stored them
+    tid: int | None  # None: a create with tid 0 names no thread
+    exit_seq: int | None = None
+
+
+def thread_oracle(trace) -> tuple[list[str], dict[ProcessKey, list[ThreadInfo]]]:
+    """The forest's warnings and each process's thread list, kept the naive
+    way: an exit ends the first still-live thread of its tid, by a scan."""
+    resolver = Resolver()  # the shared attribution model, warnings included
+    threads: dict[ProcessKey, list[ThreadInfo]] = {}
+    for r in trace.records:
+        owner = resolver.resolve(r)
+        if isinstance(r.kind, ThreadCreate):
+            threads.setdefault(owner, []).append(ThreadInfo(r.tid or None))
+        elif isinstance(r.kind, ThreadExit):
+            live = [t for t in threads.get(owner, []) if t.tid == r.tid and t.exit_seq is None]
+            if live:
+                live[0].exit_seq = r.global_seq
+            else:
+                resolver.warnings.append(f"seq {r.global_seq}: thread exit for unknown tid {r.tid}")
+    return resolver.warnings, threads
+
+
+def test_thread_counts_and_warnings_match_the_thread_list_oracle():
+    kinds = [PROCESS_CREATE, PROCESS_EXIT, THREAD_CREATE, THREAD_CREATE, THREAD_EXIT, THREAD_EXIT,
+             WRITE]
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(rng.randint(1, 200)):
+            kind = rng.choice(kinds)
+            tid = 0 if kind in (PROCESS_CREATE, PROCESS_EXIT) else rng.choice([0, 1, 2, 3, 40])
+            rows.append((kind, rng.randint(1, 6), rng.randint(0, 6), tid,
+                         rng.choice(["C:\\a.exe", "C:\\b.exe"]), "", "C:\\f"))
+        trace = build_trace(rows)
+        forest = build_forest(trace)
+        warnings, threads = thread_oracle(trace)
+        assert forest.warnings == warnings, f"seed {seed}"
+        assert {k: n.threads for k, n in forest.index.items()} == {
+            k: len(threads.get(k, [])) for k in forest.index}, f"seed {seed}"
+        seen.update("tid 0 exit" if w.endswith(" tid 0") else "unknown tid exit"
+                    for w in warnings if "thread exit" in w)
+        seen.update("reused tid" for ts in threads.values()
+                    if len({t.tid for t in ts if t.tid}) < sum(1 for t in ts if t.tid))
+    assert seen == {"tid 0 exit", "unknown tid exit", "reused tid"}
 
 
 def test_create_at_seq_zero_takes_the_preexisting_key():
