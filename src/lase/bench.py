@@ -31,6 +31,7 @@ from .pipeline import EventPipeline, PipelineConfig
 
 OPERATIONS = ("write", "rewrite", "read", "reread")
 SIZE_LABELS = ("small", "large")
+BLOCK_SIZE = 64 * 1024  # bytes per write and read call
 
 _OP_MAJOR = {
     "write": "IRP_MJ_WRITE",
@@ -48,7 +49,6 @@ class BenchConfig:
     large_size: int = 10 * 1024 * 1024
     repetitions: int = 10
     instrumented: bool = False
-    block_size: int = 64 * 1024
 
     def __post_init__(self):
         if self.small_size <= 0 or self.large_size <= 0:
@@ -133,7 +133,6 @@ class _Recorder:
 def _run_phase(op: str, paths: list[Path], size: int, block: bytes,
                recorder: _Recorder | None) -> float:
     """Run one phase over all files; returns elapsed seconds."""
-    block_size = len(block)
     started = time.perf_counter()
     for path in paths:
         op_start = time.perf_counter()
@@ -141,11 +140,11 @@ def _run_phase(op: str, paths: list[Path], size: int, block: bytes,
             with open(path, "wb") as fh:
                 remaining = size
                 while remaining > 0:
-                    fh.write(block[: min(block_size, remaining)])
-                    remaining -= block_size
+                    fh.write(block[: min(BLOCK_SIZE, remaining)])
+                    remaining -= BLOCK_SIZE
         else:
             with open(path, "rb") as fh:
-                while fh.read(block_size):
+                while fh.read(BLOCK_SIZE):
                     pass
         if recorder is not None:
             recorder.record(op, path.name, int((time.perf_counter() - op_start) * 1e6))
@@ -157,7 +156,7 @@ def run_workload(config: BenchConfig) -> BenchRun:
     target = Path(config.target_dir)
     target.mkdir(parents=True, exist_ok=True)
     recorder = _Recorder(target / "bench_events.lase") if config.instrumented else None
-    block = os.urandom(config.block_size)
+    block = os.urandom(BLOCK_SIZE)
     samples: dict[tuple[str, str], list[float]] = {
         (op, label): [] for op in OPERATIONS for label in SIZE_LABELS
     }

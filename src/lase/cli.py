@@ -9,6 +9,7 @@ randomness flows through an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -319,11 +320,13 @@ def _cmd_intrude(args) -> int:
         rules = intrusion.load_rules(Path(args.rules).read_text(encoding="utf-8"))
     labels = ["stdin" if p == "-" else p for p in args.traces]
     traces = [_read_trace_arg(p) for p in args.traces]
-    _write_findings([f for trace in traces for f in intrusion.scan_commands(trace, rules)], args.format)
+    findings = [intrusion.scan_commands(trace, rules) for trace in traces]
+    _write_findings([f for found in findings for f in found], args.format)
     if args.dwell:
-        nonempty = [(t, label) for t, label in zip(traces, labels) if t.records]
-        stats = intrusion.dwell_stats([t for t, _ in nonempty], rules,
-                                      [label for _, label in nonempty])
+        nonempty = [i for i, trace in enumerate(traces) if trace.records]
+        stats = intrusion.dwell_stats([traces[i] for i in nonempty],
+                                      [findings[i] for i in nonempty],
+                                      [labels[i] for i in nonempty])
         doc = {
             "sessions": [
                 {
@@ -349,11 +352,7 @@ def _cmd_bench(args) -> int:
     )
     baseline = bench.run_workload(base_config)
     if args.instrumented:
-        inst_config = bench.BenchConfig(
-            target_dir=args.dir, file_count=args.files, small_size=args.small,
-            large_size=args.large, repetitions=args.reps, instrumented=True,
-        )
-        instrumented = bench.run_workload(inst_config)
+        instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True))
         report = bench.overhead(baseline, instrumented)
     else:
         report = bench.overhead(baseline, baseline)

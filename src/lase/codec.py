@@ -433,7 +433,8 @@ def _decoded(data: bytes, end: int, line_no: int) -> Iterator[list[str]]:
 
 def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
     """The complete lines of each block read from stream, decoded at once; a
-    corrupt compressed stream names the last line yielded before it."""
+    corrupt compressed stream names the line being read, the one after the
+    last line yielded."""
     pending, line_no = b"", 0
     try:
         while chunk := stream.read(_BLOCK):
@@ -445,7 +446,7 @@ def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
                 line_no += data.count(b"\n", 0, end) + 1
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
-                               column="gzip", line_no=line_no) from None
+                               column="gzip", line_no=line_no + 1) from None
     if pending:
         yield from _decoded(pending, len(pending), line_no)
 

@@ -1,6 +1,6 @@
 """Differential comparison of two traces or trace corpora.
 
-Extracts dropped-file sets (targets of write-class I/O), builds extension
+Extracts dropped-file sets (the rule is events.drops_file), builds extension
 histograms (with NTFS alternate-data-stream handling: the stream component
 after ":" is what gets counted, matching how payloads hide inside benign
 carrier files), and reports per-extension and set-overlap statistics
@@ -14,52 +14,18 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import Trace, read_trace
-from .events import Irp, normalize_path, path_basename
-from .irp import IRP_MJ_CREATE, IRP_MJ_WRITE
+from .events import Irp, drops_file, normalize_path, path_basename
 
 
-@dataclass(frozen=True)
-class DroppedFileSet:
-    """Normalized dropped-file paths with the earliest write-class seq."""
-
-    entries: dict[str, int]
-
-    def paths(self) -> set[str]:
-        return set(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, path: str) -> bool:
-        return normalize_path(path) in self.entries
-
-
-def is_write_class(kind: Irp, result: str) -> bool:
-    """Write-class: any data write, or a create that actually made the file.
-
-    The schema has no create-disposition field, so IRP_MJ_CREATE counts
-    only when the result token says CREATED; a plain open does not drop a
-    file.
-    """
-    if kind.code.major == IRP_MJ_WRITE:
-        return True
-    return kind.code.major == IRP_MJ_CREATE and result == "CREATED"
-
-
-def dropped_files(trace: Trace) -> DroppedFileSet:
-    entries: dict[str, int] = {}
-    for record in trace.records:
-        kind = record.kind
-        if isinstance(kind, Irp) and record.file_path and is_write_class(kind, record.result):
-            path = normalize_path(record.file_path)
-            if path not in entries:
-                entries[path] = record.global_seq
-    return DroppedFileSet(entries)
+def dropped_files(trace: Trace) -> set[str]:
+    """Normalized paths of the files the trace drops (events.drops_file)."""
+    return {normalize_path(r.file_path) for r in trace.records if drops_file(r)}
 
 
 def path_extension(path: str) -> str:
@@ -74,10 +40,8 @@ def path_extension(path: str) -> str:
     return component[dot + 1:].lower()
 
 
-def extension_histogram(files: DroppedFileSet | set[str] | list[str]) -> dict[str, int]:
-    paths = files.entries.keys() if isinstance(files, DroppedFileSet) else files
-    counts: Counter[str] = Counter(path_extension(p) for p in paths)
-    return dict(counts)
+def extension_histogram(paths: Iterable[str]) -> dict[str, int]:
+    return dict(Counter(path_extension(p) for p in paths))
 
 
 def operation_counts(trace: Trace) -> dict[str, int]:
@@ -150,8 +114,8 @@ def overlap_from_sets(a: set[str], b: set[str]) -> Overlap:
 def diff_report(hist_a: dict[str, int], hist_b: dict[str, int],
                 op_counts_a: dict[str, int] | None = None,
                 op_counts_b: dict[str, int] | None = None,
-                files_a: DroppedFileSet | None = None,
-                files_b: DroppedFileSet | None = None) -> DiffReport:
+                files_a: set[str] | None = None,
+                files_b: set[str] | None = None) -> DiffReport:
     extensions = sorted(set(hist_a) | set(hist_b))
     per_ext = {ext: ext_diff(hist_a.get(ext, 0), hist_b.get(ext, 0)) for ext in extensions}
     per_op: dict[str, tuple[int, int]] = {}
@@ -162,7 +126,7 @@ def diff_report(hist_a: dict[str, int], hist_b: dict[str, int],
             per_op[major] = (op_counts_a.get(major, 0), op_counts_b.get(major, 0))
     overlap = None
     if files_a is not None and files_b is not None:
-        overlap = overlap_from_sets(files_a.paths(), files_b.paths())
+        overlap = overlap_from_sets(files_a, files_b)
     return DiffReport(per_ext, per_op, overlap)
 
 
@@ -221,18 +185,15 @@ def compare_corpora(dir_a: Path | str, dir_b: Path | str,
     all_b: set[str] = set()
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         for fa, oa, fb, ob in pool.map(load, pairs):
-            if nonempty_only and not fa.entries and not fb.entries:
+            if nonempty_only and not fa and not fb:
                 continue
             hist_a.update(extension_histogram(fa))
             hist_b.update(extension_histogram(fb))
             ops_a.update(oa)
             ops_b.update(ob)
-            all_a.update(fa.paths())
-            all_b.update(fb.paths())
-    return diff_report(
-        dict(hist_a), dict(hist_b), dict(ops_a), dict(ops_b),
-        DroppedFileSet({p: 0 for p in all_a}), DroppedFileSet({p: 0 for p in all_b}),
-    )
+            all_a |= fa
+            all_b |= fb
+    return diff_report(dict(hist_a), dict(hist_b), dict(ops_a), dict(ops_b), all_a, all_b)
 
 
 # --- rendering ------------------------------------------------------------

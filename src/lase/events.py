@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
-from .irp import IrpCode
+from .irp import IRP_MJ_CREATE, IRP_MJ_WRITE, IrpCode
 
 ANNOTATION_KEYS = frozenset({"api", "note"})
 
@@ -170,6 +170,21 @@ class Violation(Enum):
 
 def is_error_result(result: str) -> bool:
     return result != RESULT_OK
+
+
+def drops_file(record: EventRecord) -> bool:
+    """Whether the record drops its file: an I/O request with a file path
+    that writes data, or a create that made the file.
+
+    The schema has no create-disposition field, so a create counts only
+    when its result says CREATED; a plain open drops nothing. The forest's
+    dropped files and the differential's dropped-file sets share this rule.
+    """
+    kind = record.kind
+    if not isinstance(kind, Irp) or not record.file_path:
+        return False
+    major = kind.code.major
+    return major == IRP_MJ_WRITE or major == IRP_MJ_CREATE and record.result == "CREATED"
 
 
 def validate_record(record: EventRecord) -> list[Violation]:

@@ -121,9 +121,7 @@ def _parse_matcher(kind: str, field_spec: str, regex: str, line_no: int) -> Matc
 
 
 def load_signatures(source: str) -> list[FingerprintSignature]:
-    """Parse a signature file; source="default" loads the 4 built-ins."""
-    if source == "default":
-        return load_signatures(DEFAULT_SIGNATURE_TEXT)
+    """Parse the text of a signature file."""
     groups: list[tuple[str, list[Matcher], set[str]]] = []
     seen: set[str] = set()
     for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -158,7 +156,8 @@ def load_signatures(source: str) -> list[FingerprintSignature]:
 
 
 def default_signatures() -> list[FingerprintSignature]:
-    return load_signatures("default")
+    """The 4 built-in signatures."""
+    return load_signatures(DEFAULT_SIGNATURE_TEXT)
 
 
 def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[FingerprintFinding]:

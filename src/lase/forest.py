@@ -32,10 +32,10 @@ from .events import (
     ProcessExit,
     ThreadCreate,
     ThreadExit,
+    drops_file,
     normalize_path,
     path_basename,
 )
-from .irp import IRP_MJ_CREATE, IRP_MJ_WRITE
 
 PRE_EXISTING_IMAGE = "<pre-existing>"
 DEFAULT_INJECTION_WINDOW_MS = 2000
@@ -65,7 +65,7 @@ class ProcessNode:
     live_threads: dict[int, int] = field(default_factory=dict)  # tid -> creates not yet exited
     images: list[tuple[str, int]] = field(default_factory=list)
     io_summary: dict[str, IoTotals] = field(default_factory=dict)
-    writes: list[tuple[str, int]] = field(default_factory=list)
+    dropped_files: list[str] = field(default_factory=list)  # in trace order, see events.drops_file
     children: list[ProcessKey] = field(default_factory=list)
 
 
@@ -222,8 +222,8 @@ class _Builder:
                 totals = node.io_summary[kind.code.major] = IoTotals()
             totals.count += 1
             totals.duration_us += record.duration_us or 0
-            if kind.code.major in (IRP_MJ_WRITE, IRP_MJ_CREATE):
-                node.writes.append((record.file_path, record.global_seq))
+            if drops_file(record):
+                node.dropped_files.append(record.file_path)
         elif isinstance(kind, ProcessCreate):
             self._on_create(record)
         elif isinstance(kind, ProcessExit):
@@ -363,7 +363,7 @@ def attack_tree(forest: ProcessForest, root: ProcessKey) -> AttackTreeNode:
             image_path=n.image_path,
             args=n.args,
             io_summary=n.io_summary,
-            dropped_files=[p for p, _ in n.writes],
+            dropped_files=n.dropped_files,
             children=[],
         )
 

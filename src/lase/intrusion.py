@@ -22,9 +22,8 @@ from enum import Enum
 
 from .codec import Trace
 from .errors import SignatureParseError
-from .events import Irp, ProcessCreate, path_basename
+from .events import ProcessCreate, path_basename
 from .forest import ProcessKey
-from .irp import IRP_MJ_CREATE, IRP_MJ_WRITE
 
 
 class Tactic(Enum):
@@ -48,6 +47,7 @@ class IntrusionFinding:
     process: ProcessKey
     matched_text: str
     seq: int
+    time: datetime  # of the process create; dwell latency runs to it
 
     def to_dict(self) -> dict:
         return {
@@ -101,6 +101,7 @@ def scan_commands(trace: Trace,
                     process=ProcessKey(record.pid, record.global_seq),  # forest.Resolver's key
                     matched_text=match.group(0),
                     seq=record.global_seq,
+                    time=record.time,
                 ))
     return findings
 
@@ -149,42 +150,22 @@ class DwellStats:
     n_clean: int
 
 
-def dwell_stats(traces: list[Trace],
-                rules: tuple[IntrusionRule, ...] = DEFAULT_RULES,
+def dwell_stats(traces: list[Trace], findings: list[list[IntrusionFinding]],
                 labels: list[str] | None = None) -> DwellStats:
     """Latency from trace start to first finding, aggregated across traces.
 
-    Traces without findings are counted separately (n_clean). Every trace
-    must be nonempty.
+    findings[i] is scan_commands(traces[i]), in record order, so its first
+    finding is the earliest. Traces without findings are counted
+    separately (n_clean). Every trace must be nonempty.
     """
     sessions: list[SessionDwell] = []
-    for i, trace in enumerate(traces):
+    for i, (trace, found) in enumerate(zip(traces, findings, strict=True)):
         if not trace.records:
             raise ValueError(f"trace {i} is empty")
         label = labels[i] if labels else f"trace-{i}"
-        findings = scan_commands(trace, rules)
-        first_finding = None
-        if findings:  # in record order, so the first is the earliest
-            first_seq = findings[0].seq
-            first_finding = next(r.time for r in trace.records if r.global_seq == first_seq)
-        sessions.append(SessionDwell(label, trace.records[0].time, first_finding))
+        sessions.append(SessionDwell(label, trace.records[0].time,
+                                     found[0].time if found else None))
     latencies = [s.latency for s in sessions if s.latency is not None]
     mean = sum(latencies, timedelta()) / len(latencies) if latencies else None
     median = statistics.median(latencies) if latencies else None
     return DwellStats(tuple(sessions), mean, median, len(sessions) - len(latencies))
-
-
-SYSTEM32_WRITE_PATTERN = re.compile(r"\\windows\\system32\\", re.IGNORECASE)
-
-
-def find_system32_writes(trace: Trace) -> list[tuple[int, str]]:
-    """Experimental privilege-escalation heuristic: write-class I/O into
-    the system32 tree. Returns (seq, path) pairs; not part of the default
-    ruleset."""
-    hits: list[tuple[int, str]] = []
-    for record in trace.records:
-        kind = record.kind
-        if isinstance(kind, Irp) and kind.code.major in (IRP_MJ_WRITE, IRP_MJ_CREATE):
-            if record.file_path and SYSTEM32_WRITE_PATTERN.search(record.file_path.replace("/", "\\")):
-                hits.append((record.global_seq, record.file_path))
-    return hits

@@ -200,6 +200,7 @@ DEFAULT_MIX: Mapping[str, float] = {
 }
 
 DEFAULT_BRANCHING: Mapping[int, float] = {0: 0.25, 1: 0.45, 2: 0.20, 3: 0.10}
+START_TIME = datetime(2024, 3, 1, 9, 0, 0)  # of every generated trace
 
 _IMAGE_POOL = (
     "%System32%\\svchost.exe",
@@ -232,7 +233,6 @@ class WorkloadSpec:
     seed: int = 0
     branching: Mapping[int, float] = field(default_factory=lambda: dict(DEFAULT_BRANCHING))
     injection_templates: int = 0
-    start_time: datetime = datetime(2024, 3, 1, 9, 0, 0)
 
     def __post_init__(self):
         if self.producers <= 0 or self.events_per_producer < 0:
@@ -284,7 +284,7 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     """Generate a well-formed trace: every non-root pid has an earlier
     create event, every tid a thread-create, deterministic for a seed."""
     rng = random.Random(spec.seed)
-    header = TraceHeader(base_date=spec.start_time.date(), host_label=f"synthetic-{spec.seed}")
+    header = TraceHeader(base_date=START_TIME.date(), host_label=f"synthetic-{spec.seed}")
     total = spec.total_events
     if total == 0 and spec.injection_templates == 0:
         return Trace(header, ())
@@ -296,7 +296,7 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
 
     records: list[EventRecord] = []
     seq = 1
-    now = spec.start_time
+    now = START_TIME
     next_pid = 4000
     next_tid = 9001
     # Live processes in pid (= spawn) order, and the two subsets that draws

@@ -217,6 +217,25 @@ def test_intrude_jsonl_and_dwell(tmp_path, capsys):
     assert stats["mean_latency_seconds"] == pytest.approx(0.01)
 
 
+def test_intrude_dwell_scans_each_trace_once(fixture_path, tmp_path, capsys, monkeypatch):
+    from lase import intrusion
+
+    empty = tmp_path / "empty.lase"
+    empty.write_text("#LASEv1\n#date\t2024/01/01\n")
+    scanned = []
+    scan = intrusion.scan_commands
+
+    def spy(trace, *args):
+        scanned.append(len(trace.records))
+        return scan(trace, *args)
+
+    monkeypatch.setattr(intrusion, "scan_commands", spy)
+    code, _, _ = run_cli(capsys, "intrude", str(fixture_path), str(empty), str(fixture_path),
+                         "--dwell")
+    assert code == 0
+    assert scanned == [38, 0, 38]
+
+
 def test_intrude_custom_rules(tmp_path, capsys):
     rules = tmp_path / "rules.tsv"
     rules.write_text("ScheduledTask\tProcessCreate\tcommand\tschtasks\\s+/create\n")

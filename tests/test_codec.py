@@ -4,6 +4,7 @@ import gc
 import gzip
 import io
 import random
+import zlib
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -735,8 +736,8 @@ _READER_ERRORS = [
     (b"#LASEv1\n#date\t2024/01/01\n#env\tcloud\n", TraceSyntaxError, "env", 3),
     (_with_bad_byte(_trace_text(_IRP_LINE.format(seq=1), _SECOND_LINE.replace("C:\\f", "C:\\@")).decode()),
      TraceSyntaxError, "encoding", 4),
-    # the number of the last line read before the corrupt block: none here
-    (gzip.compress(_trace_text(_IRP_LINE.format(seq=1)))[:-12], TraceSyntaxError, "gzip", 0),
+    # the line being read when the corrupt block was found: the first here
+    (gzip.compress(_trace_text(_IRP_LINE.format(seq=1)))[:-12], TraceSyntaxError, "gzip", 1),
 ]
 
 
@@ -750,6 +751,38 @@ def test_reader_errors_write_their_location_once(data, error, column, line_no):
     assert text.count("(column") == (column is not None)
     place = "" if column is None else f" (column {column})"
     assert text == f"{exc.value.message}{place} at line {line_no}"
+
+
+def _gzip_error_line(data: bytes) -> int:
+    with pytest.raises(TraceSyntaxError) as exc:
+        read_trace(data)
+    assert exc.value.column == "gzip"
+    return exc.value.line_no
+
+
+_BIG_TEXT = _trace_text(*(_IRP_LINE.format(seq=s) for s in range(1, 6001)))  # > 3 blocks
+
+
+def test_a_corrupt_first_gzip_block_names_line_1():
+    assert _gzip_error_line(gzip.compress(_trace_text(_IRP_LINE.format(seq=1)))[:-12]) == 1
+    assert len(_BIG_TEXT) > 3 * codec._BLOCK
+    assert _gzip_error_line(gzip.compress(_BIG_TEXT)[:200]) == 1
+
+
+def test_a_corrupt_later_gzip_block_names_its_first_line():
+    compressed = gzip.compress(_BIG_TEXT)
+    for blocks in (1, 2):
+        # the shortest cut that still decompresses `blocks` whole blocks:
+        # the read of the next block is the one that fails
+        def recoverable(n: int) -> int:
+            return len(zlib.decompressobj(31).decompress(compressed[:n]))
+
+        cut = next(n for n in range(0, len(compressed), 64) if recoverable(n) >= blocks * codec._BLOCK)
+        assert recoverable(cut) < (blocks + 1) * codec._BLOCK
+        read = _BIG_TEXT[:blocks * codec._BLOCK]
+        assert _gzip_error_line(compressed[:cut]) == read.count(b"\n") + 1
+        # the line the failed block starts in, begun in the block before
+        assert not read.endswith(b"\n")
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning",

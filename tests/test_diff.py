@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from helpers import build_trace
 
 from lase.diffreport import (
-    DroppedFileSet,
     compare_corpora,
     compare_traces,
     diff_report,
@@ -25,7 +24,7 @@ from lase.diffreport import (
     report_to_json,
     report_to_tsv,
 )
-from lase.events import PROCESS_CREATE, Irp
+from lase.events import PROCESS_CREATE, Irp, normalize_path
 from lase.irp import IrpCode
 from lase.pipeline import WorkloadSpec, run_synthetic
 
@@ -60,11 +59,11 @@ REFERENCE_ROWS = [
 
 def test_fixture_dropped_files(fixture_trace):
     dropped = dropped_files(fixture_trace)
-    assert "C:\\ProgramData\\Podaliri4.exe" in dropped
-    assert "C:\\ProgramData\\asc.txt:script1.vbs" in dropped
+    assert normalize_path("C:\\ProgramData\\Podaliri4.exe") in dropped
+    assert normalize_path("C:\\ProgramData\\asc.txt:script1.vbs") in dropped
     assert len(dropped) == 8  # the eight write targets of the file plane
     # opening the lure workbook is not a drop
-    assert "C:\\Users\\grace\\Downloads\\ORDER SHEET & SPEC.xlsm" not in dropped
+    assert normalize_path("C:\\Users\\grace\\Downloads\\ORDER SHEET & SPEC.xlsm") not in dropped
 
 
 def test_dropped_files_read_only_trace_is_empty():
@@ -75,14 +74,13 @@ def test_dropped_files_read_only_trace_is_empty():
     assert len(dropped_files(trace)) == 0
 
 
-def test_duplicate_writes_keep_earliest_seq():
+def test_duplicate_writes_merge_after_normalization():
     trace = build_trace([
         (PROCESS_CREATE, 10, 4, 0, "C:\\app.exe"),
         (WRITE, 10, 0, 0, "C:\\app.exe", "", "C:\\out\\A.BIN"),
         (WRITE, 10, 0, 0, "C:\\app.exe", "", "c:/out/a.bin"),  # same after normalization
     ])
-    dropped = dropped_files(trace)
-    assert dropped.entries == {"c:\\out\\a.bin": 2}
+    assert dropped_files(trace) == {"c:\\out\\a.bin"}
 
 
 def test_create_counts_only_with_created_disposition():
@@ -97,7 +95,7 @@ def test_create_counts_only_with_created_disposition():
     records[1] = replace(records[1], result="CREATED")
     from lase.codec import trace_from_records
     created = dropped_files(trace_from_records(records, trace.header))
-    assert created.entries == {"c:\\out\\opened.txt": 2}
+    assert created == {"c:\\out\\opened.txt"}
 
 
 @pytest.mark.parametrize("path,ext", [
@@ -173,8 +171,8 @@ def test_antisymmetry_under_swap():
     for ext in hist_a:
         assert fwd.per_extension[ext].signed_diff == -rev.per_extension[ext].signed_diff
         assert fwd.per_extension[ext].abs_diff == rev.per_extension[ext].abs_diff
-    files_a = DroppedFileSet({"x": 1, "y": 2})
-    files_b = DroppedFileSet({"y": 3, "z": 4})
+    files_a = {"x", "y"}
+    files_b = {"y", "z"}
     fwd = diff_report(hist_a, hist_b, files_a=files_a, files_b=files_b)
     rev = diff_report(hist_b, hist_a, files_a=files_b, files_b=files_a)
     assert (fwd.overlap.only_a, fwd.overlap.only_b) == (rev.overlap.only_b, rev.overlap.only_a)
@@ -241,7 +239,7 @@ def test_json_report_is_strict_json():
     import json
     report = diff_report({"exe": 5, "js": 0}, {"exe": 0, "js": 2},
                          {"IRP_MJ_WRITE": 3}, {"IRP_MJ_WRITE": 1},
-                         DroppedFileSet({"a": 1}), DroppedFileSet({"a": 2, "b": 3}))
+                         {"a"}, {"a", "b"})
     doc = json.loads(report_to_json(report))
     assert doc["per_extension"]["exe"]["pct_diff"] is None
     assert doc["overlap"]["both"] == 1

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
 from helpers import build_trace
 
+from lase.codec import trace_from_records
 from lase.errors import UnknownKey
 from lase.events import (
     IMAGE_LOAD,
@@ -20,6 +22,7 @@ from lase.events import (
     ThreadCreate,
     ThreadExit,
     kind_name,
+    normalize_path,
 )
 from lase.forest import (
     InjectionConfidence,
@@ -511,7 +514,7 @@ def test_render_dot_subtree(fixture_trace):
 # node structure and visit order.
 def recursive_attack_tree(forest, key):
     n = forest.node(key)
-    return (n.key, n.image_path, n.args, [p for p, _ in n.writes],
+    return (n.key, n.image_path, n.args, list(n.dropped_files),
             [recursive_attack_tree(forest, c) for c in n.children])
 
 
@@ -560,3 +563,48 @@ def test_subtree_walks_do_not_recurse_per_generation():
     assert tree.size() == depth
     assert [n.key.pid for n in tree.walk()] == list(range(4, 4 + depth))
     assert assert_valid_dot(render_dot(tree)) == (depth, depth - 1)
+
+
+# --- dropped files: the forest and the differential share one rule -------------
+
+def with_creates_and_errors(seed: int):
+    """A generated trace where every third create makes its file and every
+    seventh I/O request fails with no file path."""
+    trace = run_synthetic(WorkloadSpec(events_per_producer=600, seed=seed))
+    records, irps = [], 0
+    for record in trace.records:
+        if isinstance(record.kind, Irp):
+            irps += 1
+            if irps % 7 == 0:
+                record = replace(record, file_path="", result="ACCESS_DENIED")
+            elif record.kind.code.major == "IRP_MJ_CREATE" and irps % 3 == 0:
+                record = replace(record, result="CREATED")
+        records.append(record)
+    return trace_from_records(records, trace.header)
+
+
+def test_forest_and_diff_drop_the_same_files(fixture_trace, fixture_path, capsys):
+    from lase.cli import main
+    from lase.diffreport import dropped_files
+
+    for trace in [fixture_trace] + [with_creates_and_errors(seed) for seed in (1, 2, 3)]:
+        results = {(r.kind.code.major, r.result, bool(r.file_path))
+                   for r in trace.records if isinstance(r.kind, Irp)}
+        if trace is not fixture_trace:  # the cases the rule separates all occur
+            assert {("IRP_MJ_CREATE", "CREATED", True), ("IRP_MJ_CREATE", "OK", True),
+                    ("IRP_MJ_WRITE", "ACCESS_DENIED", False)} <= results
+        forest = build_forest(trace)
+        dropped = {normalize_path(p) for node in forest.index.values() for p in node.dropped_files}
+        assert dropped == dropped_files(trace)
+
+    assert main(["tree", str(fixture_path), "--root", "10092", "--format", "json"]) == 0
+    excel = json.loads(capsys.readouterr().out)
+    assert not any("ORDER SHEET & SPEC.xlsm" in p for p in excel["dropped_files"])
+    assert excel["dropped_files"] == [
+        "C:\\Users\\grace\\AppData\\Local...\\Temp\\DED9E0FE.xlsm",
+        "C:\\Users\\grace\\AppData\\Local\\Microsoft\\...\\1983A0E7.png",
+        "C:\\Users\\grace\\AppData\\Local\\Microsoft\\Windows\\...\\1959A28D.emf",
+        "C:\\Users\\grace\\AppData\\Local\\Temp\\q",
+        "C:\\Users\\grace\\AppData\\Local\\Temp\\xx",
+        "C:\\ProgramData\\asc.txt:script1.vbs",
+    ]

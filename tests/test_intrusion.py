@@ -9,21 +9,20 @@ from hypothesis import strategies as st
 
 from helpers import build_trace
 
+from lase import intrusion
 from lase.codec import trace_from_records
 from lase.errors import SignatureParseError
-from lase.events import PROCESS_CREATE, EventRecord, Irp
+from lase.events import PROCESS_CREATE, EventRecord
 from lase.intrusion import (
     DEFAULT_RULES,
     Tactic,
     command_evidence,
     dwell_stats,
-    find_system32_writes,
     load_rules,
     normalize_command,
     scan_commands,
 )
 from lase.forest import findings_to_jsonl
-from lase.irp import IrpCode
 
 # Verbatim attacker command lines with their expected tactic.
 MALICIOUS = [
@@ -144,6 +143,10 @@ def test_load_rules_validates():
 
 # --- dwell-time statistics ---------------------------------------------------
 
+def dwell(traces):
+    return dwell_stats(traces, [scan_commands(t) for t in traces])
+
+
 def session(start: datetime, finding_offset: timedelta | None):
     rows = [EventRecord(1, start, PROCESS_CREATE, pid=10, ppid=4, image_path="C:\\svc.exe")]
     if finding_offset is not None:
@@ -158,7 +161,7 @@ def session(start: datetime, finding_offset: timedelta | None):
 
 def test_single_session_thirty_minutes():
     start = datetime(2024, 1, 5, 0, 0, 0)
-    stats = dwell_stats([session(start, timedelta(minutes=30))])
+    stats = dwell([session(start, timedelta(minutes=30))])
     assert stats.mean_latency == timedelta(minutes=30)
     assert stats.median_latency == timedelta(minutes=30)
     assert stats.n_clean == 0
@@ -166,7 +169,7 @@ def test_single_session_thirty_minutes():
 
 def test_clean_sessions_counted_separately():
     start = datetime(2024, 1, 5)
-    stats = dwell_stats([session(start, None), session(start, None)])
+    stats = dwell([session(start, None), session(start, None)])
     assert stats.mean_latency is None
     assert stats.median_latency is None
     assert stats.n_clean == 2
@@ -174,7 +177,7 @@ def test_clean_sessions_counted_separately():
 
 def test_three_sessions_mean_and_median():
     start = datetime(2024, 1, 5)
-    stats = dwell_stats([
+    stats = dwell([
         session(start, timedelta(hours=1)),
         session(start, timedelta(hours=2)),
         session(start, timedelta(hours=6)),
@@ -186,7 +189,7 @@ def test_three_sessions_mean_and_median():
 
 def test_mixed_sessions():
     start = datetime(2024, 1, 5)
-    stats = dwell_stats([session(start, timedelta(hours=1)), session(start, None)])
+    stats = dwell([session(start, timedelta(hours=1)), session(start, None)])
     assert stats.mean_latency == timedelta(hours=1)
     assert stats.n_clean == 1
     assert stats.sessions[1].latency is None
@@ -194,7 +197,7 @@ def test_mixed_sessions():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
-        dwell_stats([trace_from_records([])])
+        dwell([trace_from_records([])])
 
 
 def test_latency_runs_to_the_first_of_several_findings():
@@ -204,26 +207,42 @@ def test_latency_runs_to_the_first_of_several_findings():
                            image_path="C:\\Windows\\System32\\net.exe", args="user eve /add")
     trace = trace_from_records([create, erase, add_user])
     assert len(scan_commands(trace)) == 2
-    assert dwell_stats([trace]).sessions[0].latency == timedelta(minutes=20)
+    assert dwell([trace]).sessions[0].latency == timedelta(minutes=20)
 
 
 def test_latency_never_negative():
     start = datetime(2024, 1, 5)
-    stats = dwell_stats([session(start, timedelta(0))])
+    stats = dwell([session(start, timedelta(0))])
     assert stats.mean_latency == timedelta(0)
 
 
-# --- system32 write heuristic -------------------------------------------------
+def test_a_finding_carries_its_create_time():
+    start = datetime(2024, 1, 5)
+    trace = session(start, timedelta(minutes=7))
+    [finding] = scan_commands(trace)
+    assert finding.time == trace.records[1].time == start + timedelta(minutes=7)
 
-def test_system32_write_heuristic():
-    write = Irp(IrpCode("IRP_MJ_WRITE"))
-    trace = build_trace([
-        (PROCESS_CREATE, 10, 4, 0, "C:\\app.exe"),
-        (write, 10, 0, 0, "C:\\app.exe", "", "C:\\Windows\\System32\\evil.dll"),
-        (write, 10, 0, 0, "C:\\app.exe", "", "C:\\Users\\x\\ok.txt"),
-    ])
-    hits = find_system32_writes(trace)
-    assert hits == [(2, "C:\\Windows\\System32\\evil.dll")]
+
+def test_dwell_reads_the_findings_it_is_given(monkeypatch):
+    start = datetime(2024, 1, 5)
+    traces = [session(start, timedelta(minutes=5)), session(start, None)]
+    findings = [scan_commands(t) for t in traces]
+
+    def rescan(*args, **kwargs):
+        raise AssertionError("dwell_stats scanned a trace again")
+
+    monkeypatch.setattr(intrusion, "scan_commands", rescan)
+    stats = dwell_stats(traces, findings, ["a", "b"])
+    assert [(s.label, s.latency) for s in stats.sessions] == [("a", timedelta(minutes=5)),
+                                                            ("b", None)]
+    # the latency runs to the first finding given, not to one found again
+    assert dwell_stats(traces[:1], [findings[0] * 2]).sessions[0].latency == timedelta(minutes=5)
+
+
+def test_dwell_needs_one_finding_list_per_trace():
+    start = datetime(2024, 1, 5)
+    with pytest.raises(ValueError):
+        dwell_stats([session(start, None)], [])
 
 
 def test_findings_jsonl_shape():
