@@ -21,7 +21,7 @@ from pathlib import Path
 # command imports the other analysis modules it calls, so a process loads
 # only what its command runs.
 from . import forest, pipeline
-from .codec import read_trace, write_trace
+from .codec import Trace, read_trace, write_trace
 from .errors import LaseError
 
 EXIT_OK = 0
@@ -103,7 +103,9 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--nonempty-only", action="store_true",
                    help="corpus mode: keep only pairs with file write activity")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=1,
+                   help="corpus mode: pairs read at once (default 1; each holds its two "
+                        "traces, and more threads are not faster)")
 
     p = sub.add_parser("intrude", help="scan command lines for intrusion tactics")
     p.add_argument("traces", nargs="+")
@@ -134,9 +136,9 @@ def _write_trace_out(trace, out: str, compress: bool) -> None:
 
 def _cmd_validate(args) -> int:
     for path in args.traces:
-        trace = _read_trace_arg(path)
         label = "stdin" if path == "-" else path
-        print(f"{label}: {len(trace)} records OK")
+        # Unbound, so the trace is freed before the next one is read.
+        print(f"{label}: {len(_read_trace_arg(path))} records OK")
     return EXIT_OK
 
 
@@ -170,9 +172,17 @@ def _cmd_replay(args) -> int:
 
 def _parse_root(spec: str, built) -> forest.ProcessKey:
     pid_text, _, seq_text = spec.partition(":")
-    pid = int(pid_text)
-    if seq_text:
-        return forest.ProcessKey(pid, int(seq_text))
+    try:
+        pid = int(pid_text)
+        seq = int(seq_text) if seq_text else None
+    except ValueError:
+        raise LaseError(f"--root takes PID[:BIRTH_SEQ], got {spec!r}") from None
+    if seq is not None:
+        key = forest.ProcessKey(pid, seq)
+        if key not in built.index:
+            raise LaseError(f"no process with pid {pid} and birth seq {seq} in the forest"
+                            " (--root PID[:BIRTH_SEQ])")
+        return key
     candidates = sorted((k for k in built.index if k.pid == pid),
                         key=lambda k: k.birth_seq)
     if not candidates:
@@ -319,12 +329,18 @@ def _cmd_intrude(args) -> int:
     if args.rules:
         rules = intrusion.load_rules(Path(args.rules).read_text(encoding="utf-8"))
     labels = ["stdin" if p == "-" else p for p in args.traces]
-    traces = [_read_trace_arg(p) for p in args.traces]
-    findings = [intrusion.scan_commands(trace, rules) for trace in traces]
+
+    def scan(path: str):
+        # Keep the findings and the first record, all that the dwell
+        # statistics read; the trace is freed before the next one is read.
+        trace = _read_trace_arg(path)
+        return intrusion.scan_commands(trace, rules), Trace(trace.header, trace.records[:1])
+
+    findings, heads = zip(*map(scan, args.traces))
     _write_findings([f for found in findings for f in found], args.format)
     if args.dwell:
-        nonempty = [i for i, trace in enumerate(traces) if trace.records]
-        stats = intrusion.dwell_stats([traces[i] for i in nonempty],
+        nonempty = [i for i, head in enumerate(heads) if head.records]
+        stats = intrusion.dwell_stats([heads[i] for i in nonempty],
                                       [findings[i] for i in nonempty],
                                       [labels[i] for i in nonempty])
         doc = {

@@ -558,7 +558,7 @@ def write_trace(trace: Trace, sink, compress: bool = False) -> int:
         with open(sink, "wb") as fh:
             return write_trace(trace, fh, compress=compress)
     counter = _CountingWriter(sink)
-    out = gzip.GzipFile(fileobj=counter, mode="wb") if compress else counter
+    out = gzip.GzipFile(fileobj=counter, mode="wb", mtime=0) if compress else counter
     header, records = trace.header, trace.records
     out.write(_encode_header(header).encode("utf-8"))
     for start in range(0, len(records), _WRITE_BATCH):

@@ -163,11 +163,12 @@ def pair_directories(dir_a: Path | str, dir_b: Path | str) -> list[tuple[str, Pa
 
 
 def compare_corpora(dir_a: Path | str, dir_b: Path | str,
-                    nonempty_only: bool = False, workers: int = 4) -> DiffReport:
+                    nonempty_only: bool = False, workers: int = 1) -> DiffReport:
     """Aggregate a paired corpus comparison (pairing key = file stem).
 
     nonempty_only keeps only sample pairs where at least one side dropped a
-    file, mirroring a "samples with file write activity" filter.
+    file, mirroring a "samples with file write activity" filter. Each of the
+    workers holds one pair of decoded traces until it has summarized them.
     """
     pairs = pair_directories(dir_a, dir_b)
 

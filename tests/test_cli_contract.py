@@ -4,8 +4,9 @@ invocations, each pinned by the sha256 of the three.
 Every input is built at test time from the packaged fixture and fixed
 seeds; no trace file is committed. Commands run in process, from the input
 directory, so messages name relative paths. Gzip output is compared after
-decompression, because its header holds the time it was written. `bench`
-times the host disk, so only its exit code is pinned.
+decompression; tests/test_codec.py checks that the compressed bytes do not
+depend on the time of writing. `bench` times the host disk, so only its
+exit code is pinned.
 
 A changed digest is a change that users see: re-pin it only together with
 a line in CHANGES.md that names the case and the reason.
@@ -411,9 +412,9 @@ DIGESTS = {
     "tree-fixture-root-missing":
         "eee0fe3e525cfe922657c86a0dd7aa6038d74bff6db151404d8c345e3961b9b7",
     "tree-fixture-root-bad":
-        "3b4078cd8d21fb9be12b17bd9dfe08bdd0395bc934c6fca14990bdba7787af4c",
+        "57a0dfb7cc85542d19c5ca6601781d464371fd5a2d5e97dc947b63fd135c08fd",
     "tree-fixture-root-key-missing":
-        "352dfe2919907cd83c28e412103e4aa53ea2c10d4bf4403d4225bc6dc0524f3f",
+        "b7c49c2dc138c845b3bfcc5ea09edcffed1e8c6bef4596aee155cf037a91101f",
     "tree-syn-dot":
         "edc6589f9e164dece748e2ea90e9c49230941e070cced5bc049fb360e8d213d5",
     "tree-syn-json":

@@ -6,6 +6,7 @@ import io
 import random
 import zlib
 from datetime import date, datetime, timedelta
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -224,6 +225,18 @@ def test_compressed_fixture_is_smaller(fixture_trace):
     n_packed = write_trace(fixture_trace, packed, compress=True)
     assert n_packed < n_plain
     assert read_trace(packed.getvalue()) == fixture_trace
+
+
+def test_compressed_output_does_not_depend_on_the_clock(fixture_trace, monkeypatch):
+    """The gzip header holds no time of writing, so the same trace
+    compresses to the same bytes whenever it is written."""
+    outputs = []
+    for now in (0.0, 1_700_000_000.0):
+        monkeypatch.setattr(gzip, "time", SimpleNamespace(time=lambda: now))
+        packed = io.BytesIO()
+        write_trace(fixture_trace, packed, compress=True)
+        outputs.append(packed.getvalue())
+    assert outputs[0] == outputs[1]
 
 
 def test_empty_trace_is_header_only():

@@ -224,6 +224,7 @@ def test_corpus_mode_pairs_by_stem(tmp_path, fixture_trace):
     report = compare_corpora(bare, vm)
     assert report.per_extension["exe"].count_a == 1
     assert report.overlap.only_a == 8
+    assert compare_corpora(bare, vm, workers=3) == report
 
     filtered = compare_corpora(bare, vm, nonempty_only=True)
     assert filtered.overlap.only_a == 8  # sample2 pair dropped, same totals
