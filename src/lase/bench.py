@@ -82,7 +82,6 @@ class BenchRun:
     """One measured half (baseline or instrumented): cells of KB/s."""
 
     cells: dict[tuple[str, str], CellStats]
-    instrumented: bool
     events_submitted: int = 0
     events_drained: int = 0
 
@@ -187,30 +186,20 @@ def run_workload(config: BenchConfig) -> BenchRun:
     }
     return BenchRun(
         cells=cells,
-        instrumented=config.instrumented,
         events_submitted=recorder.submitted if recorder else 0,
         events_drained=drained,
     )
 
 
-def overhead(baseline: BenchRun | dict, instrumented: BenchRun | dict) -> BenchReport:
+def overhead(baseline: dict[tuple[str, str], CellStats],
+             instrumented: dict[tuple[str, str], CellStats]) -> BenchReport:
     """Per-cell |instrumented - baseline| / baseline * 100, 2 decimals."""
-    base_cells = baseline.cells if isinstance(baseline, BenchRun) else baseline
-    inst_cells = instrumented.cells if isinstance(instrumented, BenchRun) else instrumented
-    if set(base_cells) != set(inst_cells):
-        missing = set(base_cells) ^ set(inst_cells)
+    if set(baseline) != set(instrumented):
+        missing = set(baseline) ^ set(instrumented)
         raise MissingCell(f"cell keys differ: {sorted(missing)}")
-    pct: dict[tuple[str, str], float] = {}
-    for key, base in base_cells.items():
-        b = base.mean_kbps if isinstance(base, CellStats) else float(base)
-        inst = inst_cells[key]
-        i = inst.mean_kbps if isinstance(inst, CellStats) else float(inst)
-        pct[key] = round(abs(i - b) / b * 100, 2)
-    as_stats = lambda cells: {  # noqa: E731
-        k: (v if isinstance(v, CellStats) else CellStats(float(v), (float(v),)))
-        for k, v in cells.items()
-    }
-    return BenchReport(as_stats(base_cells), as_stats(inst_cells), pct)
+    pct = {key: round(abs(instrumented[key].mean_kbps - base.mean_kbps) / base.mean_kbps * 100, 2)
+           for key, base in baseline.items()}
+    return BenchReport(baseline, instrumented, pct)
 
 
 _OP_TITLES = {"write": "Writer", "rewrite": "Re-writer", "read": "Reader", "reread": "Re-Reader"}

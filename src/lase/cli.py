@@ -14,6 +14,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -171,23 +172,20 @@ def _cmd_replay(args) -> int:
 
 
 def _parse_root(spec: str, built) -> forest.ProcessKey:
-    pid_text, _, seq_text = spec.partition(":")
-    try:
-        pid = int(pid_text)
-        seq = int(seq_text) if seq_text else None
-    except ValueError:
-        raise LaseError(f"--root takes PID[:BIRTH_SEQ], got {spec!r}") from None
-    if seq is not None:
-        key = forest.ProcessKey(pid, seq)
+    match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", spec)
+    if match is None:
+        raise LaseError(f"--root takes PID[:BIRTH_SEQ], got {spec!r}")
+    pid = int(match[1])
+    if match[2] is not None:
+        key = forest.ProcessKey(pid, int(match[2]))
         if key not in built.index:
-            raise LaseError(f"no process with pid {pid} and birth seq {seq} in the forest"
+            raise LaseError(f"no process with pid {pid} and birth seq {key.birth_seq} in the forest"
                             " (--root PID[:BIRTH_SEQ])")
         return key
-    candidates = sorted((k for k in built.index if k.pid == pid),
-                        key=lambda k: k.birth_seq)
-    if not candidates:
+    first = min((k for k in built.index if k.pid == pid), key=lambda k: k.birth_seq, default=None)
+    if first is None:
         raise LaseError(f"no process with pid {pid} in the forest")
-    return candidates[0]
+    return first
 
 
 def _io_summary_to_json(io_summary: dict) -> dict:
@@ -209,7 +207,7 @@ def _forest_to_json(built: forest.ProcessForest) -> dict:
                 "image_path": node.image_path,
                 "args": node.args,
                 "threads": node.threads,
-                "images": len(node.images),
+                "images": node.images,
                 "io_summary": _io_summary_to_json(node.io_summary),
                 "children": [[c.pid, c.birth_seq] for c in node.children],
             }
@@ -218,21 +216,21 @@ def _forest_to_json(built: forest.ProcessForest) -> dict:
     }
 
 
-def _subtree_to_json(tree: forest.AttackTreeNode) -> dict:
+def _subtree_to_json(built: forest.ProcessForest, root: forest.ProcessKey) -> dict:
     # Built in reverse preorder, each node after all of its descendants, so
     # a deep process chain needs no stack frame per generation.
-    docs: dict[int, dict] = {}
-    for tn in reversed(list(tree.walk())):
-        docs[id(tn)] = {
-            "pid": tn.key.pid,
-            "birth_seq": tn.key.birth_seq,
-            "image_path": tn.image_path,
-            "args": tn.args,
-            "io_summary": _io_summary_to_json(tn.io_summary),
-            "dropped_files": tn.dropped_files,
-            "children": [docs.pop(id(c)) for c in tn.children],
+    docs: dict[forest.ProcessKey, dict] = {}
+    for _, node in reversed(forest.subtree(built, root)):
+        docs[node.key] = {
+            "pid": node.key.pid,
+            "birth_seq": node.key.birth_seq,
+            "image_path": node.image_path,
+            "args": node.args,
+            "io_summary": _io_summary_to_json(node.io_summary),
+            "dropped_files": node.dropped_files,
+            "children": [docs.pop(c) for c in node.children],
         }
-    return docs[id(tree)]
+    return docs[root]
 
 
 def _dumps_indented(value) -> str:
@@ -266,12 +264,12 @@ def _cmd_tree(args) -> int:
     built = forest.build_forest(_read_trace_arg(args.trace))
     for warning in built.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.root:
-        subtree = forest.attack_tree(built, _parse_root(args.root, built))
+    if args.root is not None:
+        root = _parse_root(args.root, built)
         if args.format == "dot":
-            sys.stdout.write(forest.render_dot(subtree, name=f"subtree_{subtree.key.pid}"))
+            sys.stdout.write(forest.render_dot(built, root, name=f"subtree_{root.pid}"))
         else:
-            print(_dumps_indented(_subtree_to_json(subtree)))
+            print(_dumps_indented(_subtree_to_json(built, root)))
     else:
         if args.format == "dot":
             sys.stdout.write(forest.render_dot(built))
@@ -366,12 +364,11 @@ def _cmd_bench(args) -> int:
         target_dir=args.dir, file_count=args.files, small_size=args.small,
         large_size=args.large, repetitions=args.reps, instrumented=False,
     )
-    baseline = bench.run_workload(base_config)
+    baseline = bench.run_workload(base_config).cells
+    instrumented = baseline
     if args.instrumented:
-        instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True))
-        report = bench.overhead(baseline, instrumented)
-    else:
-        report = bench.overhead(baseline, baseline)
+        instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True)).cells
+    report = bench.overhead(baseline, instrumented)
     out = bench.report_to_tsv(report) if args.format == "tsv" else bench.report_to_json(report)
     sys.stdout.write(out)
     return EXIT_OK

@@ -130,13 +130,39 @@ def diff_report(hist_a: dict[str, int], hist_b: dict[str, int],
     return DiffReport(per_ext, per_op, overlap)
 
 
+PairSummary = tuple[set[str], dict[str, int], set[str], dict[str, int]]
+
+
+def _summarize(trace_a: Trace, trace_b: Trace) -> PairSummary:
+    """What a report reads of one pair: each side's dropped files and
+    operation counts."""
+    return (dropped_files(trace_a), operation_counts(trace_a),
+            dropped_files(trace_b), operation_counts(trace_b))
+
+
+def _fold(summaries: Iterable[PairSummary], nonempty_only: bool = False) -> DiffReport:
+    """One report over pair summaries; nonempty_only skips the pairs where
+    neither side dropped a file."""
+    hist_a: Counter[str] = Counter()
+    hist_b: Counter[str] = Counter()
+    ops_a: Counter[str] = Counter()
+    ops_b: Counter[str] = Counter()
+    all_a: set[str] = set()
+    all_b: set[str] = set()
+    for fa, oa, fb, ob in summaries:
+        if nonempty_only and not fa and not fb:
+            continue
+        hist_a.update(extension_histogram(fa))
+        hist_b.update(extension_histogram(fb))
+        ops_a.update(oa)
+        ops_b.update(ob)
+        all_a |= fa
+        all_b |= fb
+    return diff_report(dict(hist_a), dict(hist_b), dict(ops_a), dict(ops_b), all_a, all_b)
+
+
 def compare_traces(trace_a: Trace, trace_b: Trace) -> DiffReport:
-    files_a, files_b = dropped_files(trace_a), dropped_files(trace_b)
-    return diff_report(
-        extension_histogram(files_a), extension_histogram(files_b),
-        operation_counts(trace_a), operation_counts(trace_b),
-        files_a, files_b,
-    )
+    return _fold([_summarize(trace_a, trace_b)])
 
 
 # --- corpus mode ----------------------------------------------------------
@@ -170,31 +196,12 @@ def compare_corpora(dir_a: Path | str, dir_b: Path | str,
     file, mirroring a "samples with file write activity" filter. Each of the
     workers holds one pair of decoded traces until it has summarized them.
     """
-    pairs = pair_directories(dir_a, dir_b)
-
-    def load(pair: tuple[str, Path, Path]):
+    def load(pair: tuple[str, Path, Path]) -> PairSummary:
         _, pa, pb = pair
-        ta, tb = read_trace(pa), read_trace(pb)
-        return (dropped_files(ta), operation_counts(ta),
-                dropped_files(tb), operation_counts(tb))
+        return _summarize(read_trace(pa), read_trace(pb))
 
-    hist_a: Counter[str] = Counter()
-    hist_b: Counter[str] = Counter()
-    ops_a: Counter[str] = Counter()
-    ops_b: Counter[str] = Counter()
-    all_a: set[str] = set()
-    all_b: set[str] = set()
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for fa, oa, fb, ob in pool.map(load, pairs):
-            if nonempty_only and not fa and not fb:
-                continue
-            hist_a.update(extension_histogram(fa))
-            hist_b.update(extension_histogram(fb))
-            ops_a.update(oa)
-            ops_b.update(ob)
-            all_a |= fa
-            all_b |= fb
-    return diff_report(dict(hist_a), dict(hist_b), dict(ops_a), dict(ops_b), all_a, all_b)
+        return _fold(pool.map(load, pair_directories(dir_a, dir_b)), nonempty_only)
 
 
 # --- rendering ------------------------------------------------------------

@@ -63,7 +63,7 @@ class ProcessNode:
     exit_seq: int | None = None
     threads: int = 0  # thread creates seen
     live_threads: dict[int, int] = field(default_factory=dict)  # tid -> creates not yet exited
-    images: list[tuple[str, int]] = field(default_factory=list)
+    images: int = 0  # image loads seen
     io_summary: dict[str, IoTotals] = field(default_factory=dict)
     dropped_files: list[str] = field(default_factory=list)  # in trace order, see events.drops_file
     children: list[ProcessKey] = field(default_factory=list)
@@ -234,7 +234,7 @@ class _Builder:
             self._on_thread_exit(record)
         elif isinstance(kind, ImageLoad):
             node = self._actor(record)
-            node.images.append((record.file_path, record.global_seq))
+            node.images += 1
             self._check_upgrades(node, record.time)
         elif isinstance(kind, Annotation):
             self._actor(record)  # ensure the acting pid is represented
@@ -321,9 +321,9 @@ def _build(trace: Trace, window_ms: int) -> _Builder:
     return builder
 
 
-def build_forest(trace: Trace, injection_window_ms: int = DEFAULT_INJECTION_WINDOW_MS) -> ProcessForest:
+def build_forest(trace: Trace) -> ProcessForest:
     """Reconstruct the process forest from a trace (deterministic)."""
-    return _build(trace, injection_window_ms).result()
+    return _build(trace, DEFAULT_INJECTION_WINDOW_MS).result()
 
 
 def detect_remote_thread_injection(trace: Trace,
@@ -332,45 +332,17 @@ def detect_remote_thread_injection(trace: Trace,
     return _build(trace, window_ms).findings
 
 
-@dataclass
-class AttackTreeNode:
-    key: ProcessKey
-    image_path: str
-    args: str
-    io_summary: dict[str, IoTotals]
-    dropped_files: list[str]
-    children: list["AttackTreeNode"]
-
-    def size(self) -> int:
-        return sum(1 for _ in self.walk())
-
-    def walk(self):
-        """Depth-first, parents before children, children in order; a loop,
-        not a recursion, so a deep process chain cannot overflow the stack."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-
-def attack_tree(forest: ProcessForest, root: ProcessKey) -> AttackTreeNode:
-    """Depth-first subtree under root, annotated with I/O evidence."""
-
-    def annotated(n: ProcessNode) -> AttackTreeNode:
-        return AttackTreeNode(
-            key=n.key,
-            image_path=n.image_path,
-            args=n.args,
-            io_summary=n.io_summary,
-            dropped_files=n.dropped_files,
-            children=[],
-        )
-
-    top = annotated(forest.node(root))
-    for tn in top.walk():  # walk reads each children list after it is filled
-        tn.children.extend(annotated(forest.node(c)) for c in forest.index[tn.key].children)
-    return top
+def subtree(forest: ProcessForest, root: ProcessKey) -> list[tuple[ProcessNode | None, ProcessNode]]:
+    """(parent, node) for root and every descendant, in preorder with
+    children in order (parent is None for root). A loop, not a recursion, so
+    a deep process chain cannot overflow the stack."""
+    pairs = []
+    stack: list[tuple[ProcessNode | None, ProcessNode]] = [(None, forest.node(root))]
+    while stack:
+        parent, node = stack.pop()
+        pairs.append((parent, node))
+        stack.extend((node, forest.index[c]) for c in reversed(node.children))
+    return pairs
 
 
 def _dot_escape(text: str) -> str:
@@ -381,30 +353,27 @@ def _node_id(key: ProcessKey) -> str:
     return f"n{key.pid}_{key.birth_seq}"
 
 
-def render_dot(forest_or_subtree: ProcessForest | AttackTreeNode, name: str = "trace") -> str:
-    """Render a forest or attack subtree as a deterministic DOT digraph."""
+def _dot_node(node: ProcessNode) -> str:
+    label = _dot_escape(f"{path_basename(node.image_path)} ({node.key.pid})")
+    return f'  {_node_id(node.key)} [label="{label}"];'
+
+
+def render_dot(forest: ProcessForest, root: ProcessKey | None = None, name: str = "trace") -> str:
+    """Render the forest, or the subtree under root, as a deterministic DOT
+    digraph."""
     lines = [f'digraph "{_dot_escape(name)}" {{', "  rankdir=LR;"]
-    if isinstance(forest_or_subtree, ProcessForest):
-        forest = forest_or_subtree
+    if root is None:
         keys = sorted(forest.index, key=lambda k: (k.birth_seq, k.pid))
-        for key in keys:
-            node = forest.index[key]
-            label = _dot_escape(f"{path_basename(node.image_path)} ({key.pid})")
-            lines.append(f'  {_node_id(key)} [label="{label}"];')
+        lines += (_dot_node(forest.index[key]) for key in keys)
         for key in keys:
             for child in forest.index[key].children:
                 lines.append(f"  {_node_id(key)} -> {_node_id(child)};")
     else:
-        # Preorder, each node after the edge from its parent: the order of a
-        # recursive visit, without a stack frame per generation.
-        stack: list[tuple[AttackTreeNode | None, AttackTreeNode]] = [(None, forest_or_subtree)]
-        while stack:
-            parent, tn = stack.pop()
+        # Each node after the edge from its parent: the order of a recursive visit.
+        for parent, node in subtree(forest, root):
             if parent is not None:
-                lines.append(f"  {_node_id(parent.key)} -> {_node_id(tn.key)};")
-            label = _dot_escape(f"{path_basename(tn.image_path)} ({tn.key.pid})")
-            lines.append(f'  {_node_id(tn.key)} [label="{label}"];')
-            stack.extend((tn, child) for child in reversed(tn.children))
+                lines.append(f"  {_node_id(parent.key)} -> {_node_id(node.key)};")
+            lines.append(_dot_node(node))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,6 +9,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
+from lase.bench import CellStats
 from lase.codec import Trace, TraceHeader, trace_from_records
 from lase.events import (
     IMAGE_LOAD,
@@ -138,3 +139,8 @@ def run_lase(*argv, timeout: float = 60) -> tuple[int, str, str]:
     except subprocess.TimeoutExpired:
         raise AssertionError(f"{' '.join(command)} did not exit within {timeout} s") from None
     return done.returncode, done.stdout, done.stderr
+
+
+def cells_of(means: dict) -> dict:
+    """A bench cell map from one mean KB/s per cell, each its only sample."""
+    return {key: CellStats(float(mean), (float(mean),)) for key, mean in means.items()}

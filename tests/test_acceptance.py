@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from helpers import BASE_TIME, build_trace, evicted_seqs
+from helpers import BASE_TIME, build_trace, cells_of, evicted_seqs
 
 from test_fingerprint import naive_scan_oracle, template_trace
 from test_forest import node_count_oracle
@@ -108,8 +108,8 @@ def test_criterion_3_benchmark_formula_and_smoke(capsys, tmp_path):
         ("reread", "small"): (4_228_550, 4_452_886, 5.31),
         ("reread", "large"): (3_643_169, 3_791_870, 4.08),
     }
-    result = overhead({k: v[0] for k, v in reference.items()},
-                      {k: v[1] for k, v in reference.items()})
+    result = overhead(cells_of({k: v[0] for k, v in reference.items()}),
+                      cells_of({k: v[1] for k, v in reference.items()}))
     for key, (_, _, expected) in reference.items():
         assert result.overhead[key] == pytest.approx(expected, abs=0.01), key
 

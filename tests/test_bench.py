@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from helpers import cells_of
+
 from lase.bench import (
     OPERATIONS,
     SIZE_LABELS,
@@ -37,8 +39,8 @@ def tiny_config(tmp_path, instrumented=False, reps=1):
 
 
 def test_overhead_formula_reproduces_reference_cells():
-    baseline = {key: pair[0] for key, pair in REFERENCE_CELLS.items()}
-    instrumented = {key: pair[1] for key, pair in REFERENCE_CELLS.items()}
+    baseline = cells_of({key: pair[0] for key, pair in REFERENCE_CELLS.items()})
+    instrumented = cells_of({key: pair[1] for key, pair in REFERENCE_CELLS.items()})
     report = overhead(baseline, instrumented)
     for key, (_, _, expected) in REFERENCE_CELLS.items():
         assert report.overhead[key] == pytest.approx(expected, abs=0.01)
@@ -46,21 +48,21 @@ def test_overhead_formula_reproduces_reference_cells():
 
 def test_overhead_is_symmetric_in_direction():
     # a faster instrumented side still reports positive overhead
-    report = overhead({("read", "small"): 100.0}, {("read", "small"): 90.0})
+    report = overhead(cells_of({("read", "small"): 100.0}), cells_of({("read", "small"): 90.0}))
     assert report.overhead[("read", "small")] == 10.0
-    report = overhead({("read", "small"): 100.0}, {("read", "small"): 110.0})
+    report = overhead(cells_of({("read", "small"): 100.0}), cells_of({("read", "small"): 110.0}))
     assert report.overhead[("read", "small")] == 10.0
 
 
 def test_overhead_identical_inputs_is_zero():
-    cells = {key: pair[0] for key, pair in REFERENCE_CELLS.items()}
+    cells = cells_of({key: pair[0] for key, pair in REFERENCE_CELLS.items()})
     report = overhead(cells, cells)
     assert all(v == 0.0 for v in report.overhead.values())
 
 
 def test_overhead_missing_cell():
     with pytest.raises(MissingCell):
-        overhead({("write", "small"): 1.0}, {("write", "large"): 1.0})
+        overhead(cells_of({("write", "small"): 1.0}), cells_of({("write", "large"): 1.0}))
 
 
 def test_smoke_workload_all_cells_finite(tmp_path):
@@ -107,8 +109,8 @@ def test_config_validation(tmp_path):
 
 
 def test_reports_render(tmp_path):
-    baseline = {key: pair[0] for key, pair in REFERENCE_CELLS.items()}
-    instrumented = {key: pair[1] for key, pair in REFERENCE_CELLS.items()}
+    baseline = cells_of({key: pair[0] for key, pair in REFERENCE_CELLS.items()})
+    instrumented = cells_of({key: pair[1] for key, pair in REFERENCE_CELLS.items()})
     report = overhead(baseline, instrumented)
     tsv = report_to_tsv(report)
     assert "Writer\tsmall\t788,641\t808,474\t2.51%" in tsv

@@ -136,6 +136,13 @@ def test_tree_unknown_root_is_input_error(fixture_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["10092:", " 10092", "10092 ", "+10092", "-5", "1_0",
+                                  "10092:+0", "10092:-0", ":0", "", "١٠٠٩٢", "10092:0:0"])
+def test_tree_root_takes_only_digits(fixture_path, capsys, spec):
+    code, out, err = run_cli(capsys, "tree", str(fixture_path), f"--root={spec}")
+    assert (code, out, err) == (2, "", f"error: --root takes PID[:BIRTH_SEQ], got {spec!r}\n")
+
+
 def test_inject_scan_jsonl(tmp_path, capsys):
     from lase.pipeline import WorkloadSpec, run_synthetic
     trace = run_synthetic(WorkloadSpec(seed=5, producers=1, events_per_producer=50,
@@ -337,18 +344,20 @@ def test_tree_of_a_deep_process_chain(tmp_path, capsys):
     assert out.endswith('\n  "pid": 4\n}\n')
 
 
-def nested_subtree_doc(tn) -> dict:
-    """The subtree document built by recursion: the reference the iterative
-    subtree JSON must print byte for byte through json.dumps."""
+def nested_subtree_doc(built, key) -> dict:
+    """The subtree document built by recursion over forest.index: the
+    reference the iterative subtree JSON must print byte for byte through
+    json.dumps."""
+    node = built.index[key]
     return {
-        "pid": tn.key.pid,
-        "birth_seq": tn.key.birth_seq,
-        "image_path": tn.image_path,
-        "args": tn.args,
+        "pid": key.pid,
+        "birth_seq": key.birth_seq,
+        "image_path": node.image_path,
+        "args": node.args,
         "io_summary": {m: {"count": t.count, "duration_us": t.duration_us}
-                       for m, t in sorted(tn.io_summary.items())},
-        "dropped_files": tn.dropped_files,
-        "children": [nested_subtree_doc(c) for c in tn.children],
+                       for m, t in sorted(node.io_summary.items())},
+        "dropped_files": node.dropped_files,
+        "children": [nested_subtree_doc(built, c) for c in node.children],
     }
 
 
@@ -361,8 +370,7 @@ def test_subtree_json_matches_json_dumps(fixture_trace, tmp_path, capsys, depth)
     built = forest.build_forest(trace)
     # every fixture process; the chain's root, whose subtree is the whole chain
     for key in built.index if depth is None else [forest.ProcessKey(4, 0)]:
-        expected = json.dumps(nested_subtree_doc(forest.attack_tree(built, key)), indent=2,
-                              sort_keys=True)
+        expected = json.dumps(nested_subtree_doc(built, key), indent=2, sort_keys=True)
         code, out, err = run_cli(capsys, "tree", str(path), "--root", f"{key.pid}:{key.birth_seq}",
                                  "--format", "json")
         assert (code, out, err) == (0, expected + "\n", "")

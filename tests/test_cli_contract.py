@@ -245,6 +245,10 @@ CASES: dict[str, str] = {
     "tree-fixture-root-missing": "tree fixture.lase --root 99999",
     "tree-fixture-root-bad": "tree fixture.lase --root ten",
     "tree-fixture-root-key-missing": "tree fixture.lase --root 10092:1",
+    "tree-fixture-root-empty-seq": "tree fixture.lase --root 10092:",
+    "tree-fixture-root-plus": "tree fixture.lase --root +10092",
+    "tree-fixture-root-negative": "tree fixture.lase --root -5",
+    "tree-fixture-root-underscore": "tree fixture.lase --root 10_092",
     "tree-syn-dot": "tree syn.lase.gz",
     "tree-syn-json": "tree syn.lase --format json",
     "tree-syn-root-dot": "tree syn.lase --root 4000",
@@ -415,6 +419,14 @@ DIGESTS = {
         "57a0dfb7cc85542d19c5ca6601781d464371fd5a2d5e97dc947b63fd135c08fd",
     "tree-fixture-root-key-missing":
         "b7c49c2dc138c845b3bfcc5ea09edcffed1e8c6bef4596aee155cf037a91101f",
+    "tree-fixture-root-empty-seq":
+        "857d9d1f7aa7e1d1651d47df29e1037c345f961bfd2ce93d3824501f5fc339c0",
+    "tree-fixture-root-plus":
+        "7eb96ed55cbdd099d27c0a5d23a501785b22edba3a962946bfddb017d6c7a62e",
+    "tree-fixture-root-negative":
+        "0f254ff28f2a76f84a97488311ed2f52038d036cf7cc62ce8a9e2a336044e266",
+    "tree-fixture-root-underscore":
+        "37ef113442bb3a3c609af663a1e5c37e7e8fc036991e15fca8b3fe2af0f76571",
     "tree-syn-dot":
         "edc6589f9e164dece748e2ea90e9c49230941e070cced5bc049fb360e8d213d5",
     "tree-syn-json":

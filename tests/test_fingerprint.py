@@ -110,7 +110,7 @@ def test_scan_attributes_records_to_the_forests_process():
     ])
     forest = build_forest(trace)
     assert forest.node(ProcessKey(5, 3)).parent == ProcessKey(9, 0)
-    assert forest.node(ProcessKey(9, 0)).images == [(wmi_dll, 5)]
+    assert forest.node(ProcessKey(9, 0)).images == 1
     assert forest.warnings == []
     findings = scan(trace, default_signatures())
     assert [(f.signature, f.process) for f in findings] == [

@@ -28,11 +28,11 @@ from lase.forest import (
     InjectionConfidence,
     ProcessKey,
     Resolver,
-    attack_tree,
     build_forest,
     detect_remote_thread_injection,
     findings_to_jsonl,
     render_dot,
+    subtree,
 )
 from lase.irp import IrpCode
 from lase.pipeline import WorkloadSpec, run_synthetic
@@ -83,30 +83,30 @@ def test_exit_closes_node(fixture_trace):
     assert eqnedt.exit_time >= eqnedt.create_time
 
 
-def test_attack_tree_of_916(fixture_trace):
+def test_subtree_of_916(fixture_trace):
     forest = build_forest(fixture_trace)
-    tree = attack_tree(forest, ProcessKey(916, 0))
-    images = {node.image_path.rsplit("\\", 1)[-1].lower() for node in tree.walk()}
+    nodes = {node.key: node for _, node in subtree(forest, ProcessKey(916, 0))}
+    images = {node.image_path.rsplit("\\", 1)[-1].lower() for node in nodes.values()}
     assert {"eqnedt32.exe", "wmiprvse.exe", "werfault.exe"} <= images
-    cscript = next(n for n in tree.walk() if n.key == ProcessKey(10464, 679047))
+    cscript = nodes[ProcessKey(10464, 679047)]
     assert "C:\\ProgramData\\Podaliri4.exe" in cscript.dropped_files
     assert cscript.io_summary["IRP_MJ_WRITE"].count == 1
     assert cscript.io_summary["IRP_MJ_WRITE"].duration_us == 3432
 
 
-def test_attack_tree_leaf_is_singleton(fixture_trace):
+def test_subtree_of_a_leaf_is_the_leaf(fixture_trace):
     forest = build_forest(fixture_trace)
-    tree = attack_tree(forest, ProcessKey(3800, 359955))
-    assert tree.size() == 1
+    leaf = ProcessKey(3800, 359955)
+    assert subtree(forest, leaf) == [(None, forest.index[leaf])]
 
 
-def test_attack_tree_unknown_root(fixture_trace):
+def test_subtree_unknown_root_raises_at_call(fixture_trace):
     forest = build_forest(fixture_trace)
     with pytest.raises(UnknownKey):
-        attack_tree(forest, ProcessKey(99999, 1))
+        subtree(forest, ProcessKey(99999, 1))
 
 
-def test_attack_tree_node_set_matches_naive_reachability(fixture_trace):
+def test_subtree_node_set_matches_naive_reachability(fixture_trace):
     forest = build_forest(fixture_trace)
     root = ProcessKey(916, 0)
     # naive reachability: repeatedly add nodes whose parent is in the set
@@ -118,8 +118,7 @@ def test_attack_tree_node_set_matches_naive_reachability(fixture_trace):
             if key not in reach and node.parent in reach:
                 reach.add(key)
                 changed = True
-    tree_keys = {n.key for n in attack_tree(forest, root).walk()}
-    assert tree_keys == reach
+    assert {n.key for _, n in subtree(forest, root)} == reach
 
 
 # --- remote-thread injection -------------------------------------------------
@@ -325,7 +324,7 @@ def test_create_at_seq_zero_takes_the_preexisting_key():
     records = [r.with_seq(r.global_seq - 1) for r in trace.records]
     forest = build_forest(trace_from_records(records, trace.header))
     seven = forest.node(ProcessKey(7, 0))
-    assert (seven.image_path, seven.exit_seq, seven.images) == ("C:\\a\\seven.exe", 1, [("C:\\x.dll", 3)])
+    assert (seven.image_path, seven.exit_seq, seven.images) == ("C:\\a\\seven.exe", 1, 1)
     assert forest.node(ProcessKey(8, 2)).parent == ProcessKey(7, 0)
     assert forest.warnings == ["seq 3: event for exited pid 7, attached to stale node"]
 
@@ -504,65 +503,65 @@ def test_render_dot_is_deterministic(fixture_trace):
 
 def test_render_dot_subtree(fixture_trace):
     forest = build_forest(fixture_trace)
-    tree = attack_tree(forest, ProcessKey(916, 0))
-    nodes, edges = assert_valid_dot(render_dot(tree, name="subtree"))
-    assert nodes == tree.size()
+    root = ProcessKey(916, 0)
+    nodes, edges = assert_valid_dot(render_dot(forest, root, name="subtree"))
+    assert nodes == len(subtree(forest, root))
     assert edges == nodes - 1
 
 
-# The recursive forms the subtree walks replaced: the reference for their
-# node structure and visit order.
-def recursive_attack_tree(forest, key):
-    n = forest.node(key)
-    return (n.key, n.image_path, n.args, list(n.dropped_files),
-            [recursive_attack_tree(forest, c) for c in n.children])
+def synthetic_or_fixture(fixture_trace, seed):
+    return fixture_trace if seed is None else run_synthetic(
+        WorkloadSpec(events_per_producer=400, seed=seed))
 
 
-def as_nested(tn):
-    return (tn.key, tn.image_path, tn.args, tn.dropped_files, [as_nested(c) for c in tn.children])
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_subtree_rendering_is_part_of_the_forest_rendering(fixture_trace, seed):
+    forest = build_forest(synthetic_or_fixture(fixture_trace, seed))
+    whole = set(render_dot(forest).splitlines()[2:-1])
+    for key in forest.index:
+        lines = render_dot(forest, key).splitlines()[2:-1]
+        assert lines and set(lines) <= whole, key
 
 
-def recursive_walk(tn):
-    yield tn.key
-    for child in tn.children:
-        yield from recursive_walk(child)
+# The recursive forms the subtree walk replaced, over forest.index: the
+# reference for its node set and visit order.
+def recursive_walk(forest, key, parent=None):
+    yield parent, key
+    for child in forest.index[key].children:
+        yield from recursive_walk(forest, child, key)
 
 
-def recursive_dot(tn, name):
+def recursive_dot(forest, key, name):
     lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
 
-    def visit(t):
-        base = t.image_path.replace("/", "\\").rsplit("\\", 1)[-1]
-        lines.append(f'  n{t.key.pid}_{t.key.birth_seq} [label="{base} ({t.key.pid})"];')
-        for child in t.children:
-            lines.append(f"  n{t.key.pid}_{t.key.birth_seq} -> n{child.key.pid}_{child.key.birth_seq};")
+    def visit(k):
+        n = forest.index[k]
+        base = n.image_path.replace("/", "\\").rsplit("\\", 1)[-1]
+        lines.append(f'  n{k.pid}_{k.birth_seq} [label="{base} ({k.pid})"];')
+        for child in n.children:
+            lines.append(f"  n{k.pid}_{k.birth_seq} -> n{child.pid}_{child.birth_seq};")
             visit(child)
 
-    visit(tn)
+    visit(key)
     return "\n".join(lines + ["}"]) + "\n"
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_subtree_walks_match_the_recursive_order(fixture_trace, seed):
-    trace = fixture_trace if seed is None else run_synthetic(
-        WorkloadSpec(events_per_producer=400, seed=seed))
-    forest = build_forest(trace)
+    forest = build_forest(synthetic_or_fixture(fixture_trace, seed))
     for key in forest.index:
-        tree = attack_tree(forest, key)
-        assert as_nested(tree) == recursive_attack_tree(forest, key)
-        order = list(recursive_walk(tree))
-        assert [n.key for n in tree.walk()] == order
-        assert tree.size() == len(order)
-        assert render_dot(tree, name="subtree") == recursive_dot(tree, "subtree")
+        pairs = subtree(forest, key)
+        assert [(p and p.key, n.key) for p, n in pairs] == list(recursive_walk(forest, key))
+        assert all(n is forest.index[n.key] for _, n in pairs)  # the forest's own nodes
+        assert render_dot(forest, key, name="subtree") == recursive_dot(forest, key, "subtree")
 
 
 def test_subtree_walks_do_not_recurse_per_generation():
     depth = 10_000  # a chain: each process created by the one before
     forest = build_forest(build_trace([(PROCESS_CREATE, 4 + i, 3 + i) for i in range(1, depth)]))
-    tree = attack_tree(forest, ProcessKey(4, 0))
-    assert tree.size() == depth
-    assert [n.key.pid for n in tree.walk()] == list(range(4, 4 + depth))
-    assert assert_valid_dot(render_dot(tree)) == (depth, depth - 1)
+    root = ProcessKey(4, 0)
+    assert [n.key.pid for _, n in subtree(forest, root)] == list(range(4, 4 + depth))
+    assert assert_valid_dot(render_dot(forest, root)) == (depth, depth - 1)
 
 
 # --- dropped files: the forest and the differential share one rule -------------
