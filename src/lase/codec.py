@@ -34,6 +34,7 @@ from .errors import BadMagic, NonMonotonicSequence, TraceError, TraceSyntaxError
 from .events import (
     ANNOTATION_KEYS,
     IMAGE_LOAD,
+    KIND_BY_LABEL,
     PROCESS_CREATE,
     PROCESS_EXIT,
     RESULT_OK,
@@ -57,13 +58,7 @@ _COLUMNS = (
     "image_path", "args", "file_path", "result",
 )
 
-_KIND_BY_LABEL = {
-    "Pr Create": PROCESS_CREATE,
-    "Pr Exit": PROCESS_EXIT,
-    "Tr Create": THREAD_CREATE,
-    "Tr Exit": THREAD_EXIT,
-    "Ld Image": IMAGE_LOAD,
-}
+_ANNOTATION_LABEL = Annotation.label
 
 _MODE_TOKENS = {
     "": IoMode.SYNCHRONOUS,
@@ -71,12 +66,7 @@ _MODE_TOKENS = {
     "fastio": IoMode.FAST_IO,
     "paging": IoMode.PAGING_IO,
 }
-_MODE_ENCODE = {
-    IoMode.SYNCHRONOUS: "",
-    IoMode.ASYNCHRONOUS: "async",
-    IoMode.FAST_IO: "fastio",
-    IoMode.PAGING_IO: "paging",
-}
+_MODE_ENCODE = {mode: token for token, mode in _MODE_TOKENS.items()}
 
 
 @dataclass(frozen=True)
@@ -222,11 +212,12 @@ def _irp_kind(op: str, mode_token: str) -> Irp:
 
 
 def _reject(line: str, header: TraceHeader) -> NoReturn:
-    """Raise the error for a line that decode_line's line pattern or range
-    checks refused.
+    """Raise the error for a line that decode_line's line pattern, range
+    checks or unescaping refused.
 
     Runs the per-field checks in decode order, so the error class and
-    column are those of the first bad field.
+    column are those of the first bad field; a raw newline in any text
+    field comes before a non-canonical escape in any of them.
     """
     fields = line.split("\t")
     if len(fields) != len(_COLUMNS):
@@ -242,18 +233,12 @@ def _reject(line: str, header: TraceHeader) -> NoReturn:
     for text, column in zip(fields[7:], _COLUMNS[7:]):
         if "\n" in text:
             raise TraceSyntaxError("raw newline in a text field", column=column)
-    raise AssertionError(f"line pattern and field checks disagree on {line!r}")
-
-
-def _reject_text(texts: Iterable[str]) -> NoReturn:
-    """Raise the error for the first of the text fields (image path, args,
-    file path, result) that unescape_field refuses."""
-    for text, column in zip(texts, _COLUMNS[7:]):
+    for text, column in zip(fields[7:], _COLUMNS[7:]):
         try:
             unescape_field(text)
         except ValueError as exc:
             raise TraceSyntaxError(str(exc), column=column) from None
-    raise AssertionError(f"no text field of {texts!r} is refused")
+    raise AssertionError(f"line pattern and field checks disagree on {line!r}")
 
 
 def decode_line(line: str, header: TraceHeader) -> EventRecord:
@@ -281,21 +266,21 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
         image, args, file_path = unescape_field(image), unescape_field(args), unescape_field(file_path)
         text_result = unescape_field(result) if result else RESULT_OK
     except ValueError:
-        _reject_text(match.groups()[11:])
+        _reject(line, header)
 
     # Each branch sets `proven` where the line leaves validate_record
     # nothing to find: the pattern already rules out NEGATIVE_ID and
     # NEGATIVE_DURATION, and a text field is empty exactly when its escaped
     # form is. Any other line is checked, so errors carry the full list.
-    if op == "Annot":
+    if op == _ANNOTATION_LABEL:
         key, sep, value = args.partition("=")
         if not sep or not key:
             raise TraceSyntaxError("annotation args must be key=value", column="args")
         kind = Annotation(key, value)
         args = ""
         proven = duration is None and key in ANNOTATION_KEYS
-    elif op in _KIND_BY_LABEL:
-        kind = _KIND_BY_LABEL[op]
+    elif op in KIND_BY_LABEL:
+        kind = KIND_BY_LABEL[op]
         proven = duration is None and (
             kind is PROCESS_EXIT or kind is IMAGE_LOAD and file_path != ""
             or kind is PROCESS_CREATE and image != "" and tid == 0
@@ -578,6 +563,6 @@ def trace_from_records(records: Iterable[EventRecord], header: TraceHeader | Non
     return Trace(header, recs)
 
 
-def resequence(records: Iterable[EventRecord], start: int = 1) -> list[EventRecord]:
+def resequence(records: Iterable[EventRecord]) -> list[EventRecord]:
     """Re-stamp global sequence numbers 1..N in the given order."""
-    return [r.with_seq(start + i) for i, r in enumerate(records)]
+    return [r.with_seq(seq) for seq, r in enumerate(records, 1)]

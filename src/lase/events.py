@@ -9,6 +9,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -70,6 +71,14 @@ PROCESS_EXIT = ProcessExit()
 THREAD_CREATE = ThreadCreate()
 THREAD_EXIT = ThreadExit()
 IMAGE_LOAD = ImageLoad()
+
+# Operation label -> the kind of every label but Annotation's (its key and
+# value ride in the args column) and the I/O labels (IrpCode.label).
+KIND_BY_LABEL = {k.label: k for k in (PROCESS_CREATE, PROCESS_EXIT, THREAD_CREATE, THREAD_EXIT,
+                                      IMAGE_LOAD)}
+
+# The selector names signatures and pipeline config key on (kind_name).
+KIND_NAMES = frozenset(k.__name__ for k in typing.get_args(EventKind))
 
 RESULT_OK = "OK"
 
@@ -168,10 +177,6 @@ class Violation(Enum):
     NEGATIVE_ID = "NegativeId"
 
 
-def is_error_result(result: str) -> bool:
-    return result != RESULT_OK
-
-
 def drops_file(record: EventRecord) -> bool:
     """Whether the record drops its file: an I/O request with a file path
     that writes data, or a create that made the file.
@@ -203,7 +208,7 @@ def validate_record(record: EventRecord) -> list[Violation]:
         if record.tid <= 0:
             out.append(Violation.MISSING_TID)
     elif isinstance(kind, (ImageLoad, Irp)):
-        if not record.file_path and not is_error_result(record.result):
+        if not record.file_path and record.result == RESULT_OK:
             out.append(Violation.MISSING_FILE_PATH)
     if isinstance(kind, Annotation):
         if kind.key not in ANNOTATION_KEYS:

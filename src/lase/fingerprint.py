@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 from .codec import Trace
 from .errors import SignatureParseError
-from .events import Annotation, EventRecord, kind_name
+from .events import KIND_NAMES, Annotation, EventRecord, kind_name
 from .forest import ProcessKey, Resolver
 
 _FIELDS = ("image_path", "file_path", "args", "annotation")
-_KINDS = ("ProcessCreate", "ProcessExit", "ThreadCreate", "ThreadExit",
-          "ImageLoad", "Irp", "Annotation", "*")
 
 DEFAULT_SIGNATURE_TEXT = """\
 # built-in environment fingerprinting checks
@@ -100,7 +98,7 @@ class FingerprintFinding:
 
 
 def _parse_matcher(kind: str, field_spec: str, regex: str, line_no: int) -> Matcher:
-    if kind not in _KINDS:
+    if kind != "*" and kind not in KIND_NAMES:
         raise SignatureParseError(f"unknown event kind {kind!r}", line_no)
     ann_key = ""
     field = field_spec
@@ -124,8 +122,7 @@ def load_signatures(source: str) -> list[FingerprintSignature]:
     """Parse the text of a signature file."""
     groups: list[tuple[str, list[Matcher], set[str]]] = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(source.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -329,6 +329,8 @@ def build_forest(trace: Trace) -> ProcessForest:
 def detect_remote_thread_injection(trace: Trace,
                                    window_ms: int = DEFAULT_INJECTION_WINDOW_MS) -> list[InjectionFinding]:
     """Flag thread creations attributable to a different live process."""
+    if window_ms < 0:
+        raise ValueError("window_ms must be non-negative")
     return _build(trace, window_ms).findings
 
 

@@ -110,8 +110,7 @@ def load_rules(source: str) -> tuple[IntrusionRule, ...]:
     """Parse a rule file (same line grammar as fingerprint signatures)."""
     categories = {t.value: t for t in Tactic}
     rules: list[IntrusionRule] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(source.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -2,10 +2,11 @@
 
 The registry is fixed: 45 major identifiers (standard, fast-I/O and
 filesystem-filter groups) and 48 minor identifiers, 93 identifiers total.
-Identifiers parse case-insensitively, either in canonical form
-("IRP_MJ_WRITE") or in the display form used in trace files ("IRP_Write");
-a minor rides along as "MAJOR/MINOR" since a minor never stands alone.
-Trace files themselves hold only the exact display form
+An IrpCode holds canonical identifiers only ("IRP_MJ_WRITE"). Every
+other spelling goes through parse_irp_code, which reads either form in any
+ASCII case: the canonical one or the display form used in trace files
+("IRP_Write"); a minor rides along as "MAJOR/MINOR" since a minor never
+stands alone. Trace files themselves hold only the exact display form
 (irp_code_from_label), so every label re-encodes to the same bytes.
 """
 
@@ -154,6 +155,10 @@ def minor_label(minor: str) -> str:
     return _label_token(minor, "IRP_MN_")
 
 
+_MAJORS = frozenset(MAJOR_REGISTRY)
+_MINORS = frozenset(MINOR_REGISTRY)
+
+# Upper-cased canonical and display forms -> canonical identifier.
 _MAJOR_LOOKUP: dict[str, str] = {}
 for _m in MAJOR_REGISTRY:
     _MAJOR_LOOKUP[_m.upper()] = _m
@@ -164,26 +169,22 @@ for _n in MINOR_REGISTRY:
     _MINOR_LOOKUP[_n.upper()] = _n
     _MINOR_LOOKUP[minor_label(_n).upper()] = _n
 
-# Exact display labels, one entry per registered identifier.
-_MAJOR_BY_LABEL = {major_label(m): m for m in MAJOR_REGISTRY}
-_MINOR_BY_LABEL = {minor_label(n): n for n in MINOR_REGISTRY}
-
 
 @dataclass(frozen=True)
 class IrpCode:
-    """Validated (major, optional minor) I/O request identifier pair."""
+    """Validated (major, optional minor) pair of canonical identifiers.
+
+    Any other spelling raises UnknownIrp; parse_irp_code reads those.
+    """
 
     major: str
     minor: str | None = None
 
     def __post_init__(self):
-        if self.major.upper() not in _MAJOR_LOOKUP:
+        if self.major not in _MAJORS:
             raise UnknownIrp(self.major)
-        object.__setattr__(self, "major", _MAJOR_LOOKUP[self.major.upper()])
-        if self.minor is not None:
-            if self.minor.upper() not in _MINOR_LOOKUP:
-                raise UnknownIrp(self.minor)
-            object.__setattr__(self, "minor", _MINOR_LOOKUP[self.minor.upper()])
+        if self.minor is not None and self.minor not in _MINORS:
+            raise UnknownIrp(self.minor)
 
     @functools.cached_property
     def label(self) -> str:
@@ -201,8 +202,9 @@ def parse_irp_code(name: str) -> IrpCode:
 
     Accepts the canonical major ("IRP_MJ_WRITE"), its display form
     ("IRP_Write"), or a "MAJOR/MINOR" composite where each side may use
-    either form. Matching is case-insensitive. Raises UnknownIrp for
-    anything not in the registries.
+    either form. Matching ignores ASCII case; a name with any other
+    character is refused, so no look-alike letter that str.upper() folds
+    to ASCII gets in. Raises UnknownIrp for anything not in the registries.
     """
     if not name or not name.isascii():
         raise UnknownIrp(name)
@@ -224,9 +226,7 @@ def irp_code_from_label(label: str) -> IrpCode:
     Unlike parse_irp_code, this accepts no other spelling: no canonical
     identifier, no case or spacing variant. Raises UnknownIrp otherwise.
     """
-    major_text, sep, minor_text = label.partition("/")
-    major = _MAJOR_BY_LABEL.get(major_text)
-    minor = _MINOR_BY_LABEL.get(minor_text) if sep else None
-    if major is None or (sep and minor is None):
+    code = parse_irp_code(label)
+    if code.label != label:
         raise UnknownIrp(label)
-    return IrpCode(major, minor)
+    return code

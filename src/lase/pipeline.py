@@ -32,6 +32,7 @@ from .codec import Trace, TraceHeader, resequence
 from .errors import PipelineClosed
 from .events import (
     IMAGE_LOAD,
+    KIND_NAMES,
     PROCESS_CREATE,
     PROCESS_EXIT,
     THREAD_CREATE,
@@ -43,7 +44,7 @@ from .events import (
     Irp,
     kind_name,
 )
-from .irp import FAST_IO_MAJORS, IrpCode
+from .irp import FAST_IO_MAJORS, parse_irp_code
 
 
 class BackpressurePolicy(Enum):
@@ -70,6 +71,8 @@ class PipelineConfig:
             raise ValueError("ring_capacity must be a positive power of two")
         if not 0 < self.chunk_size <= self.ring_capacity:
             raise ValueError("chunk_size must be in 1..ring_capacity")
+        if unknown := set(self.priority_kinds) - KIND_NAMES:
+            raise ValueError(f"unknown priority kinds {sorted(unknown)}")
 
 
 @dataclass
@@ -237,6 +240,8 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.producers <= 0 or self.events_per_producer < 0:
             raise ValueError("producers must be positive, events_per_producer non-negative")
+        if self.injection_templates < 0:
+            raise ValueError("injection_templates must be non-negative")
         total = sum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix weights must sum to 1, got {total}")
@@ -343,7 +348,7 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     def irp_kind(token: str) -> Irp:
         options = irp_kinds.get(token)
         if options is None:
-            code = IrpCode(token[4:])
+            code = parse_irp_code(token[4:])
             modes = (IoMode.FAST_IO,) if code.major in FAST_IO_MAJORS else _IRP_MODES
             options = irp_kinds[token] = [Irp(code, mode) for mode in modes]
         if len(options) == 1:

@@ -231,6 +231,7 @@ CASES: dict[str, str] = {
     "gen-injections": "gen --seed 4 --events 60 --producers 2 --injections 3",
     "gen-gzip": "gen --seed 5 --events 40 --compress",
     "gen-negative": "gen --events -1",
+    "gen-injections-negative": "gen --events 3 --injections -2",
     "replay-fixture": "replay fixture.lase",
     "replay-syn-gz": "replay syn.lase.gz --compress",
     "replay-lossy": "replay syn.lase --ring 4 --chunk 2 --policy drop-oldest",
@@ -265,6 +266,7 @@ CASES: dict[str, str] = {
     "inject-syn": "inject-scan syn.lase",
     "inject-syn-json": "inject-scan syn.lase.gz --format json",
     "inject-syn-window": "inject-scan syn.lase --window-ms 0",
+    "inject-syn-window-negative": "inject-scan syn.lase --window-ms -5",
     "inject-shapes": "inject-scan shapes.lase --format json",
     "inject-bad": "inject-scan bad-order.lase",
     # fingerprint
@@ -393,6 +395,8 @@ DIGESTS = {
         "535d31628fb9a1f1f92c475636f6d54cf007dc097025bc9d1c93cf74db1e66e7",
     "gen-negative":
         "2f5fc339b6c052ced74ba3bee46d4313d684e32cb012a88e11fdc9454c4e9c3e",
+    "gen-injections-negative":
+        "689cb934258425f9a1abc96bca56c53a119f0043f30b6c11acd932c97806d653",
     "replay-fixture":
         "fc2682b5e9eb911b7a285a617794713af1a52527dee9608536a09ab4da9fd9d3",
     "replay-syn-gz":
@@ -457,6 +461,8 @@ DIGESTS = {
         "d234b166a91a6bc130b922702650921fde4f1dd8510733ff648f3391558d2956",
     "inject-syn-window":
         "0b234dfd77f0dc17e5053bfb9e0f3d29e6f049c1885ae8c1793f8b7118cb3e30",
+    "inject-syn-window-negative":
+        "7bd6ed69cd38ab0d2203fe4faf15b88a1bef74355f3fe623a4ea12d12f02c5b9",
     "inject-shapes":
         "d7cf4c952f29ce61187c39bb8aef30d6215ceac57992355f63bba16757c51558",
     "inject-bad":

@@ -39,6 +39,8 @@ from lase.errors import (
     UnknownIrp,
 )
 from lase.events import (
+    KIND_BY_LABEL,
+    PROCESS_CREATE,
     Annotation,
     EventRecord,
     IoMode,
@@ -47,7 +49,7 @@ from lase.events import (
     Violation,
     validate_record,
 )
-from lase.irp import IrpCode
+from lase.irp import MAJOR_REGISTRY, MINOR_REGISTRY, IrpCode
 
 HEADER = TraceHeader(base_date=date(2018, 10, 1))
 
@@ -107,6 +109,12 @@ def test_annotation_line_round_trip():
     record = decode_line(line, header)
     assert record.kind == Annotation("api", "RDTSC")
     assert encode_record(record, header) == line
+    for label, kind in KIND_BY_LABEL.items():
+        tid = "0" if kind is PROCESS_CREATE else "3"
+        line = f"{label}\t09:00:00:000\t\t5\t0\t44\t{tid}\tC:\\x.exe\t/c\tC:\\f\t"
+        record = decode_line(line, header)
+        assert record.kind is kind
+        assert encode_record(record, header) == line
 
 
 def test_io_mode_tokens_round_trip():
@@ -117,6 +125,18 @@ def test_io_mode_tokens_round_trip():
     assert encode_record(record, header) == line
     with pytest.raises(TraceSyntaxError):
         decode_line(line.replace("async", "sideways"), header)
+    codes = [IrpCode(major) for major in MAJOR_REGISTRY]
+    codes += [IrpCode("IRP_MJ_DIRECTORY_CONTROL", minor) for minor in MINOR_REGISTRY]
+    for code in codes:
+        for token in ("", "async", "fastio", "paging"):
+            line = f"{code.label}\t09:00:00:000\t12\t5\t0\t44\t0\tC:\\x.exe\t{token}\tC:\\f\t"
+            if token == "fastio" and code.minor is not None:
+                with pytest.raises(TraceValidationError):
+                    decode_line(line, header)
+                continue
+            record = decode_line(line, header)
+            assert record.kind.code == code
+            assert encode_record(record, header) == line
 
 
 def test_minor_code_round_trips_in_operation_column():

@@ -12,9 +12,11 @@ from helpers import random_record
 
 from lase.events import (
     IMAGE_LOAD,
+    KIND_NAMES,
     PROCESS_CREATE,
     PROCESS_EXIT,
     THREAD_CREATE,
+    THREAD_EXIT,
     Annotation,
     EventRecord,
     IoMode,
@@ -42,6 +44,13 @@ def test_kind_name_selectors():
     assert kind_name(PROCESS_CREATE) == "ProcessCreate"
     assert kind_name(Irp(IrpCode("IRP_MJ_READ"))) == "Irp"
     assert kind_name(Annotation("api", "x")) == "Annotation"
+
+
+def test_kind_names_are_the_selector_of_each_kind():
+    kinds = (PROCESS_CREATE, PROCESS_EXIT, THREAD_CREATE, THREAD_EXIT, IMAGE_LOAD,
+             Irp(IrpCode("IRP_MJ_READ")), Annotation("api", "x"))
+    assert KIND_NAMES == {kind_name(kind) for kind in kinds}
+    assert len(KIND_NAMES) == len(kinds)
 
 
 def test_table_first_row_is_well_formed():

@@ -158,6 +158,13 @@ def test_remote_thread_upgraded_by_image_load_in_window():
     assert findings[0].confidence is InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY
 
 
+def test_negative_window_is_refused():
+    trace = build_trace(injection_rows(with_load=True))
+    with pytest.raises(ValueError, match="window_ms"):
+        detect_remote_thread_injection(trace, window_ms=-5)
+    assert len(detect_remote_thread_injection(trace, window_ms=0)) == 1
+
+
 def test_image_load_outside_window_does_not_upgrade():
     rows = injection_rows(with_load=True)
     trace = build_trace(rows)

@@ -101,6 +101,28 @@ def test_irpcode_constructor_validates():
         IrpCode("IRP_MJ_WRITE", "IRP_MN_NOT_A_THING")
 
 
+# "ı" is the dotless i, which str.upper() turns into an ASCII "I".
+@pytest.mark.parametrize("major, minor", [
+    ("irp_mj_write", None), ("IRP_Write", None), ("ırp_mj_wrıte", None),
+    ("IRP_MJ_DIRECTORY_CONTROL", "irp_mn_query_directory"),
+    ("IRP_MJ_DIRECTORY_CONTROL", "Query_Directory"),
+])
+def test_irpcode_takes_only_canonical_identifiers(major, minor):
+    with pytest.raises(UnknownIrp):
+        IrpCode(major, minor)
+
+
+def test_parse_reads_every_other_spelling_but_no_look_alike():
+    write = IrpCode("IRP_MJ_WRITE")
+    for name in ("irp_mj_write", "IRP_Write", "irp_write", "IRP_MJ_WRITE"):
+        assert parse_irp_code(name) == write
+    query = IrpCode("IRP_MJ_DIRECTORY_CONTROL", "IRP_MN_QUERY_DIRECTORY")
+    assert parse_irp_code("irp_directory_control/query_directory") == query
+    for name in ("ırp_mj_wrıte", "IRP_Wrıte"):
+        with pytest.raises(UnknownIrp):
+            parse_irp_code(name)
+
+
 def test_fast_io_membership():
     assert IrpCode("IRP_MJ_NETWORK_QUERY_OPEN").is_fast_io()
     assert not IrpCode("IRP_MJ_WRITE").is_fast_io()

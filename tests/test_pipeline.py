@@ -10,8 +10,8 @@ import pytest
 from helpers import BASE_TIME, evicted_seqs
 
 from lase.codec import Trace, read_trace, write_trace
-from lase.errors import PipelineClosed
-from lase.events import PROCESS_CREATE, PROCESS_EXIT, EventRecord, kind_name
+from lase.errors import PipelineClosed, UnknownIrp
+from lase.events import PROCESS_CREATE, PROCESS_EXIT, EventRecord, Irp, kind_name
 from lase.forest import build_forest
 from lase.pipeline import (
     BackpressurePolicy,
@@ -39,6 +39,14 @@ def test_config_validation():
         PipelineConfig(ring_capacity=12)  # not a power of two
     with pytest.raises(ValueError):
         PipelineConfig(ring_capacity=8, chunk_size=9)
+
+
+def test_config_refuses_unknown_priority_kinds():
+    with pytest.raises(ValueError, match="ProcessCreat"):
+        PipelineConfig(priority_kinds=frozenset({"ProcessCreat"}))
+    with pytest.raises(ValueError):
+        PipelineConfig(priority_kinds=frozenset({"ProcessCreate", "*"}))
+    PipelineConfig(priority_kinds=frozenset({"ProcessCreate", "Irp", "Annotation"}))
 
 
 def test_single_producer_fifo():
@@ -403,6 +411,20 @@ def test_synthetic_trace_validates_and_builds_clean_forest():
 def test_synthetic_mix_must_sum_to_one():
     with pytest.raises(ValueError):
         WorkloadSpec(mix={"ProcessCreate": 0.5})
+
+
+def test_synthetic_refuses_negative_injections():
+    with pytest.raises(ValueError, match="injection_templates"):
+        WorkloadSpec(injection_templates=-2)
+
+
+def test_synthetic_irp_tokens_parse_as_names():
+    spec = WorkloadSpec(events_per_producer=50, mix={"Irp:irp_mj_write": 1.0})
+    majors = {r.kind.code.major for r in run_synthetic(spec).records if isinstance(r.kind, Irp)}
+    assert majors == {"IRP_MJ_WRITE"}
+    # "ı" is the dotless i: str.upper() turns it into an ASCII "I".
+    with pytest.raises(UnknownIrp):
+        run_synthetic(WorkloadSpec(events_per_producer=50, mix={"Irp:ırp_mj_wrıte": 1.0}))
 
 
 # --- fixture replay ---------------------------------------------------------
