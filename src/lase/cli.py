@@ -22,7 +22,7 @@ from pathlib import Path
 # command imports the other analysis modules it calls, so a process loads
 # only what its command runs.
 from . import forest, pipeline
-from .codec import Trace, read_trace, write_trace
+from .codec import Trace, TraceReader, read_trace, write_trace
 from .errors import LaseError
 
 EXIT_OK = 0
@@ -40,10 +40,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_trace_arg(path: str):
-    if path == "-":
-        return read_trace(sys.stdin.buffer)
-    return read_trace(path)
+def _source(path: str):
+    """What a trace argument reads from: stdin for "-", else the path."""
+    return sys.stdin.buffer if path == "-" else path
 
 
 def _policy(name: str) -> pipeline.BackpressurePolicy:
@@ -138,8 +137,11 @@ def _write_trace_out(trace, out: str, compress: bool) -> None:
 def _cmd_validate(args) -> int:
     for path in args.traces:
         label = "stdin" if path == "-" else path
-        # Unbound, so the trace is freed before the next one is read.
-        print(f"{label}: {len(_read_trace_arg(path))} records OK")
+        # Every line is checked; only the first record is built.
+        reader = TraceReader(_source(path), frozenset())
+        for _ in reader:
+            pass
+        print(f"{label}: {reader.count} records OK")
     return EXIT_OK
 
 
@@ -156,7 +158,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    trace = _read_trace_arg(args.trace)
+    trace = read_trace(_source(args.trace))
     config = pipeline.PipelineConfig(
         ring_capacity=args.ring, chunk_size=args.chunk,
         backpressure_policy=_policy(args.policy),
@@ -261,7 +263,7 @@ def _dumps_indented(value) -> str:
 
 def _cmd_tree(args) -> int:
     # Hold no reference to the trace: its records are freed before rendering.
-    built = forest.build_forest(_read_trace_arg(args.trace))
+    built = forest.build_forest(read_trace(_source(args.trace)))
     for warning in built.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.root is not None:
@@ -286,7 +288,7 @@ def _write_findings(findings, fmt: str) -> None:
 
 
 def _cmd_inject_scan(args) -> int:
-    trace = _read_trace_arg(args.trace)
+    trace = read_trace(_source(args.trace))
     _write_findings(forest.detect_remote_thread_injection(trace, window_ms=args.window_ms), args.format)
     return EXIT_OK
 
@@ -294,7 +296,7 @@ def _cmd_inject_scan(args) -> int:
 def _cmd_fingerprint(args) -> int:
     from . import fingerprint
 
-    trace = _read_trace_arg(args.trace)
+    trace = read_trace(_source(args.trace))
     source = args.signatures or os.environ.get("LASE_SIGNATURES") or "default"
     if source == "default":
         signatures = fingerprint.default_signatures()
@@ -329,9 +331,10 @@ def _cmd_intrude(args) -> int:
     labels = ["stdin" if p == "-" else p for p in args.traces]
 
     def scan(path: str):
-        # Keep the findings and the first record, all that the dwell
-        # statistics read; the trace is freed before the next one is read.
-        trace = _read_trace_arg(path)
+        # Build only the creates the scan reads and the first record the
+        # dwell statistics read; both are freed before the next trace.
+        reader = TraceReader(_source(path), intrusion.SCANNED_KINDS)
+        trace = Trace(reader.header, tuple(reader))
         return intrusion.scan_commands(trace, rules), Trace(trace.header, trace.records[:1])
 
     findings, heads = zip(*map(scan, args.traces))

@@ -35,6 +35,7 @@ from .events import (
     ANNOTATION_KEYS,
     IMAGE_LOAD,
     KIND_BY_LABEL,
+    KIND_NAMES,
     PROCESS_CREATE,
     PROCESS_EXIT,
     RESULT_OK,
@@ -44,6 +45,7 @@ from .events import (
     EventRecord,
     IoMode,
     Irp,
+    kind_name,
     op_label,
     validate_record,
 )
@@ -59,6 +61,12 @@ _COLUMNS = (
 )
 
 _ANNOTATION_LABEL = Annotation.label
+
+# The selector name (events.KIND_NAMES) of each operation label; every
+# other label is an I/O request's.
+_SELECTOR_BY_LABEL = {label: kind_name(kind) for label, kind in KIND_BY_LABEL.items()}
+_SELECTOR_BY_LABEL[_ANNOTATION_LABEL] = Annotation.__name__
+_IRP_SELECTOR = Irp.__name__
 
 _MODE_TOKENS = {
     "": IoMode.SYNCHRONOUS,
@@ -152,6 +160,7 @@ _TIME_RE = re.compile(_TIME)
 _LINE_RE = re.compile("\t".join(
     [_TEXT, _TIME, f"({_UINT})?", *[f"({_UINT})"] * 4, *[_ESCAPED] * 4]))
 _UINT64_MAX = 2**64 - 1
+_UINT64_DIGITS = 19  # every integer this wide or narrower is at most _UINT64_MAX
 
 _iso_date = functools.lru_cache(maxsize=16)(date.isoformat)
 
@@ -212,8 +221,8 @@ def _irp_kind(op: str, mode_token: str) -> Irp:
 
 
 def _reject(line: str, header: TraceHeader) -> NoReturn:
-    """Raise the error for a line that decode_line's line pattern, range
-    checks or unescaping refused.
+    """Raise the error for a line that _check's line pattern, range checks
+    or unescaping refused.
 
     Runs the per-field checks in decode order, so the error class and
     column are those of the first bad field; a raw newline in any text
@@ -241,26 +250,30 @@ def _reject(line: str, header: TraceHeader) -> NoReturn:
     raise AssertionError(f"line pattern and field checks disagree on {line!r}")
 
 
-def decode_line(line: str, header: TraceHeader) -> EventRecord:
-    """Decode one record line into a validated EventRecord.
+def _check(line: str, header: TraceHeader) -> tuple[tuple, EventRecord | None]:
+    """Run every test that can refuse a record line; return the fields
+    _build makes the record from, and the record if validating built it.
 
     Raises TraceSyntaxError for malformed fields, TraceValidationError when
-    the decoded record breaks a structural invariant, and UnknownIrp for an
-    unregistered operation label.
+    the record the line describes breaks a structural invariant, and
+    UnknownIrp for an unregistered operation label.
     """
     match = _LINE_RE.fullmatch(line)
     if match is None:
         _reject(line, header)
-    (op, year, month, day, clock, millis, dur_text, seq, ppid, pid, tid,
+    (op, year, month, day, clock, millis, duration, seq, ppid, pid, tid,
      image, args, file_path, result) = match.groups()
-    try:
-        when = _datetime(year, month, day, clock, millis, header.base_date)
-    except ValueError:
-        _reject(line, header)
-    seq, ppid, pid, tid = int(seq), int(ppid), int(pid), int(tid)
-    duration = None if dur_text is None else int(dur_text)
-    if max(seq, ppid, pid, tid, duration or 0) > _UINT64_MAX:
-        _reject(line, header)
+    # The pattern holds the clock's ranges and the header date is valid, so
+    # only a dated line's own date can be out of range.
+    if year is not None:
+        try:
+            _datetime(year, month, day, clock, millis, header.base_date)
+        except ValueError:
+            _reject(line, header)
+    if (len(seq) > _UINT64_DIGITS or len(ppid) > _UINT64_DIGITS or len(pid) > _UINT64_DIGITS
+            or len(tid) > _UINT64_DIGITS or duration is not None and len(duration) > _UINT64_DIGITS):
+        if max(int(seq), int(ppid), int(pid), int(tid), int(duration or 0)) > _UINT64_MAX:
+            _reject(line, header)
 
     try:
         image, args, file_path = unescape_field(image), unescape_field(args), unescape_field(file_path)
@@ -271,7 +284,8 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
     # Each branch sets `proven` where the line leaves validate_record
     # nothing to find: the pattern already rules out NEGATIVE_ID and
     # NEGATIVE_DURATION, and a text field is empty exactly when its escaped
-    # form is. Any other line is checked, so errors carry the full list.
+    # form is. Any other line is built and checked, so errors carry the
+    # full list.
     if op == _ANNOTATION_LABEL:
         key, sep, value = args.partition("=")
         if not sep or not key:
@@ -283,8 +297,8 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
         kind = KIND_BY_LABEL[op]
         proven = duration is None and (
             kind is PROCESS_EXIT or kind is IMAGE_LOAD and file_path != ""
-            or kind is PROCESS_CREATE and image != "" and tid == 0
-            or (kind is THREAD_CREATE or kind is THREAD_EXIT) and tid != 0)
+            or kind is PROCESS_CREATE and image != "" and tid == "0"
+            or (kind is THREAD_CREATE or kind is THREAD_EXIT) and tid != "0")
     else:
         kind = _IRP_KINDS.get((op, args)) or _irp_kind(op, args)
         args = ""
@@ -292,13 +306,34 @@ def decode_line(line: str, header: TraceHeader) -> EventRecord:
     if result == RESULT_OK:
         raise TraceSyntaxError("a result of OK is written as an empty column", column="result")
 
-    record = EventRecord(seq, when, kind, pid, ppid, tid, duration, image, args, file_path,
-                         text_result)
-    if not proven:
-        violations = validate_record(record)
-        if violations:
-            raise TraceValidationError(violations)
-    return record
+    checked = (year, month, day, clock, millis, duration, seq, ppid, pid, tid, kind, image, args,
+               file_path, text_result)
+    if proven:
+        return checked, None
+    record = _build(checked, header)
+    violations = validate_record(record)
+    if violations:
+        raise TraceValidationError(violations)
+    return checked, record
+
+
+_CHECKED_SEQ = 6  # where _check's tuple holds the sequence number
+
+
+def _build(checked: tuple, header: TraceHeader) -> EventRecord:
+    """The record of a line _check accepted."""
+    (year, month, day, clock, millis, duration, seq, ppid, pid, tid, kind, image, args, file_path,
+     result) = checked
+    return EventRecord(int(seq), _datetime(year, month, day, clock, millis, header.base_date), kind,
+                       int(pid), int(ppid), int(tid), None if duration is None else int(duration),
+                       image, args, file_path, result)
+
+
+def decode_line(line: str, header: TraceHeader) -> EventRecord:
+    """Decode one record line into a validated EventRecord; raises what
+    _check raises."""
+    checked, record = _check(line, header)
+    return _build(checked, header) if record is None else record
 
 
 def encode_record(record: EventRecord, header: TraceHeader | None = None) -> str:
@@ -454,23 +489,33 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> tuple[TraceHeader, Iterato
     return TraceHeader(**kv), lines
 
 
-def _records(lines: Iterator[tuple[int, str]], header: TraceHeader,
-             file: IO[bytes] | None) -> Iterator[EventRecord]:
-    """Decode the record lines; closes file (if any) once iteration ends."""
+def _records(lines: Iterator[tuple[int, str]], header: TraceHeader, file: IO[bytes] | None,
+             kinds: frozenset[str] | None, counted: list[int]) -> Iterator[EventRecord]:
+    """Decode the record lines, or with kinds only those of the selected
+    kinds and the first, checking the rest; counts every record line in
+    counted[0] and closes file (if any) once iteration ends."""
     last_seq = -1
     try:
         for line_no, line in lines:
             if not line:
                 continue
             try:
-                record = decode_line(line, header)
+                # last_seq < 0 until the first record line, which is built.
+                if (kinds is None or last_seq < 0
+                        or _SELECTOR_BY_LABEL.get(line.partition("\t")[0], _IRP_SELECTOR) in kinds):
+                    record = decode_line(line, header)
+                    seq = record.global_seq
+                else:
+                    record, seq = None, int(_check(line, header)[0][_CHECKED_SEQ])
             except TraceError as exc:
                 exc.line_no = line_no
                 raise
-            if record.global_seq <= last_seq:
-                raise NonMonotonicSequence(record.global_seq, line_no=line_no)
-            last_seq = record.global_seq
-            yield record
+            if seq <= last_seq:
+                raise NonMonotonicSequence(seq, line_no=line_no)
+            last_seq = seq
+            counted[0] += 1
+            if record is not None:
+                yield record
     finally:
         if file is not None:
             file.close()
@@ -485,9 +530,18 @@ class TraceReader:
     iterator, so a later loop resumes where an earlier one stopped. A file
     the reader opened from a path is closed once iteration ends, or by
     close().
+
+    kinds, a set of selector names from events.KIND_NAMES, limits the
+    records built: a line of any other kind is checked as strictly and
+    counted, but yields nothing. The first record line is always built, as
+    it dates the trace. count is the number of record lines read so far.
     """
 
-    def __init__(self, source):
+    def __init__(self, source, kinds: Iterable[str] | None = None):
+        if kinds is not None:
+            kinds = frozenset(kinds)
+            if not kinds <= KIND_NAMES:
+                raise ValueError(f"unknown event kinds {sorted(kinds - KIND_NAMES)}")
         file = open(source, "rb") if isinstance(source, (str, Path)) else None
         try:
             blocks = _blocks(_open_for_read(source if file is None else file))
@@ -497,11 +551,16 @@ class TraceReader:
                 file.close()
             raise
         self._file = file
-        self._records = _records(lines, self.header, file)
+        self._counted = [0]
+        self._records = _records(lines, self.header, file, kinds, self._counted)
         if file is not None:
             # A generator that never started runs no finally block, so a
             # reader dropped before its first record would leak the file.
             weakref.finalize(self._records, file.close)
+
+    @property
+    def count(self) -> int:
+        return self._counted[0]
 
     def close(self) -> None:
         """End iteration and close the file the reader opened; a caller's

@@ -85,6 +85,10 @@ def command_evidence(image_path: str, args: str) -> str:
     return normalize_command(f"{base} {args}")
 
 
+# The kinds scan_commands reads; a reader may skip building the others.
+SCANNED_KINDS = frozenset({ProcessCreate.__name__})
+
+
 def scan_commands(trace: Trace,
                   rules: tuple[IntrusionRule, ...] = DEFAULT_RULES) -> list[IntrusionFinding]:
     """Test every process-create against every rule; all matches, seq order."""

@@ -202,6 +202,10 @@ DEFAULT_MIX: Mapping[str, float] = {
     "Irp:IRP_MJ_QUERY_INFORMATION": 0.03,
 }
 
+# Mix tokens: every kind's selector name but Irp's, which a token names as
+# "Irp:" and an IRP code.
+_MIX_KINDS = KIND_NAMES - {Irp.__name__}
+
 DEFAULT_BRANCHING: Mapping[int, float] = {0: 0.25, 1: 0.45, 2: 0.20, 3: 0.10}
 START_TIME = datetime(2024, 3, 1, 9, 0, 0)  # of every generated trace
 
@@ -242,9 +246,21 @@ class WorkloadSpec:
             raise ValueError("producers must be positive, events_per_producer non-negative")
         if self.injection_templates < 0:
             raise ValueError("injection_templates must be non-negative")
+        for token, weight in self.mix.items():
+            if token.startswith("Irp:"):
+                parse_irp_code(token[4:])
+            elif token not in _MIX_KINDS:
+                raise ValueError(f"unknown mix token {token!r}")
+            if not weight >= 0:
+                raise ValueError(f"mix weight of {token!r} must be non-negative, got {weight}")
         total = sum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix weights must sum to 1, got {total}")
+        for children, weight in self.branching.items():
+            if not isinstance(children, int) or children < 0:
+                raise ValueError(f"a branching key is a child count, got {children!r}")
+            if not weight >= 0:
+                raise ValueError(f"branching weight of {children} must be non-negative, got {weight}")
         if abs(sum(self.branching.values()) - 1.0) > 1e-9:
             raise ValueError("branching weights must sum to 1")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import io
 import json
 
@@ -9,8 +10,9 @@ from helpers import build_trace, run_lase
 
 from lase import forest
 from lase.cli import main
-from lase.codec import read_trace, write_trace
-from lase.events import PROCESS_CREATE, Annotation
+from lase.codec import _COLUMNS, read_trace, write_trace
+from lase.errors import LaseError
+from lase.events import IMAGE_LOAD, PROCESS_CREATE, THREAD_CREATE, Annotation
 from lase.fingerprint import DEFAULT_SIGNATURE_TEXT
 
 
@@ -224,7 +226,8 @@ def test_intrude_jsonl_and_dwell(tmp_path, capsys):
     assert stats["mean_latency_seconds"] == pytest.approx(0.01)
 
 
-def test_intrude_dwell_scans_each_trace_once(fixture_path, tmp_path, capsys, monkeypatch):
+def test_intrude_dwell_scans_each_trace_once(fixture_path, fixture_trace, tmp_path, capsys,
+                                             monkeypatch):
     from lase import intrusion
 
     empty = tmp_path / "empty.lase"
@@ -240,7 +243,85 @@ def test_intrude_dwell_scans_each_trace_once(fixture_path, tmp_path, capsys, mon
     code, _, _ = run_cli(capsys, "intrude", str(fixture_path), str(empty), str(fixture_path),
                          "--dwell")
     assert code == 0
-    assert scanned == [38, 0, 38]
+    # The scan is handed the first record and the creates after it.
+    rest = fixture_trace.records[1:]
+    built = 1 + sum(r.kind == PROCESS_CREATE for r in rest)
+    assert len(fixture_trace) == 38 and built < 38
+    assert scanned == [built, 0, built]
+
+
+# `validate` and `intrude` check the lines whose records they do not build;
+# each case breaks the fixture's last line, an I/O close that neither builds,
+# and the error must be the one read_trace gives for the whole trace.
+_LAST_LINE_ERRORS = {
+    "syntax": {"pid": "+10464"},
+    "impossible-date": {"time": "2024/02/30-20:57:44:248"},
+    "id-above-64-bits": {"pid": "99999999999999999999"},
+    "violations": {"operation": "Tr Exit", "duration_us": "20", "tid": "0", "file_path": ""},
+}
+
+
+def _with_last_line(trace, changes: dict) -> bytes:
+    buf = io.BytesIO()
+    write_trace(trace, buf)
+    lines = buf.getvalue().decode("utf-8").split("\n")
+    fields = dict(zip(_COLUMNS, lines[-2].split("\t")))
+    lines[-2] = "\t".join({**fields, **changes}.values())
+    return "\n".join(lines).encode("utf-8")
+
+
+def _read_trace_error(data: bytes) -> LaseError:
+    with pytest.raises(LaseError) as exc:
+        read_trace(data)
+    return exc.value
+
+
+@pytest.mark.parametrize("case", sorted(_LAST_LINE_ERRORS))
+@pytest.mark.parametrize("compress", [False, True])
+def test_checked_lines_fail_like_read_trace(fixture_path, fixture_trace, tmp_path, capsys, case,
+                                            compress):
+    text = _with_last_line(fixture_trace, _LAST_LINE_ERRORS[case])
+    data = gzip.compress(text, mtime=0) if compress else text
+    bad = tmp_path / ("bad.lase.gz" if compress else "bad.lase")
+    bad.write_bytes(data)
+    error = _read_trace_error(data)
+    assert error.line_no == text.count(b"\n")  # the last line
+    assert f"at line {error.line_no}" in str(error)
+    if case == "violations":
+        assert "MissingTid" in str(error) and "DurationOnNonIo" in str(error)
+    expected_err = f"error: {error}\n"
+    for argv, out in ((["validate"], f"{fixture_path}: 38 records OK\n"), (["intrude"], ""),
+                      (["intrude", "--dwell"], "")):
+        assert run_cli(capsys, *argv[:1], str(fixture_path), str(bad), *argv[1:]) == (
+            2, out, expected_err), argv
+
+
+@pytest.mark.parametrize("case", sorted(_LAST_LINE_ERRORS))
+def test_checked_lines_on_stdin_fail_like_read_trace(fixture_trace, capsys, monkeypatch, case):
+    data = gzip.compress(_with_last_line(fixture_trace, _LAST_LINE_ERRORS[case]), mtime=0)
+    expected_err = f"error: {_read_trace_error(data)}\n"
+    for argv in (["validate", "-"], ["intrude", "-"], ["intrude", "-", "--dwell"]):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run_cli(capsys, *argv) == (2, "", expected_err), argv
+
+
+def test_intrude_dwell_runs_from_a_first_record_that_is_no_create(tmp_path, capsys):
+    trace = build_trace([
+        (IMAGE_LOAD, 4, 0, 0, "C:\\svc.exe", "", "C:\\Windows\\ntdll.dll"),
+        (PROCESS_CREATE, 10, 4, 0, "C:\\svc.exe"),
+        (THREAD_CREATE, 10, 4, 12, "C:\\svc.exe"),
+        (PROCESS_CREATE, 11, 10, 0, "C:\\Windows\\System32\\cmd.exe",
+         "/c vssadmin delete shadows /all /quiet"),
+    ])
+    path = tmp_path / "intr.lase"
+    write_trace(trace, path)
+    code, out, _ = run_cli(capsys, "intrude", str(path), "--dwell")
+    assert code == 0
+    first, rest = out.split("\n", 1)
+    assert json.loads(first)["seq"] == 4
+    stats = json.loads(rest)
+    assert stats["sessions"] == [{"label": str(path), "latency_seconds": 0.03}]
+    assert stats["clean_traces"] == 0
 
 
 def test_intrude_custom_rules(tmp_path, capsys):

@@ -40,6 +40,7 @@ from lase.errors import (
 )
 from lase.events import (
     KIND_BY_LABEL,
+    KIND_NAMES,
     PROCESS_CREATE,
     Annotation,
     EventRecord,
@@ -47,6 +48,7 @@ from lase.events import (
     Irp,
     ProcessCreate,
     Violation,
+    kind_name,
     validate_record,
 )
 from lase.irp import MAJOR_REGISTRY, MINOR_REGISTRY, IrpCode
@@ -682,6 +684,52 @@ def test_reader_leaves_a_callers_stream_open(fixture_path):
         assert not fh.closed
 
 
+def test_reader_with_kinds_builds_only_those_and_the_first(fixture_path, fixture_trace):
+    first, *rest = fixture_trace.records
+    for kinds in (frozenset(), {"ProcessCreate"}, {"Irp", "ThreadExit"}, KIND_NAMES):
+        reader = TraceReader(fixture_path, kinds=kinds)
+        assert reader.count == 0
+        built = list(reader)
+        assert built == [first] + [r for r in rest if kind_name(r.kind) in kinds]
+        assert reader.count == len(fixture_trace) == 38
+
+
+def test_reader_refuses_unknown_kinds(fixture_path):
+    with pytest.raises(ValueError, match=r"unknown event kinds \['ProcessCreat'\]"):
+        TraceReader(fixture_path, kinds={"ProcessCreate", "ProcessCreat"})
+
+
+def test_records_are_built_through_the_module_decode_line(monkeypatch, fixture_path,
+                                                          fixture_trace):
+    # perfbench's traced run wraps codec.decode_line and divides its time by
+    # the calls; a reader that decoded some other way would leave it 0.
+    built = []
+    decode = codec.decode_line
+
+    def counting(line, header):
+        built.append(decode(line, header))
+        return built[-1]
+
+    monkeypatch.setattr(codec, "decode_line", counting)
+    assert read_trace(fixture_path).records == tuple(built)
+    assert len(built) == 38
+    built.clear()
+    reader = TraceReader(fixture_path, kinds={"ProcessCreate"})
+    assert list(reader) == built
+    assert 1 < len(built) < reader.count == 38
+
+
+def test_a_line_validate_record_checks_is_built_once(monkeypatch):
+    # A fast-I/O line is one the grammar does not prove valid, so _check
+    # builds its record to validate it; decode_line returns that record.
+    line = _line(args="fastio")
+    built = []
+    monkeypatch.setattr(codec, "EventRecord",
+                        lambda *fields: built.append(EventRecord(*fields)) or built[-1])
+    assert codec.decode_line(line, HEADER) is built[0]
+    assert len(built) == 1 and built[0].kind.mode is IoMode.FAST_IO
+
+
 def test_bad_magic_carries_line_number():
     with pytest.raises(BadMagic) as exc:
         read_trace(b"#LASEv0\n#date\t2024/01/01\n")
@@ -943,6 +991,23 @@ def _names_its_column(exc: LaseError, line: str) -> bool:
     return isinstance(exc, TraceValidationError) and exc.violations != []
 
 
+_FIRST_LINE = b"Pr Exit\t00:00:00:000\t\t0\t0\t1\t0\tC:\\x.exe\t\t\t\n"
+
+
+def _checked_count(data: bytes) -> int:
+    reader = TraceReader(data, kinds=frozenset())
+    assert len(list(reader)) == 1
+    return reader.count
+
+
+def _outcome(read):
+    """read()'s value, or the class, text and line number of its error."""
+    try:
+        return read()
+    except LaseError as exc:
+        return type(exc), str(exc), exc.line_no
+
+
 @settings(max_examples=1500, deadline=None)
 @given(_mutated_lines())
 def test_mutated_lines_round_trip_or_name_their_column(case):
@@ -964,6 +1029,10 @@ def test_mutated_lines_round_trip_or_name_their_column(case):
     head = io.BytesIO()
     write_trace(Trace(header, ()), head)
     text = head.getvalue() + data + b"\n"
+    # A reader that builds only the first record only checks the second
+    # line, and must refuse it exactly as read_trace does.
+    second = head.getvalue() + _FIRST_LINE + data + b"\n"
+    assert _outcome(lambda: _checked_count(second)) == _outcome(lambda: len(read_trace(second)))
     record_line_no = text.count(b"\n")  # the last line
     try:
         trace = read_trace(text)

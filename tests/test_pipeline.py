@@ -418,6 +418,32 @@ def test_synthetic_refuses_negative_injections():
         WorkloadSpec(injection_templates=-2)
 
 
+@pytest.mark.parametrize("mix, error, match", [
+    ({"ProcessCreate": 0.999999, "Irp:bogus": 0.000001}, UnknownIrp, "bogus"),
+    ({"ProcessCreate": 0.5, "ProcessCreat": 0.5}, ValueError, "unknown mix token 'ProcessCreat'"),
+    ({"ProcessCreate": 0.5, "Irp": 0.5}, ValueError, "unknown mix token 'Irp'"),
+    ({"ProcessCreate": 2.0, "ImageLoad": -1.0}, ValueError, "'ImageLoad' must be non-negative"),
+    ({"ProcessCreate": 1.0, "ImageLoad": float("nan")}, ValueError,
+     "'ImageLoad' must be non-negative"),
+])
+def test_synthetic_refuses_bad_mix_tokens_and_weights(mix, error, match):
+    # Each is refused when the spec is made, whether or not a draw would
+    # have reached the token.
+    with pytest.raises(error, match=match):
+        WorkloadSpec(events_per_producer=200, mix=mix)
+
+
+@pytest.mark.parametrize("branching, match", [
+    ({-1: 0.5, 1: 0.5}, "child count, got -1"),
+    ({1.5: 0.5, 1: 0.5}, "child count, got 1.5"),
+    ({"2": 1.0}, "child count, got '2'"),
+    ({0: 1.5, 1: -0.5}, "branching weight of 1 must be non-negative"),
+])
+def test_synthetic_refuses_bad_branching(branching, match):
+    with pytest.raises(ValueError, match=match):
+        WorkloadSpec(events_per_producer=200, branching=branching)
+
+
 def test_synthetic_irp_tokens_parse_as_names():
     spec = WorkloadSpec(events_per_producer=50, mix={"Irp:irp_mj_write": 1.0})
     majors = {r.kind.code.major for r in run_synthetic(spec).records if isinstance(r.kind, Irp)}
