@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NoReturn
+from typing import IO, Callable, Iterable, Iterator, NoReturn
 
 from .errors import BadMagic, NonMonotonicSequence, TraceError, TraceSyntaxError, TraceValidationError
 from .events import (
@@ -342,6 +342,11 @@ def encode_record(record: EventRecord, header: TraceHeader | None = None) -> str
     Exact inverse of decode_line; when a header is given, timestamps on the
     header's base date use the short time-only form.
     """
+    return _encode(record, format_timestamp(record.time, header.base_date if header else None))
+
+
+def _encode(record: EventRecord, time_text: str) -> str:
+    """The line of a record whose time column reads time_text."""
     kind = record.kind
     if isinstance(kind, Annotation):
         args = f"{kind.key}={kind.value}"
@@ -351,7 +356,7 @@ def encode_record(record: EventRecord, header: TraceHeader | None = None) -> str
         args = record.args
     fields = (
         op_label(kind),
-        format_timestamp(record.time, header.base_date if header else None),
+        time_text,
         "" if record.duration_us is None else str(record.duration_us),
         str(record.global_seq),
         str(record.ppid),
@@ -363,6 +368,23 @@ def encode_record(record: EventRecord, header: TraceHeader | None = None) -> str
         "" if record.result == RESULT_OK else escape_field(record.result),
     )
     return "\t".join(fields)
+
+
+def _timestamp_formatter(base_date: date) -> Callable[[datetime], str]:
+    """format_timestamp(when, base_date) for one write: the text up to the
+    milliseconds is formatted once per second and reused while the records
+    stay in that second."""
+    last_second, prefix = None, ""
+
+    def stamp(when: datetime) -> str:
+        nonlocal last_second, prefix
+        second = (when.second, when.minute, when.hour, when.day, when.month, when.year)
+        if second != last_second:
+            last_second = second
+            prefix = format_timestamp(when, base_date)[:-3]  # up to and with the last ':'
+        return f"{prefix}{when.microsecond // 1000:03d}"
+
+    return stamp
 
 
 def _encode_header(header: TraceHeader) -> str:
@@ -454,19 +476,31 @@ def _decoded(data: bytes, end: int, line_no: int) -> Iterator[list[str]]:
 def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
     """The complete lines of each block read from stream, decoded at once; a
     corrupt compressed stream names the line being read, the one after the
-    last line yielded."""
+    last line yielded.
+
+    Only each new chunk is searched for a newline; chunks without one are
+    kept apart and joined once a newline comes, so a long line costs time
+    linear in its length."""
     pending, line_no = b"", 0
+    unfinished: list[bytes] = []  # chunks with no newline, read after pending
     try:
         while chunk := stream.read(_BLOCK):
+            end = chunk.rfind(b"\n")
+            if end < 0:
+                unfinished.append(chunk)
+                continue
+            if unfinished:
+                pending += b"".join(unfinished)
+                unfinished = []
             data = pending + chunk
-            end = data.rfind(b"\n")
+            end += len(pending)
             pending = data[end + 1:]
-            if end >= 0:
-                yield from _decoded(data, end, line_no)
-                line_no += data.count(b"\n", 0, end) + 1
+            yield from _decoded(data, end, line_no)
+            line_no += data.count(b"\n", 0, end) + 1
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
                                column="gzip", line_no=line_no + 1) from None
+    pending += b"".join(unfinished)
     if pending:
         yield from _decoded(pending, len(pending), line_no)
 
@@ -594,6 +628,9 @@ class _CountingWriter:
 
 
 _WRITE_BATCH = 1024  # lines encoded per write to the sink
+# zlib's default level, not GzipFile's 9: about twice as fast to write, for
+# files about 5% larger.
+_GZIP_LEVEL = 6
 
 
 def write_trace(trace: Trace, sink, compress: bool = False) -> int:
@@ -602,11 +639,13 @@ def write_trace(trace: Trace, sink, compress: bool = False) -> int:
         with open(sink, "wb") as fh:
             return write_trace(trace, fh, compress=compress)
     counter = _CountingWriter(sink)
-    out = gzip.GzipFile(fileobj=counter, mode="wb", mtime=0) if compress else counter
+    out = (gzip.GzipFile(fileobj=counter, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0)
+           if compress else counter)
     header, records = trace.header, trace.records
+    stamp = _timestamp_formatter(header.base_date)
     out.write(_encode_header(header).encode("utf-8"))
     for start in range(0, len(records), _WRITE_BATCH):
-        lines = [encode_record(r, header) for r in records[start:start + _WRITE_BATCH]]
+        lines = [_encode(r, stamp(r.time)) for r in records[start:start + _WRITE_BATCH]]
         out.write(("\n".join(lines) + "\n").encode("utf-8"))
     if compress:
         out.close()

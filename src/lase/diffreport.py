@@ -60,10 +60,6 @@ class ExtDiff:
     abs_diff: int
     pct_diff: float | None  # None = division by zero ("infinite" increase)
 
-    @property
-    def signed_diff(self) -> int:
-        return self.count_a - self.count_b
-
 
 @dataclass(frozen=True)
 class Overlap:

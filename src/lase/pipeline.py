@@ -16,6 +16,7 @@ the analysis modules' tests, and a replay driver for recorded traces.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 import random
@@ -25,8 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .codec import Trace, TraceHeader, resequence
 from .errors import PipelineClosed
@@ -44,7 +44,7 @@ from .events import (
     Irp,
     kind_name,
 )
-from .irp import FAST_IO_MAJORS, parse_irp_code
+from .irp import parse_irp_code
 
 
 class BackpressurePolicy(Enum):
@@ -291,29 +291,54 @@ def _remove_by_pid(procs: list[_Proc], proc: _Proc) -> None:
     del procs[bisect.bisect_left(procs, proc.pid, key=_pid_of)]
 
 
-def _weighted_choice(rng: random.Random, items: list, cum_weights: list[float]):
-    return rng.choices(items, cum_weights=cum_weights, k=1)[0]
+def _draws(rng: random.Random) -> tuple[Callable, Callable, Callable]:
+    """below, choice and weighted: rng's draws in fewer Python frames.
+
+    Each makes exactly the calls to rng's public getrandbits and random that
+    random.Random makes for the same draw, so a seed still gives the same
+    trace. below(n), for n > 0, is rng.randrange(n) (random's
+    _randbelow_with_getrandbits); choice(seq) is rng.choice(seq), and
+    a + below(b - a + 1) is rng.randint(a, b). weighted(items, weights)
+    returns a function whose every call is rng.choices(items, weights,
+    k=1)[0].
+    """
+    getrandbits, uniform = rng.getrandbits, rng.random
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def choice(seq: Sequence):
+        return seq[below(len(seq))]
+
+    def weighted(items: Sequence, weights: Iterable[float]) -> Callable[[], object]:
+        cum_weights = list(itertools.accumulate(weights))
+        total, hi = cum_weights[-1] + 0.0, len(cum_weights) - 1
+        return lambda: items[bisect.bisect(cum_weights, uniform() * total, 0, hi)]
+
+    return below, choice, weighted
 
 
 _API_KINDS = tuple(Annotation("api", api) for api in _API_POOL)
 _TICKS = tuple(timedelta(milliseconds=ms) for ms in range(5))
 _IRP_MODES = (IoMode.SYNCHRONOUS, IoMode.ASYNCHRONOUS, IoMode.PAGING_IO)
-_IRP_MODE_CUM_WEIGHTS = list(accumulate((0.9, 0.07, 0.03)))
+_IRP_MODE_WEIGHTS = (0.9, 0.07, 0.03)
 
 
 def run_synthetic(spec: WorkloadSpec) -> Trace:
     """Generate a well-formed trace: every non-root pid has an earlier
     create event, every tid a thread-create, deterministic for a seed."""
-    rng = random.Random(spec.seed)
+    below, choice, weighted = _draws(random.Random(spec.seed))
     header = TraceHeader(base_date=START_TIME.date(), host_label=f"synthetic-{spec.seed}")
     total = spec.total_events
     if total == 0 and spec.injection_templates == 0:
         return Trace(header, ())
 
-    kinds = list(spec.mix.keys())
-    kind_cum_weights = list(accumulate(spec.mix[k] for k in kinds))
-    branch_vals = list(spec.branching.keys())
-    branch_cum_weights = list(accumulate(spec.branching[v] for v in branch_vals))
+    draw_token = weighted(list(spec.mix), spec.mix.values())
+    draw_want_children = weighted(list(spec.branching), spec.branching.values())
 
     records: list[EventRecord] = []
     seq = 1
@@ -326,13 +351,13 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     live: list[_Proc] = []
     open_slots: list[_Proc] = []  # children < want_children
     threaded: list[_Proc] = []    # at least one live thread
-    irp_kinds: dict[str, list[Irp]] = {}  # mix token -> kind per I/O mode draw
+    irp_kinds: dict[str, Callable[[], Irp]] = {}  # mix token -> its kind draw
 
     def emit(kind: EventKind, pid: int, ppid: int = 0, tid: int = 0,
              duration: int | None = None, image: str = "", args: str = "",
              file_path: str = "", result: str = "OK") -> None:
         nonlocal seq, now
-        now += _TICKS[rng.randrange(len(_TICKS))]
+        now += choice(_TICKS)
         records.append(EventRecord(seq, now, kind, pid, ppid, tid, duration, image, args,
                                    file_path, result))
         seq += 1
@@ -340,13 +365,12 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     def spawn(image: str | None = None) -> _Proc:
         nonlocal next_pid
         candidates = open_slots or live
-        parent = rng.choice(candidates) if candidates else None
+        parent = choice(candidates) if candidates else None
         pid = next_pid
         next_pid += 2
-        proc = _Proc(pid, image or rng.choice(_IMAGE_POOL),
-                     _weighted_choice(rng, branch_vals, branch_cum_weights))
+        proc = _Proc(pid, image or choice(_IMAGE_POOL), draw_want_children())
         ppid = parent.pid if parent else 4  # 4 = pre-existing system root
-        emit(PROCESS_CREATE, pid=pid, ppid=ppid, image=proc.image, args=rng.choice(_ARGS_POOL))
+        emit(PROCESS_CREATE, pid=pid, ppid=ppid, image=proc.image, args=choice(_ARGS_POOL))
         if parent:
             parent.children += 1
             if parent.children == parent.want_children:
@@ -362,25 +386,26 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         proc.tids.append(tid)
 
     def irp_kind(token: str) -> Irp:
-        options = irp_kinds.get(token)
-        if options is None:
+        draw = irp_kinds.get(token)
+        if draw is None:
             code = parse_irp_code(token[4:])
-            modes = (IoMode.FAST_IO,) if code.major in FAST_IO_MAJORS else _IRP_MODES
-            options = irp_kinds[token] = [Irp(code, mode) for mode in modes]
-        if len(options) == 1:
-            return options[0]
-        return _weighted_choice(rng, options, _IRP_MODE_CUM_WEIGHTS)
+            if code.is_fast_io():  # one mode, so no draw
+                draw = itertools.repeat(Irp(code, IoMode.FAST_IO)).__next__
+            else:
+                draw = weighted([Irp(code, mode) for mode in _IRP_MODES], _IRP_MODE_WEIGHTS)
+            irp_kinds[token] = draw
+        return draw()
 
-    def rand_file(rng: random.Random) -> str:
-        return (f"C:\\Users\\lab\\AppData\\{rng.choice(_FILE_STEMS)}"
-                f"{rng.randint(0, 9)}.{rng.choice(_FILE_EXTS)}")
+    def rand_file() -> str:
+        return (f"C:\\Users\\lab\\AppData\\{choice(_FILE_STEMS)}"
+                f"{below(10)}.{choice(_FILE_EXTS)}")  # below(10) is randint(0, 9)
 
     budget = total
     if budget > 0:
         spawn()  # bootstrap root consumes one event
         budget -= 1
     while budget > 0:
-        token = _weighted_choice(rng, kinds, kind_cum_weights)
+        token = draw_token()
         # Kinds that need unavailable state fall back to an image load so
         # the event budget always advances.
         if token == "ProcessExit" and len(live) <= 1:
@@ -390,36 +415,36 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         if token == "ProcessCreate":
             spawn()
         elif token == "ProcessExit":
-            proc = live.pop(1 + rng.randrange(len(live) - 1))  # keep the bootstrap root alive
+            proc = live.pop(1 + below(len(live) - 1))  # keep the bootstrap root alive
             if proc.children < proc.want_children:
                 _remove_by_pid(open_slots, proc)
             if proc.tids:
                 _remove_by_pid(threaded, proc)
             emit(PROCESS_EXIT, pid=proc.pid, image=proc.image)
         elif token == "ThreadCreate":
-            proc = rng.choice(live)
+            proc = choice(live)
             tid = next_tid
             next_tid += 2
             add_thread(proc, tid)
             emit(THREAD_CREATE, pid=proc.pid, tid=tid, image=proc.image)
         elif token == "ThreadExit":
-            proc = rng.choice(threaded)
-            tid = proc.tids.pop(rng.randrange(len(proc.tids)))
+            proc = choice(threaded)
+            tid = proc.tids.pop(below(len(proc.tids)))
             if not proc.tids:
                 _remove_by_pid(threaded, proc)
             emit(THREAD_EXIT, pid=proc.pid, tid=tid, image=proc.image)
         elif token == "ImageLoad":
-            proc = rng.choice(live)
-            emit(IMAGE_LOAD, pid=proc.pid, image=proc.image, file_path=rng.choice(_DLL_POOL))
+            proc = choice(live)
+            emit(IMAGE_LOAD, pid=proc.pid, image=proc.image, file_path=choice(_DLL_POOL))
         elif token == "Annotation":
-            proc = rng.choice(live)
-            emit(rng.choice(_API_KINDS), pid=proc.pid)
+            proc = choice(live)
+            emit(choice(_API_KINDS), pid=proc.pid)
         elif token.startswith("Irp:"):
-            proc = rng.choice(live)
+            proc = choice(live)
             kind = irp_kind(token)
-            tid = rng.choice(proc.tids) if proc.tids else 0
-            emit(kind, pid=proc.pid, tid=tid,
-                 duration=rng.randint(10, 5000), image=proc.image, file_path=rand_file(rng))
+            tid = choice(proc.tids) if proc.tids else 0
+            emit(kind, pid=proc.pid, tid=tid,  # 10 + below(4991) is randint(10, 5000)
+                 duration=10 + below(4991), image=proc.image, file_path=rand_file())
         else:
             raise ValueError(f"unknown mix token {token!r}")
         budget -= 1

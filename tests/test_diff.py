@@ -169,7 +169,8 @@ def test_antisymmetry_under_swap():
     fwd = diff_report(hist_a, hist_b)
     rev = diff_report(hist_b, hist_a)
     for ext in hist_a:
-        assert fwd.per_extension[ext].signed_diff == -rev.per_extension[ext].signed_diff
+        assert fwd.per_extension[ext].count_a == rev.per_extension[ext].count_b
+        assert fwd.per_extension[ext].count_b == rev.per_extension[ext].count_a
         assert fwd.per_extension[ext].abs_diff == rev.per_extension[ext].abs_diff
     files_a = {"x", "y"}
     files_b = {"y", "z"}

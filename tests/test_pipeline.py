@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import collections
 import io
+import itertools
+import random
 import threading
 import tracemalloc
 
@@ -20,6 +22,7 @@ from lase.pipeline import (
     PipelineStats,
     SubmitResult,
     WorkloadSpec,
+    _draws,
     replay_fixture,
     run_synthetic,
 )
@@ -387,6 +390,32 @@ def test_synthetic_is_deterministic():
     write_trace(a, buf_a)
     write_trace(b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+# n = 1, powers of two and their neighbours: where getrandbits' width
+# changes and where a draw is redrawn most often.
+_BOUNDS = sorted({1, 2, 3, 5, 10, 4991} | {2**k + d for k in range(2, 63, 6) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_draw_helpers_draw_what_random_draws(seed):
+    """The generator's helpers make the same draws as random.Random's own
+    methods on a twin seeded alike, and leave the state where those leave
+    it. A CPython whose _randbelow or choices draws differently fails here."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    below, choice, weighted = _draws(rng)
+    for n in _BOUNDS:
+        for _ in range(20):
+            assert below(n) == twin.randrange(n)
+            assert choice(range(n)) == twin.choice(range(n))
+            assert 10 + below(n) == twin.randint(10, 9 + n)
+    for weights in ([1.0], [0.25, 0.45, 0.2, 0.1], [0.0, 0.5, 0.0, 0.5], [0.9, 0.07, 0.03]):
+        items = [f"item{i}" for i in range(len(weights))]
+        draw = weighted(items, weights)
+        cum_weights = list(itertools.accumulate(weights))
+        for _ in range(200):
+            assert draw() == twin.choices(items, cum_weights=cum_weights, k=1)[0]
+    assert rng.getrandbits(64) == twin.getrandbits(64)
 
 
 def test_synthetic_zero_events_is_header_only():
