@@ -18,10 +18,10 @@ import re
 import sys
 from pathlib import Path
 
-# The parser needs forest and pipeline for a default and a choice list; each
-# command imports the other analysis modules it calls, so a process loads
-# only what its command runs.
-from . import forest, pipeline
+# The parser needs pipeline for the --policy choices; each command imports
+# the analysis modules it calls, so a process loads only what its command
+# runs.
+from . import pipeline
 from .codec import Trace, TraceReader, read_trace, write_trace
 from .errors import LaseError
 
@@ -88,7 +88,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("inject-scan", help="flag remote-thread injection")
     p.add_argument("trace")
-    p.add_argument("--window-ms", type=int, default=forest.DEFAULT_INJECTION_WINDOW_MS)
+    p.add_argument("--window-ms", type=int)  # None: the detector's own default
     p.add_argument("--format", choices=["jsonl", "json"], default="jsonl")
 
     p = sub.add_parser("fingerprint", help="scan for environment fingerprinting")
@@ -174,6 +174,8 @@ def _cmd_replay(args) -> int:
 
 
 def _parse_root(spec: str, built) -> forest.ProcessKey:
+    from . import forest
+
     match = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", spec)
     if match is None:
         raise LaseError(f"--root takes PID[:BIRTH_SEQ], got {spec!r}")
@@ -219,6 +221,8 @@ def _forest_to_json(built: forest.ProcessForest) -> dict:
 
 
 def _subtree_to_json(built: forest.ProcessForest, root: forest.ProcessKey) -> dict:
+    from . import forest
+
     # Built in reverse preorder, each node after all of its descendants, so
     # a deep process chain needs no stack frame per generation.
     docs: dict[forest.ProcessKey, dict] = {}
@@ -262,6 +266,8 @@ def _dumps_indented(value) -> str:
 
 
 def _cmd_tree(args) -> int:
+    from . import forest
+
     # Hold no reference to the trace: its records are freed before rendering.
     built = forest.build_forest(read_trace(_source(args.trace)))
     for warning in built.warnings:
@@ -281,6 +287,8 @@ def _cmd_tree(args) -> int:
 
 
 def _write_findings(findings, fmt: str) -> None:
+    from . import forest
+
     if fmt == "jsonl":
         sys.stdout.write(forest.findings_to_jsonl(findings))
     else:
@@ -288,8 +296,11 @@ def _write_findings(findings, fmt: str) -> None:
 
 
 def _cmd_inject_scan(args) -> int:
+    from . import forest
+
     trace = read_trace(_source(args.trace))
-    _write_findings(forest.detect_remote_thread_injection(trace, window_ms=args.window_ms), args.format)
+    window = {} if args.window_ms is None else {"window_ms": args.window_ms}
+    _write_findings(forest.detect_remote_thread_injection(trace, **window), args.format)
     return EXIT_OK
 
 

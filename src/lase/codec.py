@@ -164,6 +164,24 @@ _UINT64_DIGITS = 19  # every integer this wide or narrower is at most _UINT64_MA
 
 _iso_date = functools.lru_cache(maxsize=16)(date.isoformat)
 
+# Per reader: the records one reader builds share one int per distinct pid,
+# ppid and tid text (a process's pid repeats on each of its records). The
+# table is a local of the reader's record loop, so it is freed with the
+# reader, and it stops growing at _ID_MEMO texts.
+_ID_MEMO = 16384
+
+
+class _Ids(dict):
+    """Id text -> int; a text missing from a full table is converted anew."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> int:
+        value = int(text)
+        if len(self) < _ID_MEMO:
+            self[text] = value
+        return value
+
 
 def _datetime(year: str | None, month: str | None, day: str | None, clock: str, millis: str,
               base_date: date) -> datetime:
@@ -250,9 +268,11 @@ def _reject(line: str, header: TraceHeader) -> NoReturn:
     raise AssertionError(f"line pattern and field checks disagree on {line!r}")
 
 
-def _check(line: str, header: TraceHeader) -> tuple[tuple, EventRecord | None]:
+def _check(line: str, header: TraceHeader,
+           read_id: Callable[[str], int] = int) -> tuple[tuple, EventRecord | None]:
     """Run every test that can refuse a record line; return the fields
-    _build makes the record from, and the record if validating built it.
+    _build makes the record from, and the record if validating built it
+    (reading its ids through read_id).
 
     Raises TraceSyntaxError for malformed fields, TraceValidationError when
     the record the line describes breaks a structural invariant, and
@@ -310,7 +330,7 @@ def _check(line: str, header: TraceHeader) -> tuple[tuple, EventRecord | None]:
                file_path, text_result)
     if proven:
         return checked, None
-    record = _build(checked, header)
+    record = _build(checked, header, read_id)
     violations = validate_record(record)
     if violations:
         raise TraceValidationError(violations)
@@ -320,20 +340,22 @@ def _check(line: str, header: TraceHeader) -> tuple[tuple, EventRecord | None]:
 _CHECKED_SEQ = 6  # where _check's tuple holds the sequence number
 
 
-def _build(checked: tuple, header: TraceHeader) -> EventRecord:
-    """The record of a line _check accepted."""
+def _build(checked: tuple, header: TraceHeader, read_id: Callable[[str], int] = int) -> EventRecord:
+    """The record of a line _check accepted; read_id turns the pid, ppid
+    and tid texts into ints."""
     (year, month, day, clock, millis, duration, seq, ppid, pid, tid, kind, image, args, file_path,
      result) = checked
     return EventRecord(int(seq), _datetime(year, month, day, clock, millis, header.base_date), kind,
-                       int(pid), int(ppid), int(tid), None if duration is None else int(duration),
-                       image, args, file_path, result)
+                       read_id(pid), read_id(ppid), read_id(tid),
+                       None if duration is None else int(duration), image, args, file_path, result)
 
 
-def decode_line(line: str, header: TraceHeader) -> EventRecord:
+def decode_line(line: str, header: TraceHeader, read_id: Callable[[str], int] = int) -> EventRecord:
     """Decode one record line into a validated EventRecord; raises what
-    _check raises."""
-    checked, record = _check(line, header)
-    return _build(checked, header) if record is None else record
+    _check raises. read_id turns the pid, ppid and tid texts into ints (a
+    reader passes its shared table's lookup)."""
+    checked, record = _check(line, header, read_id)
+    return _build(checked, header, read_id) if record is None else record
 
 
 def encode_record(record: EventRecord, header: TraceHeader | None = None) -> str:
@@ -529,6 +551,7 @@ def _records(lines: Iterator[tuple[int, str]], header: TraceHeader, file: IO[byt
     kinds and the first, checking the rest; counts every record line in
     counted[0] and closes file (if any) once iteration ends."""
     last_seq = -1
+    read_id = _Ids().__getitem__
     try:
         for line_no, line in lines:
             if not line:
@@ -537,7 +560,7 @@ def _records(lines: Iterator[tuple[int, str]], header: TraceHeader, file: IO[byt
                 # last_seq < 0 until the first record line, which is built.
                 if (kinds is None or last_seq < 0
                         or _SELECTOR_BY_LABEL.get(line.partition("\t")[0], _IRP_SELECTOR) in kinds):
-                    record = decode_line(line, header)
+                    record = decode_line(line, header, read_id)
                     seq = record.global_seq
                 else:
                     record, seq = None, int(_check(line, header)[0][_CHECKED_SEQ])

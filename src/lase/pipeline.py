@@ -107,7 +107,8 @@ class EventPipeline:
 
     def submit(self, producer_id: int, proto_event: EventRecord,
                priority: bool = False, block: bool = True) -> SubmitResult:
-        """Submit a proto-record (its global_seq is assigned here on accept).
+        """Submit a proto-record (its global_seq is assigned here on accept;
+        a record that already carries the assigned number is kept as is).
 
         Returns DROPPED when the event was refused (Reject policy, or the
         pipeline is closed) and WOULD_BLOCK for a non-blocking submit
@@ -125,9 +126,7 @@ class EventPipeline:
                 self.stats.rejected += 1
                 return SubmitResult.DROPPED
             if is_priority:
-                record = proto_event.with_seq(self._next_seq)
-                self._next_seq += 1
-                self.stats.accepted += 1
+                record = self._stamp(proto_event)
                 self.stats.priority_delivered += 1
                 self._priority_sink(producer_id, record)
                 return SubmitResult.ACCEPTED
@@ -146,12 +145,18 @@ class EventPipeline:
                 if self._closed:
                     self.stats.rejected += 1
                     return SubmitResult.DROPPED
-            record = proto_event.with_seq(self._next_seq)
-            self._next_seq += 1
-            self.stats.accepted += 1
-            self._ring.append(record)
+            self._ring.append(self._stamp(proto_event))
             self._not_empty.notify()
             return SubmitResult.ACCEPTED
+
+    def _stamp(self, proto_event: EventRecord) -> EventRecord:
+        """Accept an event under the lock: the record stamped with the next
+        sequence number, which is the event itself when it already carries
+        that number (records are immutable, so nothing needs a copy)."""
+        seq = self._next_seq
+        self._next_seq += 1
+        self.stats.accepted += 1
+        return proto_event if proto_event.global_seq == seq else proto_event.with_seq(seq)
 
     def drain(self, block: bool = True) -> tuple[EventRecord, ...]:
         """Remove up to chunk_size buffered events, oldest first.

@@ -150,19 +150,18 @@ def test_tree_renders_after_the_records_are_freed(tmp_path, capsys, monkeypatch)
 
 # --- the modules a command imports ---------------------------------------------
 
-# What every command loads: the package, the codec and the two modules the
+# What every command loads: the package, the codec and the module the
 # argument parser needs.
-BASE = {"lase", "lase.errors", "lase.irp", "lase.events", "lase.codec", "lase.forest",
-        "lase.pipeline"}
+BASE = {"lase", "lase.errors", "lase.irp", "lase.events", "lase.codec", "lase.pipeline"}
 
 IMPORTS = {
     "validate": (lambda f, tmp: ["validate", f], set()),
-    "tree": (lambda f, tmp: ["tree", f], set()),
-    "inject-scan": (lambda f, tmp: ["inject-scan", f], set()),
+    "tree": (lambda f, tmp: ["tree", f], {"lase.forest"}),
+    "inject-scan": (lambda f, tmp: ["inject-scan", f], {"lase.forest"}),
     "gen": (lambda f, tmp: ["gen", "--events", "10", "--out", tmp / "g.lase"], set()),
     "replay": (lambda f, tmp: ["replay", f, "--out", tmp / "r.lase"], set()),
-    "fingerprint": (lambda f, tmp: ["fingerprint", f], {"lase.fingerprint"}),
-    "intrude": (lambda f, tmp: ["intrude", f, "--dwell"], {"lase.intrusion"}),
+    "fingerprint": (lambda f, tmp: ["fingerprint", f], {"lase.fingerprint", "lase.forest"}),
+    "intrude": (lambda f, tmp: ["intrude", f, "--dwell"], {"lase.intrusion", "lase.forest"}),
     "diff": (lambda f, tmp: ["diff", "--bare", f, "--vm", f], {"lase.diffreport"}),
     "bench": (lambda f, tmp: ["bench", "--dir", tmp / "bench", "--files", "2", "--small", "64",
                               "--large", "64", "--reps", "1"], {"lase.bench"}),

@@ -6,6 +6,8 @@ import gzip
 import io
 import random
 import time
+import tracemalloc
+import weakref
 import zlib
 from datetime import date, datetime, timedelta
 from types import SimpleNamespace
@@ -55,6 +57,7 @@ from lase.events import (
     validate_record,
 )
 from lase.irp import MAJOR_REGISTRY, MINOR_REGISTRY, IrpCode
+from lase.pipeline import WorkloadSpec, run_synthetic
 
 HEADER = TraceHeader(base_date=date(2018, 10, 1))
 
@@ -704,6 +707,82 @@ def test_text_memo_is_bounded_and_round_trips():
     assert unescape_field.cache_info().currsize <= _FIELD_MEMO
 
 
+def _encoded(trace: Trace) -> bytes:
+    out = io.BytesIO()
+    write_trace(trace, out)
+    return out.getvalue()
+
+
+def _watch_id_tables(monkeypatch) -> tuple[list, list]:
+    """Weak references to every id table a reader makes from now on, and
+    each table's size after each entry it adds."""
+    tables, sizes = [], []
+
+    class Watched(codec._Ids):
+        def __init__(self):
+            super().__init__()
+            tables.append(weakref.ref(self))
+
+        def __setitem__(self, text, value):
+            super().__setitem__(text, value)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(codec, "_Ids", Watched)
+    return tables, sizes
+
+
+def test_records_of_one_reader_share_their_id_ints():
+    # Generated pids start at 4000 and tids at 9001, outside the interpreter's
+    # own small-int cache, so only the reader's table can make them shared.
+    trace = run_synthetic(WorkloadSpec(events_per_producer=2000, seed=3))
+    records = read_trace(_encoded(trace)).records
+    assert records == trace.records
+    shared: dict[int, int] = {}
+    for r in records:
+        for value in (r.pid, r.ppid, r.tid):
+            assert shared.setdefault(value, value) is value
+    assert sum(1 for value in shared if value > 256) > 100
+    first, again = (read_trace(_encoded(trace)).records[0] for _ in range(2))
+    assert first.pid == again.pid and first.pid is not again.pid  # one table per reader
+
+
+def test_id_table_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(codec, "_ID_MEMO", 50)
+    _, sizes = _watch_id_tables(monkeypatch)
+    trace = run_synthetic(WorkloadSpec(events_per_producer=2000, seed=3))
+    distinct = {v for r in trace.records for v in (r.pid, r.ppid, r.tid)}
+    assert len(distinct) > 3 * 50
+    assert read_trace(_encoded(trace)) == trace
+    assert max(sizes) == 50
+
+
+def test_no_id_table_outlives_its_reader(monkeypatch, fixture_path):
+    tables, _ = _watch_id_tables(monkeypatch)
+    data = _encoded(run_synthetic(WorkloadSpec(events_per_producer=500, seed=3)))
+    read_trace(data)
+    read_trace(fixture_path)
+    partly = iter(TraceReader(data))
+    next(partly)
+    del partly
+    assert len(tables) == 3
+    assert [table() for table in tables] == [None] * 3
+
+
+def test_decoded_records_cost_at_most_235_bytes_each():
+    # Without the shared id table, records cost about 261 B each here.
+    data = _encoded(run_synthetic(WorkloadSpec(events_per_producer=20_000, seed=1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = read_trace(data)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert held / len(trace) <= 235
+
+
 @pytest.mark.filterwarnings("error::ResourceWarning",
                             "error::pytest.PytestUnraisableExceptionWarning")
 def test_reader_closes_the_file_it_opened(tmp_path, fixture_path, fixture_trace):
@@ -781,8 +860,8 @@ def test_records_are_built_through_the_module_decode_line(monkeypatch, fixture_p
     built = []
     decode = codec.decode_line
 
-    def counting(line, header):
-        built.append(decode(line, header))
+    def counting(line, header, read_id=int):
+        built.append(decode(line, header, read_id))
         return built[-1]
 
     monkeypatch.setattr(codec, "decode_line", counting)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+import gc
 import io
 import itertools
 import random
@@ -543,6 +545,43 @@ def test_lossy_replay_memory_does_not_grow_with_input():
             tracemalloc.stop()
         assert len(replayed) == 64
     assert peaks[1] <= peaks[0] * 1.1
+
+
+@pytest.mark.parametrize("priority", [False, True])
+def test_submit_copies_only_a_record_with_another_sequence_number(priority):
+    delivered: list[EventRecord] = []
+    pipeline = EventPipeline(PipelineConfig(ring_capacity=8, chunk_size=8),
+                             priority_sink=lambda producer_id, record: delivered.append(record))
+    numbered = dataclasses.replace(PROTO, global_seq=1)
+    stale = dataclasses.replace(PROTO, global_seq=1)  # it is given seq 2
+    for record in (numbered, stale):
+        assert pipeline.submit(0, record, priority=priority) is SubmitResult.ACCEPTED
+    out = delivered if priority else drain_all(pipeline)
+    assert out[0] is numbered
+    assert out[1] is not stale and out[1] == stale.with_seq(2)
+
+
+def test_lossless_single_replay_returns_the_records_it_was_given():
+    trace = run_synthetic(WorkloadSpec(seed=1, events_per_producer=2000))
+    replayed = replay_fixture(trace)
+    assert len(replayed) == len(trace)
+    assert all(out is given for out, given in zip(replayed.records, trace.records))
+
+
+def test_lossless_single_replay_allocates_no_second_copy():
+    # A copy of 20k records costs over 100 B each; the replay itself needs
+    # only its output list and tuple (16 B per record) and a ring.
+    trace = run_synthetic(WorkloadSpec(seed=1, events_per_producer=20_000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        replayed = replay_fixture(trace)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(replayed) == len(trace)
+    assert peak / len(trace) < 24
 
 
 def test_replay_multi_producer_consumer(fixture_trace):
