@@ -298,7 +298,9 @@ def _write_findings(findings, fmt: str) -> None:
 def _cmd_inject_scan(args) -> int:
     from . import forest
 
-    trace = read_trace(_source(args.trace))
+    # Build only the records the detector reads, and the first.
+    reader = TraceReader(_source(args.trace), forest.INJECTION_KINDS)
+    trace = Trace(reader.header, tuple(reader))
     window = {} if args.window_ms is None else {"window_ms": args.window_ms}
     _write_findings(forest.detect_remote_thread_injection(trace, **window), args.format)
     return EXIT_OK

@@ -165,9 +165,10 @@ _UINT64_DIGITS = 19  # every integer this wide or narrower is at most _UINT64_MA
 _iso_date = functools.lru_cache(maxsize=16)(date.isoformat)
 
 # Per reader: the records one reader builds share one int per distinct pid,
-# ppid and tid text (a process's pid repeats on each of its records). The
-# table is a local of the reader's record loop, so it is freed with the
-# reader, and it stops growing at _ID_MEMO texts.
+# ppid, tid and duration text (a process's pid repeats on each of its
+# records, and I/O durations repeat across a trace). The table is a local
+# of the reader's record loop, so it is freed with the reader, and it stops
+# growing at _ID_MEMO texts.
 _ID_MEMO = 16384
 
 
@@ -341,19 +342,19 @@ _CHECKED_SEQ = 6  # where _check's tuple holds the sequence number
 
 
 def _build(checked: tuple, header: TraceHeader, read_id: Callable[[str], int] = int) -> EventRecord:
-    """The record of a line _check accepted; read_id turns the pid, ppid
-    and tid texts into ints."""
+    """The record of a line _check accepted; read_id turns the pid, ppid,
+    tid and duration texts into ints."""
     (year, month, day, clock, millis, duration, seq, ppid, pid, tid, kind, image, args, file_path,
      result) = checked
     return EventRecord(int(seq), _datetime(year, month, day, clock, millis, header.base_date), kind,
                        read_id(pid), read_id(ppid), read_id(tid),
-                       None if duration is None else int(duration), image, args, file_path, result)
+                       None if duration is None else read_id(duration), image, args, file_path, result)
 
 
 def decode_line(line: str, header: TraceHeader, read_id: Callable[[str], int] = int) -> EventRecord:
     """Decode one record line into a validated EventRecord; raises what
-    _check raises. read_id turns the pid, ppid and tid texts into ints (a
-    reader passes its shared table's lookup)."""
+    _check raises. read_id turns the pid, ppid, tid and duration texts into
+    ints (a reader passes its shared table's lookup)."""
     checked, record = _check(line, header, read_id)
     return _build(checked, header, read_id) if record is None else record
 

@@ -31,6 +31,10 @@ from .forest import ProcessKey, Resolver
 
 _FIELDS = ("image_path", "file_path", "args", "annotation")
 
+# Per scan and matcher: hit or miss per distinct field text (a path repeats
+# on many records), bounded like the codec's text memo.
+_TEXT_MEMO = 4096
+
 DEFAULT_SIGNATURE_TEXT = """\
 # built-in environment fingerprinting checks
 calls-wmi\tProcessCreate\timage_path\twbem[\\\\/]+wmiprvse\\.exe
@@ -51,22 +55,24 @@ class Matcher:
     pattern: re.Pattern
 
     def text_of(self, record: EventRecord) -> str | None:
-        """Field text for this record, or None when the matcher does not apply."""
-        if self.kind != "*" and kind_name(record.kind) != self.kind:
-            return None
+        """Field text of a record of the matcher's kind, or None when an
+        annotation field does not apply to it."""
         if self.field == "annotation":
-            if not isinstance(record.kind, Annotation):
+            kind = record.kind
+            if not isinstance(kind, Annotation) or self.annotation_key and kind.key != self.annotation_key:
                 return None
-            if self.annotation_key and record.kind.key != self.annotation_key:
-                return None
-            return record.kind.value
+            return kind.value
         return getattr(record, self.field)
 
-    def matches(self, record: EventRecord) -> bool:
-        text = self.text_of(record)
-        if text is None:
-            return False
+    def hits(self, text: str) -> bool:
+        """Whether the pattern matches field text, separators normalized."""
         return self.pattern.search(text.replace("/", "\\")) is not None
+
+    def matches(self, record: EventRecord) -> bool:
+        if self.kind != "*" and kind_name(record.kind) != self.kind:
+            return False
+        text = self.text_of(record)
+        return text is not None and self.hits(text)
 
 
 @dataclass(frozen=True)
@@ -165,10 +171,10 @@ def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[Fingerpri
     (first evidence seq, signature name).
     """
     resolve = Resolver().resolve
-    by_kind: dict[str, list[tuple[FingerprintSignature, int, Matcher]]] = {}
+    by_kind: dict[str, list[tuple[FingerprintSignature, int, Matcher, dict[str, bool]]]] = {}
     for sig in signatures:
         for mi, matcher in enumerate(sig.matchers):
-            by_kind.setdefault(matcher.kind, []).append((sig, mi, matcher))
+            by_kind.setdefault(matcher.kind, []).append((sig, mi, matcher, {}))
     wildcard = by_kind.pop("*", [])
     # hits[sig_name][process][matcher_index] -> seqs
     hits: dict[str, dict[ProcessKey, dict[int, list[int]]]] = {s.name: {} for s in signatures}
@@ -176,8 +182,16 @@ def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[Fingerpri
     for record in trace.records:
         key = resolve(record)
         candidates = by_kind.get(kind_name(record.kind))
-        for sig, mi, matcher in (candidates + wildcard if candidates else wildcard):
-            if matcher.matches(record):
+        for sig, mi, matcher, memo in (candidates + wildcard if candidates else wildcard):
+            text = matcher.text_of(record)
+            if text is None:
+                continue
+            hit = memo.get(text)
+            if hit is None:
+                hit = matcher.hits(text)
+                if len(memo) < _TEXT_MEMO:
+                    memo[text] = hit
+            if hit:
                 group = key if sig.scope == "process" else trace_key.setdefault(sig.name, key)
                 hits[sig.name].setdefault(group, {}).setdefault(mi, []).append(record.global_seq)
     findings = []

@@ -6,11 +6,15 @@ with birth_seq 0 and image "<pre-existing>", so parents that never appear
 as create events (e.g. explorer/services hosts) are still representable.
 
 Remote-thread attribution: a thread-create record carries the owning pid
-and the creating process's image path. When that image maps onto a
-different live process, the thread was planted from outside; the finding is
+and the creating process's image path. When that image is the image of a
+different live created process, the thread was planted from outside; the
+newest such process is named as the injector. A synthesized pre-existing
+process is never named, since its image is unknown. The finding is
 upgraded when the target loads a new image shortly afterwards (the
 load-library tail of classic DLL injection). Each process's first observed
 thread is exempt, since initial threads are always created externally.
+Injection is its own fold over the INJECTION_KINDS records; the forest
+keeps no injection state.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .codec import Trace
@@ -39,6 +44,10 @@ from .events import (
 
 PRE_EXISTING_IMAGE = "<pre-existing>"
 DEFAULT_INJECTION_WINDOW_MS = 2000
+
+# The kinds injection findings are made from; a reader may skip building
+# the others.
+INJECTION_KINDS = frozenset(k.__name__ for k in (ProcessCreate, ProcessExit, ThreadCreate, ImageLoad))
 
 
 class ProcessKey(NamedTuple):  # a tuple: the per-record node lookup hashes it in C
@@ -62,7 +71,6 @@ class ProcessNode:
     exit_time: datetime | None = None
     exit_seq: int | None = None
     threads: int = 0  # thread creates seen
-    live_threads: dict[int, int] = field(default_factory=dict)  # tid -> creates not yet exited
     images: int = 0  # image loads seen
     io_summary: dict[str, IoTotals] = field(default_factory=dict)
     dropped_files: list[str] = field(default_factory=list)  # in trace order, see events.drops_file
@@ -114,7 +122,8 @@ class InjectionFinding:
 class Resolver:
     """Which process instance each record belongs to: the one pid ->
     ProcessKey liveness model behind the forest, the injection scan and the
-    fingerprint scan. Feed it every record in trace order.
+    fingerprint scan. Feed it records in trace order: every record, or for
+    the injection scan the INJECTION_KINDS records (see _Injections).
 
     A create starts (pid, global_seq) and closes a still-live instance of the
     same pid. An exit ends the pid's live instance. Any other record belongs
@@ -185,28 +194,16 @@ class Resolver:
 
 
 class _Builder:
-    def __init__(self, window_ms: int):
-        self.window = timedelta(milliseconds=window_ms)
+    def __init__(self):
         self.resolver = Resolver()
         self.roots: list[ProcessKey] = []
         self.index: dict[ProcessKey, ProcessNode] = {}
-        self.findings: list[InjectionFinding] = []
-        self._live_by_image: dict[str, dict[ProcessKey, ProcessNode]] = {}
-        # Findings still open to an upgrade, keyed by target, in finding order.
-        self._pending: dict[ProcessKey, list[tuple[InjectionFinding, datetime]]] = {}
-
-    def _add(self, node: ProcessNode) -> ProcessNode:
-        self.index[node.key] = node
-        self._live_by_image.setdefault(normalize_path(node.image_path), {})[node.key] = node
-        return node
-
-    def _ended(self, node: ProcessNode) -> None:
-        self._live_by_image.get(normalize_path(node.image_path), {}).pop(node.key, None)
+        self._live_threads: dict[tuple[ProcessKey, int], int] = {}  # (owner, tid) -> creates not yet exited
 
     def _node(self, key: ProcessKey) -> ProcessNode:
         node = self.index.get(key)
         if node is None:  # a pre-existing process the resolver just synthesized
-            node = self._add(ProcessNode(key=key, parent=None, image_path=PRE_EXISTING_IMAGE))
+            node = self.index[key] = ProcessNode(key=key, parent=None, image_path=PRE_EXISTING_IMAGE)
             self.roots.append(key)
         return node
 
@@ -233,29 +230,25 @@ class _Builder:
         elif isinstance(kind, ThreadExit):
             self._on_thread_exit(record)
         elif isinstance(kind, ImageLoad):
-            node = self._actor(record)
-            node.images += 1
-            self._check_upgrades(node, record.time)
+            self._actor(record).images += 1
         elif isinstance(kind, Annotation):
             self._actor(record)  # ensure the acting pid is represented
 
     def _on_create(self, record: EventRecord) -> None:
         key, parent_key, stale_key = self.resolver.create(record)
         if stale_key is not None:
-            stale = self.index[stale_key]
-            stale.exit_seq = record.global_seq
-            self._ended(stale)
+            self.index[stale_key].exit_seq = record.global_seq
         if parent_key is None:
             self.roots.append(key)
         else:
             self._node(parent_key).children.append(key)
-        self._add(ProcessNode(
+        self.index[key] = ProcessNode(
             key=key,
             parent=parent_key,
             image_path=record.image_path,
             args=record.args,
             create_time=record.time,
-        ))
+        )
 
     def _on_exit(self, record: EventRecord) -> None:
         key, ended = self.resolver.exit(record)
@@ -263,75 +256,126 @@ class _Builder:
             node = self._node(key)
             node.exit_time = record.time
             node.exit_seq = record.global_seq
-            self._ended(node)
 
     def _on_thread_create(self, record: EventRecord) -> None:
         owner = self._actor(record)
-        if owner.threads:  # the first observed thread is always external
-            image = normalize_path(record.image_path)
-            if image and image != normalize_path(owner.image_path):
-                peers = [p for p in self._live_by_image.get(image, {}).values() if p.key != owner.key]
-                if peers:
-                    injector = max(peers, key=lambda p: p.key.birth_seq)
-                    finding = InjectionFinding(
-                        target=owner.key, injector=injector.key,
-                        thread_seq=record.global_seq,
-                        confidence=InjectionConfidence.REMOTE_THREAD,
-                    )
-                    self.findings.append(finding)
-                    self._pending.setdefault(owner.key, []).append((finding, record.time))
         owner.threads += 1
         if record.tid:  # tid 0 names no thread an exit could match
-            owner.live_threads[record.tid] = owner.live_threads.get(record.tid, 0) + 1
+            thread = (owner.key, record.tid)
+            self._live_threads[thread] = self._live_threads.get(thread, 0) + 1
 
     def _on_thread_exit(self, record: EventRecord) -> None:
-        owner = self._actor(record)
-        if owner.live_threads.get(record.tid):
-            owner.live_threads[record.tid] -= 1
+        thread = (self._actor(record).key, record.tid)
+        live = self._live_threads.get(thread)
+        if live:
+            self._live_threads[thread] = live - 1
         else:
             self.resolver.warnings.append(f"seq {record.global_seq}: thread exit for unknown tid {record.tid}")
-
-    def _check_upgrades(self, node: ProcessNode, when: datetime) -> None:
-        pending = self._pending.get(node.key)
-        if pending is None:
-            return
-        kept = []
-        for finding, started in pending:
-            delta = when - started
-            if timedelta(0) <= delta <= self.window:
-                finding.confidence = InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY
-                continue  # upgraded once; no longer pending
-            if delta > self.window:
-                continue  # window elapsed for this target
-            kept.append((finding, started))
-        if kept:
-            self._pending[node.key] = kept
-        else:
-            del self._pending[node.key]
 
     def result(self) -> ProcessForest:
         self.roots.sort(key=lambda k: (k.birth_seq, k.pid))
         return ProcessForest(self.roots, self.index, self.resolver.warnings)
 
 
-def _build(trace: Trace, window_ms: int) -> _Builder:
-    builder = _Builder(window_ms)
-    for record in trace.records:
-        builder.feed(record)
-    return builder
+class _Injections:
+    """Remote-thread injection as a fold over the INJECTION_KINDS records.
+
+    The injector is the newest live created process of the creator's image:
+    the top of that image's stack, once dead entries are popped. A target's
+    open findings sit in a min-heap on thread start; an image load pops
+    every finding that started at or before it, upgrading those within the
+    window. Each stack or heap entry is popped at most once, so the cost per
+    record stays flat however many peers or open findings there are.
+
+    Records of other kinds are skipped, also by the resolver, so the
+    findings are the same whether or not a reader built them. The forest's
+    resolver sees every record, and the two differ in one case: a pid whose
+    first record is of another kind has its (pid, 0) synthesized there, so
+    when that pid is later created, exits and is named as a parent, the
+    forest reuses the closed (pid, 0) and attaches the pid's later records
+    to its latest instance, while here (pid, 0) is synthesized live.
+    """
+
+    def __init__(self, window_ms: int):
+        self.window = timedelta(milliseconds=window_ms)
+        self.resolver = Resolver()
+        self.findings: list[InjectionFinding] = []
+        self.examined = 0  # stack and heap entries looked at; read by the cost tests
+        self._images: dict[ProcessKey, str] = {}  # created process -> normalized image
+        self._threaded: set[ProcessKey] = set()  # processes whose first thread was seen
+        self._live: set[ProcessKey] = set()  # created processes not yet ended
+        self._by_image: dict[str, list[ProcessKey]] = {}  # created processes per image, birth order
+        self._pending: dict[ProcessKey, list[tuple[datetime, int, InjectionFinding]]] = {}
+
+    def feed(self, record: EventRecord) -> None:
+        kind = record.kind
+        if isinstance(kind, ThreadCreate):
+            self._on_thread_create(record)
+        elif isinstance(kind, ImageLoad):
+            self._on_image_load(record)
+        elif isinstance(kind, ProcessCreate):
+            key, _, stale = self.resolver.create(record)
+            self._live.discard(stale)
+            self._live.add(key)
+            image = self._images[key] = normalize_path(record.image_path)
+            self._by_image.setdefault(image, []).append(key)
+        elif isinstance(kind, ProcessExit):
+            key, ended = self.resolver.exit(record)
+            if ended:
+                self._live.discard(key)
+
+    def _on_thread_create(self, record: EventRecord) -> None:
+        owner = self.resolver.actor(record)
+        if owner not in self._threaded:  # the first observed thread is always external
+            self._threaded.add(owner)
+            return
+        image = normalize_path(record.image_path)
+        if not image or image == self._images.get(owner, PRE_EXISTING_IMAGE):
+            return
+        # The owner is not on this stack: its image differs.
+        stack = self._by_image.get(image, [])
+        while stack:
+            self.examined += 1
+            if stack[-1] in self._live:
+                finding = InjectionFinding(target=owner, injector=stack[-1],
+                                           thread_seq=record.global_seq,
+                                           confidence=InjectionConfidence.REMOTE_THREAD)
+                self.findings.append(finding)
+                heappush(self._pending.setdefault(owner, []), (record.time, record.global_seq, finding))
+                return
+            stack.pop()
+
+    def _on_image_load(self, record: EventRecord) -> None:
+        pending = self._pending.get(self.resolver.actor(record))
+        when = record.time
+        while pending:
+            self.examined += 1
+            started, _, finding = pending[0]
+            if started > when:  # a thread stamped after this load stays open
+                return
+            heappop(pending)
+            if when - started <= self.window:
+                finding.confidence = InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY
 
 
 def build_forest(trace: Trace) -> ProcessForest:
     """Reconstruct the process forest from a trace (deterministic)."""
-    return _build(trace, DEFAULT_INJECTION_WINDOW_MS).result()
+    builder = _Builder()
+    for record in trace.records:
+        builder.feed(record)
+    return builder.result()
 
 
 def detect_remote_thread_injection(trace: Trace,
                                    window_ms: int = DEFAULT_INJECTION_WINDOW_MS) -> list[InjectionFinding]:
-    """Flag thread creations attributable to a different live process."""
+    """Flag thread creations attributable to a different live created
+    process. Reads only the INJECTION_KINDS records of the trace."""
     if window_ms < 0:
         raise ValueError("window_ms must be non-negative")
-    return _build(trace, window_ms).findings
+    injections = _Injections(window_ms)
+    for record in trace.records:
+        injections.feed(record)
+    return injections.findings
 
 
 def subtree(forest: ProcessForest, root: ProcessKey) -> list[tuple[ProcessNode | None, ProcessNode]]:

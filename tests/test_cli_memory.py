@@ -6,6 +6,7 @@ loads the modules and compiles the rules the command uses. The margin, 30%
 of the one-input peak, leaves room for what the command prints (findings,
 dwell sessions, the diff's running totals) and is below the size of one
 more decoded trace, so keeping any earlier trace alive fails the test.
+`inject-scan`'s peak per trace record is bounded the same way.
 """
 
 from __future__ import annotations
@@ -69,3 +70,18 @@ def test_many_traces_peak_near_one(command, corpora):
     _run(one)
     peak_one, peak_many = _peak(one), _peak(many)
     assert peak_many < peak_one * (1 + MARGIN), (peak_one, peak_many)
+
+
+INJECT_SCAN_BYTES_PER_RECORD = 100
+
+
+def test_inject_scan_builds_only_the_records_it_reads(tmp_path):
+    # inject-scan builds the creates, exits, thread creates and image loads
+    # (about a quarter of a generated trace): its heap peak is about 73 B per
+    # trace record. Building every record, it was about 292 B.
+    path = tmp_path / "trace.lase"
+    trace = run_synthetic(WorkloadSpec(events_per_producer=20_000, seed=1, injection_templates=8))
+    write_trace(trace, path)
+    argv = ["inject-scan", str(path)]
+    _run(argv)
+    assert _peak(argv) / len(trace) < INJECT_SCAN_BYTES_PER_RECORD

@@ -732,8 +732,9 @@ def _watch_id_tables(monkeypatch) -> tuple[list, list]:
 
 
 def test_records_of_one_reader_share_their_id_ints():
-    # Generated pids start at 4000 and tids at 9001, outside the interpreter's
-    # own small-int cache, so only the reader's table can make them shared.
+    # Generated pids start at 4000, tids at 9001 and most durations above
+    # 256, outside the interpreter's own small-int cache, so only the
+    # reader's table can make them shared.
     trace = run_synthetic(WorkloadSpec(events_per_producer=2000, seed=3))
     records = read_trace(_encoded(trace)).records
     assert records == trace.records
@@ -742,6 +743,10 @@ def test_records_of_one_reader_share_their_id_ints():
         for value in (r.pid, r.ppid, r.tid):
             assert shared.setdefault(value, value) is value
     assert sum(1 for value in shared if value > 256) > 100
+    durations = [r.duration_us for r in records if r.duration_us is not None and r.duration_us > 256]
+    assert len(durations) > len(set(durations)) > 200  # some repeat
+    for value in durations:
+        assert shared.setdefault(value, value) is value
     first, again = (read_trace(_encoded(trace)).records[0] for _ in range(2))
     assert first.pid == again.pid and first.pid is not again.pid  # one table per reader
 
@@ -768,8 +773,9 @@ def test_no_id_table_outlives_its_reader(monkeypatch, fixture_path):
     assert [table() for table in tables] == [None] * 3
 
 
-def test_decoded_records_cost_at_most_235_bytes_each():
-    # Without the shared id table, records cost about 261 B each here.
+def test_decoded_records_cost_at_most_221_bytes_each():
+    # About 214 B each here; 228 B with a table of ids but not durations,
+    # and 261 B without the table.
     data = _encoded(run_synthetic(WorkloadSpec(events_per_producer=20_000, seed=1)))
     gc.collect()
     tracemalloc.start()
@@ -780,7 +786,7 @@ def test_decoded_records_cost_at_most_235_bytes_each():
     finally:
         tracemalloc.stop()
     assert len(trace) == 20_000
-    assert held / len(trace) <= 235
+    assert held / len(trace) <= 221
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning",

@@ -16,6 +16,7 @@ from lase.events import (
     Irp,
     kind_name,
 )
+from lase import fingerprint
 from lase.fingerprint import (
     FingerprintFinding,
     default_signatures,
@@ -270,11 +271,29 @@ def test_oracle_takes_an_exited_parent_as_preexisting():
     assert naive_scan_oracle(trace, sigs) == scan(trace, sigs) == want
 
 
-def test_scan_matches_naive_oracle_on_synthetic_traces():
+@pytest.mark.parametrize("memo", [None, 2])
+def test_scan_matches_naive_oracle_on_synthetic_traces(memo, monkeypatch):
+    if memo is not None:  # a full memo searches each new text anew
+        monkeypatch.setattr(fingerprint, "_TEXT_MEMO", memo)
     sigs = default_signatures()
     for seed in range(10):
         trace = run_synthetic(WorkloadSpec(seed=seed, producers=2, events_per_producer=300))
         assert scan(trace, sigs) == naive_scan_oracle(trace, sigs), f"seed {seed}"
+
+
+def test_scan_searches_each_distinct_text_once_per_matcher(monkeypatch):
+    searched = []
+    hits = fingerprint.Matcher.hits
+    monkeypatch.setattr(fingerprint.Matcher, "hits", lambda m, text: searched.append(text) or hits(m, text))
+    bios = "C:\\Windows\\drivers\\" * 200 + "bios.sys"  # a long path that backtracks
+    trace = build_trace([(PROCESS_CREATE, 90, 4, 0, "C:\\m\\x.exe")]
+                        + [(READ, 90, 0, 0, "C:\\m\\x.exe", "", bios)] * 50
+                        + [(IMAGE_LOAD, 90, 0, 0, "C:\\m\\x.exe", "", bios)] * 50)
+    [finding] = scan(trace, default_signatures())
+    assert (finding.signature, len(finding.evidence)) == ("checks-bios", 100)
+    # calls-wmi and checks-bios each have one ImageLoad matcher; checks-bios
+    # has one Irp matcher; calls-wmi has one ProcessCreate matcher.
+    assert sorted(searched) == sorted([bios] * 3 + ["C:\\m\\x.exe"])
 
 
 def test_scan_is_pure_and_idempotent(fixture_trace):

@@ -34,3 +34,23 @@ def test_every_workload_step_passes_under_the_tracer(tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.spans
+
+
+def test_traced_run_reports_every_per_layer_metric(tmp_path, monkeypatch):
+    # The whole ``run.py --trace 1`` path at a small size: a command that
+    # stops calling a wrapped function fails here, not in layer_metrics.
+    import json
+    import math
+
+    import workloads
+
+    for name, value in (("TRIAGE_RECORDS", 2_000), ("CORPUS_PAIRS", 4), ("CORPUS_RECORDS", 200),
+                        ("RECORD_RECORDS", 1_000)):
+        monkeypatch.setattr(workloads, name, value)
+    monkeypatch.setattr(tracing, "SWEEP_RECORDS", (500, 1_000, 2_000))
+    monkeypatch.setattr(tracing, "SWEEP_REPS", 1)
+    metrics, attempted, failures, _ = tracing.traced_run("triage", SEED, tmp_path)
+    assert attempted and failures == []
+    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    for metric in declared["per_layer"]:
+        assert math.isfinite(metrics[metric["name"]]), metric["name"]
