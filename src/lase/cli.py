@@ -18,10 +18,8 @@ import re
 import sys
 from pathlib import Path
 
-# The parser needs pipeline for the --policy choices; each command imports
-# the analysis modules it calls, so a process loads only what its command
-# runs.
-from . import pipeline
+# Each command imports the modules it calls beyond the codec, so a process
+# loads only what its command runs.
 from .codec import Trace, TraceReader, read_trace, write_trace
 from .errors import LaseError
 
@@ -29,6 +27,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# pipeline.BackpressurePolicy's values, spelled out so that the parser does
+# not load the pipeline.
+_POLICIES = ("block", "drop-oldest", "reject")
 
 
 class UsageError(Exception):
@@ -45,17 +47,12 @@ def _source(path: str):
     return sys.stdin.buffer if path == "-" else path
 
 
-def _policy(name: str) -> pipeline.BackpressurePolicy:
-    return pipeline.BackpressurePolicy(name)
-
-
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--producers", type=int, default=1)
     p.add_argument("--consumers", type=int, default=1)
     p.add_argument("--ring", type=int, default=64)
     p.add_argument("--chunk", type=int, default=16)
-    p.add_argument("--policy", choices=[x.value for x in pipeline.BackpressurePolicy],
-                   default="block")
+    p.add_argument("--policy", choices=_POLICIES, default="block")
 
 
 def build_parser() -> _Parser:
@@ -146,6 +143,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import pipeline
+
     spec = pipeline.WorkloadSpec(
         producers=args.producers,
         events_per_producer=args.events,
@@ -158,10 +157,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import pipeline
+
     trace = read_trace(_source(args.trace))
     config = pipeline.PipelineConfig(
         ring_capacity=args.ring, chunk_size=args.chunk,
-        backpressure_policy=_policy(args.policy),
+        backpressure_policy=pipeline.BackpressurePolicy(args.policy),
     )
     speed = math.inf if args.speed <= 0 else args.speed
     result = pipeline.replay_fixture(trace, speed=speed, config=config,

@@ -358,11 +358,19 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     threaded: list[_Proc] = []    # at least one live thread
     irp_kinds: dict[str, Callable[[], Irp]] = {}  # mix token -> its kind draw
 
+    # Every I/O record shares its path and duration objects with the others
+    # that drew the same value. Built per call: at import they would add to
+    # every command that loads this module.
+    paths = tuple(f"C:\\Users\\lab\\AppData\\{stem}{digit}.{ext}"
+                  for stem in _FILE_STEMS for digit in range(10) for ext in _FILE_EXTS)
+    durations = tuple(range(10, 5001))
+
     def emit(kind: EventKind, pid: int, ppid: int = 0, tid: int = 0,
              duration: int | None = None, image: str = "", args: str = "",
              file_path: str = "", result: str = "OK") -> None:
         nonlocal seq, now
-        now += choice(_TICKS)
+        if tick := choice(_TICKS):  # a zero tick keeps the same time object
+            now += tick
         records.append(EventRecord(seq, now, kind, pid, ppid, tid, duration, image, args,
                                    file_path, result))
         seq += 1
@@ -402,8 +410,9 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         return draw()
 
     def rand_file() -> str:
-        return (f"C:\\Users\\lab\\AppData\\{choice(_FILE_STEMS)}"
-                f"{below(10)}.{choice(_FILE_EXTS)}")  # below(10) is randint(0, 9)
+        # The draws of choice(_FILE_STEMS), randint(0, 9) and choice(_FILE_EXTS).
+        return paths[(below(len(_FILE_STEMS)) * 10 + below(10)) * len(_FILE_EXTS)
+                     + below(len(_FILE_EXTS))]
 
     budget = total
     if budget > 0:
@@ -448,8 +457,8 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
             proc = choice(live)
             kind = irp_kind(token)
             tid = choice(proc.tids) if proc.tids else 0
-            emit(kind, pid=proc.pid, tid=tid,  # 10 + below(4991) is randint(10, 5000)
-                 duration=10 + below(4991), image=proc.image, file_path=rand_file())
+            emit(kind, pid=proc.pid, tid=tid,  # durations[below(4991)] is randint(10, 5000)
+                 duration=durations[below(4991)], image=proc.image, file_path=rand_file())
         else:
             raise ValueError(f"unknown mix token {token!r}")
         budget -= 1
@@ -494,22 +503,22 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     shards: list[list[EventRecord]] = [[] for _ in range(producers)]
     for record in trace.records:
         shards[record.pid % producers].append(record)
-    out: list[EventRecord] = []
-    out_lock = threading.Lock()
+    # Each record lands in its sequence slot. Assigned seqs are unique and at
+    # most the number submitted; evicted or refused records leave holes.
+    out: list[EventRecord | None] = [None] * len(trace.records)
 
     def produce(producer_id: int, shard: list[EventRecord]) -> None:
         for record in _paced(shard, speed):
             pipeline.submit(producer_id, record)
 
     def consume() -> None:
-        local: list[EventRecord] = []
         while True:
             try:
-                local.extend(pipeline.drain())
+                chunk = pipeline.drain()
             except PipelineClosed:
                 break
-        with out_lock:
-            out.extend(local)
+            for record in chunk:
+                out[record.global_seq - 1] = record
 
     consumer_threads = [threading.Thread(target=consume) for _ in range(consumers)]
     producer_threads = [threading.Thread(target=produce, args=(i, shard))
@@ -518,10 +527,12 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
         t.start()
     for t in producer_threads:
         t.join()
+    del shards  # free them before the output is built; each thread dropped its own
     pipeline.close()
     for t in consumer_threads:
         t.join()
-    out.sort(key=lambda r: r.global_seq)
+    if pipeline.stats.drained < len(out):  # evicted or refused records left holes
+        out = [r for r in out if r is not None]
     return Trace(trace.header, _resequenced(out))
 
 

@@ -13,7 +13,7 @@ from helpers import run_lase
 from lase import cli, forest
 from lase.codec import write_trace
 from lase.events import EventRecord
-from lase.pipeline import WorkloadSpec, run_synthetic
+from lase.pipeline import BackpressurePolicy, WorkloadSpec, run_synthetic
 
 
 def run_main(capsys, *argv) -> int:
@@ -150,22 +150,25 @@ def test_tree_renders_after_the_records_are_freed(tmp_path, capsys, monkeypatch)
 
 # --- the modules a command imports ---------------------------------------------
 
-# What every command loads: the package, the codec and the module the
-# argument parser needs.
-BASE = {"lase", "lase.errors", "lase.irp", "lase.events", "lase.codec", "lase.pipeline"}
+# What every command loads: the package and the codec.
+BASE = {"lase", "lase.errors", "lase.irp", "lase.events", "lase.codec"}
 
 IMPORTS = {
     "validate": (lambda f, tmp: ["validate", f], set()),
     "tree": (lambda f, tmp: ["tree", f], {"lase.forest"}),
     "inject-scan": (lambda f, tmp: ["inject-scan", f], {"lase.forest"}),
-    "gen": (lambda f, tmp: ["gen", "--events", "10", "--out", tmp / "g.lase"], set()),
-    "replay": (lambda f, tmp: ["replay", f, "--out", tmp / "r.lase"], set()),
+    "gen": (lambda f, tmp: ["gen", "--events", "10", "--out", tmp / "g.lase"], {"lase.pipeline"}),
+    "replay": (lambda f, tmp: ["replay", f, "--out", tmp / "r.lase"], {"lase.pipeline"}),
     "fingerprint": (lambda f, tmp: ["fingerprint", f], {"lase.fingerprint", "lase.forest"}),
     "intrude": (lambda f, tmp: ["intrude", f, "--dwell"], {"lase.intrusion", "lase.forest"}),
     "diff": (lambda f, tmp: ["diff", "--bare", f, "--vm", f], {"lase.diffreport"}),
     "bench": (lambda f, tmp: ["bench", "--dir", tmp / "bench", "--files", "2", "--small", "64",
-                              "--large", "64", "--reps", "1"], {"lase.bench"}),
+                              "--large", "64", "--reps", "1"], {"lase.bench", "lase.pipeline"}),
 }
+
+
+def test_the_policy_choices_are_the_pipeline_policies():
+    assert list(cli._POLICIES) == [p.value for p in BackpressurePolicy]
 
 
 def imported_lase_modules(stderr: str) -> set[str]:

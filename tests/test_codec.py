@@ -789,6 +789,21 @@ def test_decoded_records_cost_at_most_221_bytes_each():
     assert held / len(trace) <= 221
 
 
+def test_generated_records_cost_at_most_216_bytes_each():
+    # About 206 B each here; 284 B when every I/O record held its own path
+    # and duration and every zero tick its own time.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_synthetic(WorkloadSpec(events_per_producer=20_000, seed=1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert held / len(trace) <= 216
+
+
 @pytest.mark.filterwarnings("error::ResourceWarning",
                             "error::pytest.PytestUnraisableExceptionWarning")
 def test_reader_closes_the_file_it_opened(tmp_path, fixture_path, fixture_trace):

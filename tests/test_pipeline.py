@@ -6,6 +6,7 @@ import gc
 import io
 import itertools
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -420,6 +421,16 @@ def test_draw_helpers_draw_what_random_draws(seed):
     assert rng.getrandbits(64) == twin.getrandbits(64)
 
 
+def test_generated_records_hold_one_copy_of_what_repeats():
+    records = run_synthetic(WorkloadSpec(events_per_producer=20_000, seed=1)).records
+    io_records = [r for r in records if isinstance(r.kind, Irp)]
+    assert len({id(r.file_path) for r in io_records}) <= 640  # stems x digits x extensions
+    durations = [r.duration_us for r in io_records]
+    assert len({id(d) for d in durations}) == len(set(durations))
+    times = [r.time for r in records]
+    assert len({id(t) for t in times}) == len(set(times))
+
+
 def test_synthetic_zero_events_is_header_only():
     trace = run_synthetic(WorkloadSpec(seed=1, producers=1, events_per_producer=0))
     assert len(trace) == 0
@@ -594,6 +605,28 @@ def test_replay_multi_producer_consumer(fixture_trace):
         original = [record_content_key(r) for r in fixture_trace.records if r.pid == pid]
         after = [record_content_key(r) for r in replayed.records if r.pid == pid]
         assert original == after
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_lossy_threaded_replay_keeps_an_ordered_subset_numbered_from_one(seed):
+    trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=3000))
+    config = PipelineConfig(ring_capacity=8, chunk_size=4,
+                            backpressure_policy=BackpressurePolicy.DROP_OLDEST)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        replayed = replay_fixture(trace, config=config, producers=3, consumers=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < len(replayed) <= len(trace)
+    assert [r.global_seq for r in replayed.records] == list(range(1, len(replayed) + 1))
+    given = collections.Counter(map(record_content_key, trace.records))
+    kept = collections.Counter(map(record_content_key, replayed.records))
+    assert not kept - given  # no record twice, none made up
+    for pid in {r.pid for r in trace.records}:
+        remaining = iter([record_content_key(r) for r in trace.records if r.pid == pid])
+        # Each kept record is found after the one before it: a subsequence.
+        assert all(record_content_key(r) in remaining for r in replayed.records if r.pid == pid)
 
 
 def test_replay_producers_submit_under_their_shard_index(fixture_trace, monkeypatch):
