@@ -79,7 +79,7 @@ class Overlap:
 class DiffReport:
     per_extension: dict[str, ExtDiff]
     per_operation: dict[str, tuple[int, int]]
-    overlap: Overlap | None
+    overlap: Overlap
 
 
 def ext_diff(count_a: int, count_b: int) -> ExtDiff:
@@ -108,22 +108,13 @@ def overlap_from_sets(a: set[str], b: set[str]) -> Overlap:
 
 
 def diff_report(hist_a: dict[str, int], hist_b: dict[str, int],
-                op_counts_a: dict[str, int] | None = None,
-                op_counts_b: dict[str, int] | None = None,
-                files_a: set[str] | None = None,
-                files_b: set[str] | None = None) -> DiffReport:
+                op_counts_a: dict[str, int], op_counts_b: dict[str, int],
+                files_a: set[str], files_b: set[str]) -> DiffReport:
     extensions = sorted(set(hist_a) | set(hist_b))
     per_ext = {ext: ext_diff(hist_a.get(ext, 0), hist_b.get(ext, 0)) for ext in extensions}
-    per_op: dict[str, tuple[int, int]] = {}
-    if op_counts_a is not None or op_counts_b is not None:
-        op_counts_a = op_counts_a or {}
-        op_counts_b = op_counts_b or {}
-        for major in sorted(set(op_counts_a) | set(op_counts_b)):
-            per_op[major] = (op_counts_a.get(major, 0), op_counts_b.get(major, 0))
-    overlap = None
-    if files_a is not None and files_b is not None:
-        overlap = overlap_from_sets(files_a, files_b)
-    return DiffReport(per_ext, per_op, overlap)
+    per_op = {major: (op_counts_a.get(major, 0), op_counts_b.get(major, 0))
+              for major in sorted(set(op_counts_a) | set(op_counts_b))}
+    return DiffReport(per_ext, per_op, overlap_from_sets(files_a, files_b))
 
 
 PairSummary = tuple[set[str], dict[str, int], set[str], dict[str, int]]
@@ -216,17 +207,17 @@ def report_to_tsv(report: DiffReport) -> str:
         lines.append("Operation\tBare\tVM")
         for major, (ca, cb) in sorted(report.per_operation.items()):
             lines.append(f"{major}\t{ca:,}\t{cb:,}")
-    if report.overlap:
-        o = report.overlap
-        lines.append("")
-        lines.append("Overlap\tCount\tPercent")
-        lines.append(f"only bare\t{o.only_a:,}\t{o.pct_only_a:.2f}%")
-        lines.append(f"only vm\t{o.only_b:,}\t{o.pct_only_b:.2f}%")
-        lines.append(f"both\t{o.both:,}\t{o.pct_both:.2f}%")
+    o = report.overlap
+    lines.append("")
+    lines.append("Overlap\tCount\tPercent")
+    lines.append(f"only bare\t{o.only_a:,}\t{o.pct_only_a:.2f}%")
+    lines.append(f"only vm\t{o.only_b:,}\t{o.pct_only_b:.2f}%")
+    lines.append(f"both\t{o.both:,}\t{o.pct_both:.2f}%")
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(report: DiffReport) -> str:
+    o = report.overlap
     doc = {
         "per_extension": {
             ext: {
@@ -241,12 +232,10 @@ def report_to_json(report: DiffReport) -> str:
             major: {"bare": ca, "vm": cb}
             for major, (ca, cb) in sorted(report.per_operation.items())
         },
-    }
-    if report.overlap:
-        o = report.overlap
-        doc["overlap"] = {
+        "overlap": {
             "only_bare": o.only_a, "only_vm": o.only_b, "both": o.both,
             "pct_only_bare": o.pct_only_a, "pct_only_vm": o.pct_only_b,
             "pct_both": o.pct_both,
-        }
+        },
+    }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

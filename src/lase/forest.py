@@ -122,27 +122,25 @@ class InjectionFinding:
 class Resolver:
     """Which process instance each record belongs to: the one pid ->
     ProcessKey liveness model behind the forest, the injection scan and the
-    fingerprint scan. Feed it records in trace order: every record, or for
-    the injection scan the INJECTION_KINDS records (see _Injections).
+    fingerprint scan. Feed it records in trace order: every record, or any
+    subset that keeps every create and exit. A record's key depends only on
+    the creates and exits before it, so each record gets the same key from
+    every such feed (the warnings may differ).
 
     A create starts (pid, global_seq) and closes a still-live instance of the
     same pid. An exit ends the pid's live instance. Any other record belongs
     to the live instance, or else to the pid's latest one (a stale attach,
-    with a warning). A pid never seen before, and a parent that is not live
-    and has no (ppid, 0) yet, is synthesized as the pre-existing (pid, 0).
+    with a warning). A pid never seen before, and a parent that is not live,
+    becomes the pre-existing (pid, 0), live: a pid named as a parent is live.
     """
 
     def __init__(self):
         self.warnings: list[str] = []
         self._live: dict[int, ProcessKey] = {}
         self._latest: dict[int, ProcessKey] = {}  # latest instance per pid, live or not
-        self._zero: set[int] = set()  # pids whose (pid, 0) exists
 
     def _preexisting(self, pid: int) -> ProcessKey:
-        key = ProcessKey(pid, 0)
-        if pid not in self._zero:
-            self._zero.add(pid)
-            self._live[pid] = self._latest[pid] = key
+        key = self._live[pid] = self._latest[pid] = ProcessKey(pid, 0)
         return key
 
     def resolve(self, record: EventRecord) -> ProcessKey:
@@ -164,8 +162,6 @@ class Resolver:
         if record.ppid != 0:
             parent = self._live.get(record.ppid) or self._preexisting(record.ppid)
         key = ProcessKey(record.pid, record.global_seq)
-        if record.global_seq == 0:  # a create at seq 0 takes the (pid, 0) key
-            self._zero.add(record.pid)
         self._live[record.pid] = self._latest[record.pid] = key
         return key, parent, stale
 
@@ -266,10 +262,10 @@ class _Builder:
 
     def _on_thread_exit(self, record: EventRecord) -> None:
         thread = (self._actor(record).key, record.tid)
-        live = self._live_threads.get(thread)
-        if live:
+        live = self._live_threads.pop(thread, 0)
+        if live > 1:
             self._live_threads[thread] = live - 1
-        else:
+        elif not live:
             self.resolver.warnings.append(f"seq {record.global_seq}: thread exit for unknown tid {record.tid}")
 
     def result(self) -> ProcessForest:
@@ -288,12 +284,8 @@ class _Injections:
     record stays flat however many peers or open findings there are.
 
     Records of other kinds are skipped, also by the resolver, so the
-    findings are the same whether or not a reader built them. The forest's
-    resolver sees every record, and the two differ in one case: a pid whose
-    first record is of another kind has its (pid, 0) synthesized there, so
-    when that pid is later created, exits and is named as a parent, the
-    forest reuses the closed (pid, 0) and attaches the pid's later records
-    to its latest instance, while here (pid, 0) is synthesized live.
+    findings are the same whether or not a reader built them, and each
+    record names the process the forest gives it.
     """
 
     def __init__(self, window_ms: int):

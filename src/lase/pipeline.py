@@ -492,14 +492,20 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     producers (shard i submits as producer i), and the drained output is
     merged by assigned sequence.
     speed scales inter-event gaps (inf = no pacing). The single
-    producer/consumer form is fully deterministic.
+    producer/consumer form is fully deterministic. A replay has no priority
+    sink, so a config with priority kinds raises ValueError before any
+    record is submitted.
     """
     if producers < 1 or consumers < 1:
         raise ValueError("replay needs at least one producer and one consumer, "
                          f"got {producers} and {consumers}")
+    config = config or PipelineConfig()
+    if config.priority_kinds:
+        raise ValueError("replay has no priority sink for priority kinds "
+                         f"{sorted(config.priority_kinds)}")
     if producers == 1 and consumers == 1:
         return _replay_single(trace, speed, config)
-    pipeline = EventPipeline(config or PipelineConfig())
+    pipeline = EventPipeline(config)
     shards: list[list[EventRecord]] = [[] for _ in range(producers)]
     for record in trace.records:
         shards[record.pid % producers].append(record)
@@ -536,8 +542,8 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     return Trace(trace.header, _resequenced(out))
 
 
-def _replay_single(trace: Trace, speed: float, config: PipelineConfig | None) -> Trace:
-    pipeline = EventPipeline(config or PipelineConfig())
+def _replay_single(trace: Trace, speed: float, config: PipelineConfig) -> Trace:
+    pipeline = EventPipeline(config)
     out: list[EventRecord] = []
 
     def pump() -> None:

@@ -16,7 +16,7 @@ import pytest
 
 from helpers import BASE_TIME, build_trace, cells_of, evicted_seqs
 
-from test_fingerprint import naive_scan_oracle, template_trace
+from test_fingerprint import EXITED_PARENT, REUSED_PARENT, naive_scan_oracle, template_trace
 from test_forest import node_count_oracle
 from test_intrusion import BENIGN, MALICIOUS, trace_of_commands
 
@@ -28,7 +28,7 @@ from lase.diffreport import (
     overlap_from_sizes,
 )
 from lase.errors import LaseError, PipelineClosed
-from lase.events import PROCESS_CREATE, PROCESS_EXIT, Annotation, EventRecord, Irp
+from lase.events import PROCESS_CREATE, EventRecord, Irp
 from lase.fingerprint import default_signatures, scan
 from lase.fixtures import macro_malware, macro_malware_path
 from lase.forest import ProcessKey, build_forest
@@ -260,13 +260,8 @@ def test_criterion_6_oracle_equivalence(capsys):
         for seed in range(traces):
             yield f"seed {seed}", run_synthetic(WorkloadSpec(
                 seed=seed, producers=2, events_per_producer=events // 2))
-        # a child names an exited pid as parent, which then acts again
-        yield "exited parent", build_trace([
-            (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
-            (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
-            (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
-            (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
-        ])
+        yield "exited parent", build_trace(EXITED_PARENT)
+        yield "reused parent", build_trace(REUSED_PARENT)
 
     for label, trace in inputs():
         forest = build_forest(trace)
@@ -280,7 +275,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     with capsys.disabled():
         report(6, f"forest node counts, fingerprint scans and per-operation "
                   f"counts match brute-force oracles on {traces} traces of "
-                  f"{events} events and an exited-parent trace ({elapsed:.1f}s)")
+                  f"{events} events and two exited-parent traces ({elapsed:.1f}s)")
 
 
 def test_criterion_7_decode_fuzzing(capsys):

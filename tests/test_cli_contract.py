@@ -136,6 +136,31 @@ def _shapes():
     return trace_from_records([_ev(i + 1, *row) for i, row in enumerate(rows)])
 
 
+def _reused_parent():
+    """Pid reuse: pid 30's first record is its exit, so its (30, 0) exits;
+    30 is then created, exits, and is named as a parent before it acts
+    again, which makes (30, 0) live. A remote thread, an image load and a
+    timing annotation then land in 30."""
+    victim, tool = "C:\\apps\\victim.exe", "C:\\tools\\injector.exe"
+    rows = [
+        (PROCESS_CREATE, 500, 4, 0, "C:\\bin\\host.exe"),
+        (PROCESS_EXIT, 30, 0, 0, victim),
+        (PROCESS_CREATE, 40, 4, 0, tool),
+        (PROCESS_CREATE, 30, 500, 0, victim),
+        (THREAD_CREATE, 30, 0, 5, victim),
+        (PROCESS_EXIT, 30, 0, 0, victim),
+        (PROCESS_CREATE, 31, 30, 0, "C:\\apps\\child.exe"),
+        (THREAD_CREATE, 30, 0, 6, victim),
+        (THREAD_CREATE, 30, 0, 7, tool),
+        (IMAGE_LOAD, 30, 0, 0, victim, "", "C:\\payload.dll"),
+        (Annotation("api", "RDTSC"), 30, 0, 0, victim),
+        (THREAD_EXIT, 30, 0, 7, victim),
+        (PROCESS_EXIT, 30, 0, 0, victim),
+        (_irp("IRP_MJ_WRITE"), 30, 0, 0, victim, "", "C:\\Temp\\late.txt"),
+    ]
+    return trace_from_records([_ev(i + 1, *row) for i, row in enumerate(rows)])
+
+
 def _chain(depth: int):
     rows = [_ev(i + 1, PROCESS_CREATE, 10 + 2 * i, 10 + 2 * (i - 1) if i else 4)
             for i in range(depth)]
@@ -181,6 +206,7 @@ def build_inputs(root: Path) -> None:
     write_trace(syn, root / "syn.lase")
     write_trace(syn, root / "syn.lase.gz", compress=True)
     write_trace(_shapes(), root / "shapes.lase")
+    write_trace(_reused_parent(), root / "reuse.lase")
     write_trace(_chain(2000), root / "chain.lase")
     write_trace(_unique_paths(600), root / "unique.lase")
     write_trace(_with_tactics(5, TACTICS), root / "tactics.lase")
@@ -255,6 +281,7 @@ CASES: dict[str, str] = {
     "tree-syn-root-dot": "tree syn.lase --root 4000",
     "tree-shapes-dot": "tree shapes.lase",
     "tree-shapes-json": "tree shapes.lase --format json",
+    "tree-reuse-json": "tree reuse.lase --format json",
     "tree-chain-json": "tree chain.lase --format json",
     "tree-chain-root-json": "tree chain.lase --root 3410 --format json",
     "tree-chain-root-dot": "tree chain.lase --root 10",
@@ -268,6 +295,7 @@ CASES: dict[str, str] = {
     "inject-syn-window": "inject-scan syn.lase --window-ms 0",
     "inject-syn-window-negative": "inject-scan syn.lase --window-ms -5",
     "inject-shapes": "inject-scan shapes.lase --format json",
+    "inject-reuse": "inject-scan reuse.lase --format json",
     "inject-bad": "inject-scan bad-order.lase",
     # fingerprint
     "fingerprint-fixture": "fingerprint fixture.lase",
@@ -278,6 +306,7 @@ CASES: dict[str, str] = {
     "fingerprint-bad-sig": "fingerprint fixture.lase --signatures bad.sig",
     "fingerprint-missing-sig": "fingerprint fixture.lase --signatures nope.sig",
     "fingerprint-unique": "fingerprint unique.lase --signatures custom.sig",
+    "fingerprint-reuse": "fingerprint reuse.lase --format json",
     "fingerprint-bad": "fingerprint bad-irp.lase",
     # intrude
     "intrude-tactics": "intrude tactics.lase",
@@ -441,6 +470,8 @@ DIGESTS = {
         "207f6ed306542519e9a4f4b20052c3b8afec783fb60bc71b195b849a31527176",
     "tree-shapes-json":
         "fe813cefdccc03fad5ea0e50c0f99747c68968815584d4af6ac3d215223e3f28",
+    "tree-reuse-json":
+        "3551b9f8502d2c1c77669a3799be344f15237f07bc93238721d71ae9e01e0b67",
     "tree-chain-json":
         "12f9b82e7ce50a4be672036e536d6b3daa569f2df64bae5066fd7878c7221f77",
     "tree-chain-root-json":
@@ -465,6 +496,8 @@ DIGESTS = {
         "7bd6ed69cd38ab0d2203fe4faf15b88a1bef74355f3fe623a4ea12d12f02c5b9",
     "inject-shapes":
         "d7cf4c952f29ce61187c39bb8aef30d6215ceac57992355f63bba16757c51558",
+    "inject-reuse":
+        "f0d90f968f72fa754eb4a4829e11f4a1e4d8bf651b522a2e7a4a39dea9fa2759",
     "inject-bad":
         "a888178e3729488a6386eff8451563b05878cb86e9f22105954001965be1c320",
     "fingerprint-fixture":
@@ -483,6 +516,8 @@ DIGESTS = {
         "d221f562c0a0045b2c9439996de36d95704bca7f9a6f704a59613c882015ef1f",
     "fingerprint-unique":
         "e06c2449778d410fde8d765c890afb4eacb436cf3055527151828e468a372e94",
+    "fingerprint-reuse":
+        "8a8042df7042af8a33a5712bd4c61bf78ae58f36abb3b7e0fe783e69958688e2",
     "fingerprint-bad":
         "d4e885556080e715eb8a8ec2aadf1c1cc03eeba79f259fef5d6cf26287bd798c",
     "intrude-tactics":

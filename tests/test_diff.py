@@ -166,16 +166,16 @@ def test_partition_identity(a, b):
 def test_antisymmetry_under_swap():
     hist_a = {"exe": 10, "js": 3}
     hist_b = {"exe": 4, "js": 9}
-    fwd = diff_report(hist_a, hist_b)
-    rev = diff_report(hist_b, hist_a)
+    fwd = diff_report(hist_a, hist_b, {}, {}, set(), set())
+    rev = diff_report(hist_b, hist_a, {}, {}, set(), set())
     for ext in hist_a:
         assert fwd.per_extension[ext].count_a == rev.per_extension[ext].count_b
         assert fwd.per_extension[ext].count_b == rev.per_extension[ext].count_a
         assert fwd.per_extension[ext].abs_diff == rev.per_extension[ext].abs_diff
     files_a = {"x", "y"}
     files_b = {"y", "z"}
-    fwd = diff_report(hist_a, hist_b, files_a=files_a, files_b=files_b)
-    rev = diff_report(hist_b, hist_a, files_a=files_b, files_b=files_a)
+    fwd = diff_report(hist_a, hist_b, {}, {}, files_a, files_b)
+    rev = diff_report(hist_b, hist_a, {}, {}, files_b, files_a)
     assert (fwd.overlap.only_a, fwd.overlap.only_b) == (rev.overlap.only_b, rev.overlap.only_a)
 
 
@@ -202,7 +202,6 @@ def test_compare_traces_end_to_end(fixture_trace):
     assert report.per_extension["exe"].count_a == 1
     assert report.per_extension["exe"].count_b == 1
     assert report.per_operation["IRP_MJ_WRITE"] == (8, 1)
-    assert report.overlap is not None
     assert report.overlap.both == 0
 
 
@@ -232,7 +231,7 @@ def test_corpus_mode_pairs_by_stem(tmp_path, fixture_trace):
 
 
 def test_tsv_report_difference_column(fixture_trace):
-    report = diff_report({"exe": 2_160_744}, {"exe": 1_114_617})
+    report = diff_report({"exe": 2_160_744}, {"exe": 1_114_617}, {}, {}, set(), set())
     tsv = report_to_tsv(report)
     assert "exe\t2,160,744\t1,114,617\t1,046,127 | 93.9%" in tsv
 

@@ -222,9 +222,8 @@ def naive_scan_oracle(trace, signatures):
             live = open_row(r.pid)
             if live is not None:
                 live[1] = seq - 1
-            if r.ppid != 0 and open_row(r.ppid) is None and not any(
-                    key.birth_seq == 0 for _, _, key in intervals.get(r.ppid, ())):
-                # a parent neither live nor pre-existing becomes a live (ppid, 0)
+            if r.ppid != 0 and open_row(r.ppid) is None:
+                # a parent that is not live becomes a live (ppid, 0)
                 intervals.setdefault(r.ppid, []).append([seq, None, ProcessKey(r.ppid, 0)])
             rows.append([seq, None, ProcessKey(r.pid, seq)])
         elif not rows:  # a pid first seen here is the pre-existing (pid, 0)
@@ -257,18 +256,34 @@ def naive_scan_oracle(trace, signatures):
     return findings
 
 
+# A child names the exited pid 9 as its parent, and 9 acts again.
+EXITED_PARENT = [
+    (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
+    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+]
+# Pid reuse: 9's first record synthesizes (9, 0), which exits; 9 is then
+# created as (9, 3) and exits, and is named as a parent before it acts again.
+REUSED_PARENT = [
+    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+    (PROCESS_EXIT, 9, 0, 0, "C:\\a\\nine.exe"),
+    (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
+    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+]
+
+
 def test_oracle_takes_an_exited_parent_as_preexisting():
     # Naming the exited pid 9 as a parent makes (9, 0) its live instance,
-    # so the later annotation belongs to (9, 0), not to the exited (9, 1).
-    trace = build_trace([
-        (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
-        (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
-        (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
-        (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
-    ])
+    # also when (9, 0) already exists, so the later annotation belongs to
+    # (9, 0), not to 9's exited created instance.
     sigs = default_signatures()
-    want = [FingerprintFinding("direct-cpu-clock-access", ProcessKey(9, 0), (4,))]
-    assert naive_scan_oracle(trace, sigs) == scan(trace, sigs) == want
+    for rows, evidence in ((EXITED_PARENT, (4,)), (REUSED_PARENT, (1, 6))):
+        trace = build_trace(rows)
+        want = [FingerprintFinding("direct-cpu-clock-access", ProcessKey(9, 0), evidence)]
+        assert naive_scan_oracle(trace, sigs) == scan(trace, sigs) == want
 
 
 @pytest.mark.parametrize("memo", [None, 2])

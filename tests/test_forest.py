@@ -320,7 +320,8 @@ def test_thread_counts_and_warnings_match_the_thread_list_oracle():
 
 def test_create_at_seq_zero_takes_the_preexisting_key():
     # the create at seq 0 is (7, 0); once it has exited, a child naming pid 7
-    # as parent attaches to it rather than synthesizing another (7, 0)
+    # as parent makes (7, 0) live again rather than synthesizing another, so
+    # 7's next record belongs to it without a stale-attach warning
     trace = build_trace([
         (PROCESS_CREATE, 7, 0, 0, "C:\\a\\seven.exe"),
         (PROCESS_EXIT, 7),
@@ -333,7 +334,7 @@ def test_create_at_seq_zero_takes_the_preexisting_key():
     seven = forest.node(ProcessKey(7, 0))
     assert (seven.image_path, seven.exit_seq, seven.images) == ("C:\\a\\seven.exe", 1, 1)
     assert forest.node(ProcessKey(8, 2)).parent == ProcessKey(7, 0)
-    assert forest.warnings == ["seq 3: event for exited pid 7, attached to stale node"]
+    assert forest.warnings == []
 
 
 def test_scan_findings_name_forest_processes():

@@ -4,6 +4,7 @@ lookups whose cost per record stays flat."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from datetime import timedelta
@@ -166,18 +167,35 @@ def test_findings_are_the_same_on_the_injection_kinds_alone(rows, self_parent_fi
 
 
 def test_the_detector_resolves_the_injection_kinds_alone():
-    # The one case where a skipped record would change an answer: the forest
-    # saw the Irp, keeps (3, 0) closed, and attaches 3's threads to its
-    # latest instance (3, 4). The detector, with or without the Irp,
-    # synthesizes (3, 0) live when 3 is named as a parent, and the threads
-    # belong to it.
+    # The Irp synthesizes (3, 0); 3 is created as (3, 4), exits and is named
+    # as a parent, which makes (3, 0) live again. So 3's threads belong to
+    # (3, 0) in the forest and in the detector, with or without the Irp.
     trace = trace_of(REVIVED_PARENT, False)
     findings = detect_remote_thread_injection(trace)
     assert [(f.target, f.injector) for f in findings] == [(ProcessKey(3, 0), ProcessKey(2, 3))]
     assert findings == detect_remote_thread_injection(injection_subset(trace))
-    forest = build_forest(trace)
-    assert (forest.node(ProcessKey(3, 0)).threads, forest.node(ProcessKey(3, 4)).threads) == (0, 2)
-    assert build_forest(injection_subset(trace)).node(ProcessKey(3, 0)).threads == 2
+    for fed in (trace, injection_subset(trace)):
+        forest = build_forest(fed)
+        assert (forest.node(ProcessKey(3, 0)).threads, forest.node(ProcessKey(3, 4)).threads) == (2, 0)
+
+
+def test_a_resolver_fed_any_kinds_with_the_creates_and_exits_gives_the_full_feed_keys():
+    # A record's key depends only on the creates and exits before it, so a
+    # pass may skip any other kind and still name the same processes.
+    optional = sorted({kind_name(k) for k in KINDS} - {"ProcessCreate", "ProcessExit"})
+    subsets = [{"ProcessCreate", "ProcessExit", *kept}
+               for n in range(len(optional) + 1) for kept in itertools.combinations(optional, n)]
+    assert len(subsets) == 32
+    for seed in range(400):
+        rng = random.Random(seed)
+        trace = trace_of(random_rows(rng), rng.random() < 0.2)
+        full = Resolver()
+        keys = [(r, full.resolve(r)) for r in trace.records]
+        for kinds in subsets:
+            resolver = Resolver()
+            for r, key in keys:
+                if kind_name(r.kind) in kinds:
+                    assert resolver.resolve(r) == key, f"seed {seed}, seq {r.global_seq}, kinds {sorted(kinds)}"
 
 
 def test_findings_match_the_brute_force_reference_on_random_traces():

@@ -650,3 +650,19 @@ def test_replay_producers_submit_under_their_shard_index(fixture_trace, monkeypa
 def test_replay_rejects_counts_below_one(fixture_trace, producers, consumers):
     with pytest.raises(ValueError, match="at least one producer and one consumer"):
         replay_fixture(fixture_trace, producers=producers, consumers=consumers)
+
+
+# A replay has no priority sink, so both paths refuse a config with priority
+# kinds before a record is submitted, also when the trace holds none of them:
+# a producer thread's ValueError would not reach the caller.
+@pytest.mark.parametrize("priority_kinds", ["ImageLoad", "Annotation"])
+@pytest.mark.parametrize("producers, consumers", [(1, 1), (2, 1), (3, 2)])
+def test_replay_refuses_priority_kinds(priority_kinds, producers, consumers):
+    trace = run_synthetic(WorkloadSpec(seed=3, events_per_producer=500))
+    # Annotation stands for a priority kind the trace does not hold.
+    trace = Trace(trace.header, tuple(r for r in trace.records if kind_name(r.kind) != "Annotation"))
+    config = PipelineConfig(priority_kinds=frozenset({priority_kinds}))
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="priority sink"):
+        replay_fixture(trace, config=config, producers=producers, consumers=consumers)
+    assert threading.active_count() == threads
