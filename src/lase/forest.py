@@ -67,9 +67,6 @@ class ProcessNode:
     parent: ProcessKey | None
     image_path: str
     args: str = ""
-    create_time: datetime | None = None
-    exit_time: datetime | None = None
-    exit_seq: int | None = None
     threads: int = 0  # thread creates seen
     images: int = 0  # image loads seen
     io_summary: dict[str, IoTotals] = field(default_factory=dict)
@@ -148,7 +145,7 @@ class Resolver:
         if isinstance(kind, ProcessCreate):
             return self.create(record)[0]
         if isinstance(kind, ProcessExit):
-            return self.exit(record)[0]
+            return self.exit(record)
         return self.actor(record)
 
     def create(self, record: EventRecord) -> tuple[ProcessKey, ProcessKey | None, ProcessKey | None]:
@@ -165,16 +162,16 @@ class Resolver:
         self._live[record.pid] = self._latest[record.pid] = key
         return key, parent, stale
 
-    def exit(self, record: EventRecord) -> tuple[ProcessKey, bool]:
-        """Returns the instance and whether it ended here (False when the
-        pid had already exited)."""
+    def exit(self, record: EventRecord) -> ProcessKey:
+        """Returns the instance that ends here, or the pid's latest one
+        when it had already exited."""
         pid = record.pid
         if pid in self._latest and pid not in self._live:
             self.warnings.append(f"seq {record.global_seq}: exit for already-exited pid {pid}")
-            return self._latest[pid], False
+            return self._latest[pid]
         key = self._live.get(pid) or self._preexisting(pid)
         del self._live[pid]
-        return key, True
+        return key
 
     def actor(self, record: EventRecord) -> ProcessKey:
         """The instance a record other than a create or an exit belongs to."""
@@ -220,7 +217,7 @@ class _Builder:
         elif isinstance(kind, ProcessCreate):
             self._on_create(record)
         elif isinstance(kind, ProcessExit):
-            self._on_exit(record)
+            self._node(self.resolver.exit(record))  # a pid never seen before is represented
         elif isinstance(kind, ThreadCreate):
             self._on_thread_create(record)
         elif isinstance(kind, ThreadExit):
@@ -231,9 +228,7 @@ class _Builder:
             self._actor(record)  # ensure the acting pid is represented
 
     def _on_create(self, record: EventRecord) -> None:
-        key, parent_key, stale_key = self.resolver.create(record)
-        if stale_key is not None:
-            self.index[stale_key].exit_seq = record.global_seq
+        key, parent_key, _ = self.resolver.create(record)
         if parent_key is None:
             self.roots.append(key)
         else:
@@ -243,15 +238,7 @@ class _Builder:
             parent=parent_key,
             image_path=record.image_path,
             args=record.args,
-            create_time=record.time,
         )
-
-    def _on_exit(self, record: EventRecord) -> None:
-        key, ended = self.resolver.exit(record)
-        if ended:
-            node = self._node(key)
-            node.exit_time = record.time
-            node.exit_seq = record.global_seq
 
     def _on_thread_create(self, record: EventRecord) -> None:
         owner = self._actor(record)
@@ -312,9 +299,7 @@ class _Injections:
             image = self._images[key] = normalize_path(record.image_path)
             self._by_image.setdefault(image, []).append(key)
         elif isinstance(kind, ProcessExit):
-            key, ended = self.resolver.exit(record)
-            if ended:
-                self._live.discard(key)
+            self._live.discard(self.resolver.exit(record))  # not there when the pid had already exited
 
     def _on_thread_create(self, record: EventRecord) -> None:
         owner = self.resolver.actor(record)

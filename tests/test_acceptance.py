@@ -17,7 +17,7 @@ import pytest
 from helpers import BASE_TIME, build_trace, cells_of, evicted_seqs
 
 from test_fingerprint import EXITED_PARENT, REUSED_PARENT, naive_scan_oracle, template_trace
-from test_forest import node_count_oracle
+from test_forest import SEQ_ZERO_PARENT, from_seq_zero, node_count_oracle
 from test_intrusion import BENIGN, MALICIOUS, trace_of_commands
 
 from lase.bench import BenchConfig, overhead, run_workload
@@ -262,6 +262,7 @@ def test_criterion_6_oracle_equivalence(capsys):
                 seed=seed, producers=2, events_per_producer=events // 2))
         yield "exited parent", build_trace(EXITED_PARENT)
         yield "reused parent", build_trace(REUSED_PARENT)
+        yield "seq-0 parent", from_seq_zero(SEQ_ZERO_PARENT)
 
     for label, trace in inputs():
         forest = build_forest(trace)
@@ -275,7 +276,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     with capsys.disabled():
         report(6, f"forest node counts, fingerprint scans and per-operation "
                   f"counts match brute-force oracles on {traces} traces of "
-                  f"{events} events and two exited-parent traces ({elapsed:.1f}s)")
+                  f"{events} events and three exited-parent traces ({elapsed:.1f}s)")
 
 
 def test_criterion_7_decode_fuzzing(capsys):

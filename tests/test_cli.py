@@ -3,6 +3,8 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +12,7 @@ from helpers import build_trace, run_lase
 
 from lase import forest
 from lase.cli import main
-from lase.codec import _COLUMNS, read_trace, write_trace
+from lase.codec import _COLUMNS, read_trace, trace_from_records, write_trace
 from lase.errors import LaseError
 from lase.events import IMAGE_LOAD, PROCESS_CREATE, THREAD_CREATE, Annotation
 from lase.fingerprint import DEFAULT_SIGNATURE_TEXT
@@ -113,6 +115,37 @@ def test_tree_json_output(fixture_path, capsys):
     doc = json.loads(out)
     assert doc["created"] == 15
     assert doc["preexisting"] == 2
+
+
+def one_instant(trace):
+    """The trace with every record stamped at its first record's time."""
+    instant = trace.records[0].time
+    return trace_from_records([replace(r, time=instant) for r in trace.records], trace.header)
+
+
+@pytest.mark.parametrize("source", ["fixture", "generated", "pid reuse"])
+def test_tree_reads_no_record_time(source, fixture_trace, tmp_path, capsys):
+    from lase.pipeline import WorkloadSpec, run_synthetic
+    from test_injection import random_rows, trace_of
+
+    if source == "fixture":
+        trace = fixture_trace
+    elif source == "generated":
+        trace = run_synthetic(WorkloadSpec(seed=1, producers=2, events_per_producer=500, injection_templates=2))
+    else:  # warnings on stderr
+        trace = trace_of(random_rows(random.Random(3)), False)
+    root = str(trace.records[-1].pid)
+    runs = []
+    for name, fed in (("timed.lase", trace), ("one_instant.lase", one_instant(trace))):
+        path = tmp_path / name
+        write_trace(fed, path)
+        runs.append([run_cli(capsys, "tree", str(path), *flags)
+                     for flags in ([], ["--format", "json"], ["--root", root], ["--root", root, "--format", "json"])])
+    assert (tmp_path / "timed.lase").read_bytes() != (tmp_path / "one_instant.lase").read_bytes()
+    assert runs[0] == runs[1]
+    assert all(code == 0 for code, _, _ in runs[0])
+    if source == "pid reuse":
+        assert "warning: " in runs[0][0][2]
 
 
 def test_tree_subtree_by_root(fixture_path, capsys):

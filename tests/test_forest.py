@@ -17,6 +17,7 @@ from lase.events import (
     PROCESS_EXIT,
     THREAD_CREATE,
     THREAD_EXIT,
+    EventRecord,
     Irp,
     ProcessCreate,
     ThreadCreate,
@@ -76,11 +77,20 @@ def test_empty_trace_builds_empty_forest():
 
 
 def test_exit_closes_node(fixture_trace):
-    forest = build_forest(fixture_trace)
-    eqnedt = next(n for n in forest.index.values() if n.key.pid == 7028)
-    assert eqnedt.exit_seq == 376991
-    assert eqnedt.exit_time is not None
-    assert eqnedt.exit_time >= eqnedt.create_time
+    # eqnedt32 (7028) exits at seq 376991. After that, a record of 7028
+    # attaches to its node with a stale-attach warning, and a child naming
+    # 7028 as its parent synthesizes a pre-existing (7028, 0).
+    eqnedt = ProcessKey(7028, 346364)
+    last = fixture_trace.records[-1]
+    late = [EventRecord(last.global_seq + 1, last.time, IMAGE_LOAD, pid=7028, file_path="C:\\x.dll"),
+            EventRecord(last.global_seq + 2, last.time, PROCESS_CREATE, pid=7100, ppid=7028,
+                        image_path="C:\\late.exe")]
+    before = build_forest(fixture_trace)
+    forest = build_forest(trace_from_records([*fixture_trace.records, *late], fixture_trace.header))
+    assert forest.warnings == [f"seq {last.global_seq + 1}: event for exited pid 7028, attached to stale node"]
+    assert (before.node(eqnedt).images, forest.node(eqnedt).images) == (0, 1)
+    assert forest.node(ProcessKey(7100, last.global_seq + 2)).parent == ProcessKey(7028, 0)
+    assert len(forest.index) == len(before.index) + 2
 
 
 def test_subtree_of_916(fixture_trace):
@@ -236,25 +246,48 @@ def test_findings_jsonl_round_trips():
 # --- node-count oracle and interleaving invariance ---------------------------
 
 def node_count_oracle(trace) -> int:
-    """Single-pass brute-force counter: creates + synthesized pre-existing."""
-    created = 0
+    """Single-pass brute-force counter of distinct keys: each create's
+    (pid, seq), and the pre-existing (pid, 0) of a parent that is not live
+    or of a pid that acts before any create. A create at seq 0 is its pid's
+    (pid, 0) as well."""
+    keys: set[tuple[int, int]] = set()
     live: set[int] = set()
     ever_created: set[int] = set()
-    synthesized: set[int] = set()
     for r in trace.records:
         name = kind_name(r.kind)
         if name == "ProcessCreate":
-            created += 1
-            if r.ppid != 0 and r.ppid not in live and r.ppid not in synthesized:
-                synthesized.add(r.ppid)
+            if r.ppid != 0 and r.ppid not in live:
+                keys.add((r.ppid, 0))
+            keys.add((r.pid, r.global_seq))
             live.add(r.pid)
             ever_created.add(r.pid)
         else:
-            if r.pid not in live and r.pid not in ever_created and r.pid not in synthesized:
-                synthesized.add(r.pid)
+            if r.pid not in live and r.pid not in ever_created:
+                keys.add((r.pid, 0))
             if name == "ProcessExit":
                 live.discard(r.pid)
-    return created + len(synthesized)
+    return len(keys)
+
+
+def from_seq_zero(rows):
+    """build_trace numbers records from 1; these start at 0."""
+    trace = build_trace(rows)
+    return trace_from_records([r.with_seq(r.global_seq - 1) for r in trace.records], trace.header)
+
+
+# 7 is created at seq 0, so it is (7, 0); it exits and is named as a parent.
+SEQ_ZERO_PARENT = [
+    (PROCESS_CREATE, 7, 0, 0, "C:\\a\\seven.exe"),
+    (PROCESS_EXIT, 7),
+    (PROCESS_CREATE, 8, 7),
+]
+
+
+def test_node_count_oracle_counts_a_seq_zero_create_named_as_a_parent_once():
+    trace = from_seq_zero(SEQ_ZERO_PARENT)
+    forest = build_forest(trace)
+    assert sorted(forest.index) == [ProcessKey(7, 0), ProcessKey(8, 2)]
+    assert node_count_oracle(trace) == 2
 
 
 def test_fixture_node_count_matches_oracle(fixture_trace):
@@ -322,18 +355,11 @@ def test_create_at_seq_zero_takes_the_preexisting_key():
     # the create at seq 0 is (7, 0); once it has exited, a child naming pid 7
     # as parent makes (7, 0) live again rather than synthesizing another, so
     # 7's next record belongs to it without a stale-attach warning
-    trace = build_trace([
-        (PROCESS_CREATE, 7, 0, 0, "C:\\a\\seven.exe"),
-        (PROCESS_EXIT, 7),
-        (PROCESS_CREATE, 8, 7),
-        (IMAGE_LOAD, 7, 0, 0, "", "", "C:\\x.dll"),
-    ])
-    from lase.codec import trace_from_records
-    records = [r.with_seq(r.global_seq - 1) for r in trace.records]
-    forest = build_forest(trace_from_records(records, trace.header))
+    forest = build_forest(from_seq_zero([*SEQ_ZERO_PARENT, (IMAGE_LOAD, 7, 0, 0, "", "", "C:\\x.dll")]))
     seven = forest.node(ProcessKey(7, 0))
-    assert (seven.image_path, seven.exit_seq, seven.images) == ("C:\\a\\seven.exe", 1, 1)
+    assert (seven.image_path, seven.images) == ("C:\\a\\seven.exe", 1)
     assert forest.node(ProcessKey(8, 2)).parent == ProcessKey(7, 0)
+    assert len(forest.index) == 2
     assert forest.warnings == []
 
 
@@ -397,23 +423,30 @@ def test_double_exit_warns_without_synthesizing():
         (PROCESS_CREATE, 10, 4, 0, "C:\\gen1.exe"),
         (PROCESS_EXIT, 10, 4, 0, "C:\\gen1.exe"),
         (PROCESS_EXIT, 10, 4, 0, "C:\\gen1.exe"),  # anomaly: already exited
+        (IMAGE_LOAD, 10, 0, 0, "", "", "C:\\x.dll"),
     ]
     trace = build_trace(rows)
     forest = build_forest(trace)
-    assert len(forest.warnings) == 1
+    assert forest.warnings == ["seq 3: exit for already-exited pid 10",
+                               "seq 4: event for exited pid 10, attached to stale node"]
     assert len(forest.index) == node_count_oracle(trace) == 2  # no spurious node
-    assert forest.index[ProcessKey(10, 1)].exit_seq == 2  # first exit wins
+    assert forest.index[ProcessKey(10, 1)].images == 1  # the first exit ended it
 
 
 def test_create_over_live_pid_force_closes_with_warning():
     rows = [
         (PROCESS_CREATE, 10, 4, 0, "C:\\gen1.exe"),
         (PROCESS_CREATE, 10, 4, 0, "C:\\gen2.exe"),  # no exit in between
+        (PROCESS_EXIT, 10, 4, 0, "C:\\gen2.exe"),
+        (IMAGE_LOAD, 10, 0, 0, "", "", "C:\\x.dll"),
     ]
     forest = build_forest(build_trace(rows))
-    assert len(forest.warnings) == 1
-    gen1 = forest.index[ProcessKey(10, 1)]
-    assert gen1.exit_seq == 2
+    # the exit ends gen2, so no instance of 10 is live after it: gen1 was
+    # closed by the create
+    assert forest.warnings == ["seq 2: create for already-live pid 10, closing stale node",
+                               "seq 4: event for exited pid 10, attached to stale node"]
+    assert len(forest.index) == 3
+    assert (forest.index[ProcessKey(10, 1)].images, forest.index[ProcessKey(10, 2)].images) == (0, 1)
 
 
 def test_pathological_trace_consistency():

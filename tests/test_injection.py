@@ -74,9 +74,7 @@ def reference_injections(trace: Trace, window_ms: int) -> list:
             end(stale)
             created.append([key, normalize_path(r.image_path), True])
         elif isinstance(kind, ProcessExit):
-            key, ended = resolver.exit(r)
-            if ended:
-                end(key)
+            end(resolver.exit(r))
         elif isinstance(kind, ThreadCreate):
             owner = resolver.actor(r)
             images = {row[0]: row[1] for row in created}
@@ -254,7 +252,10 @@ def test_no_process_is_its_own_injector():
 
 def test_the_forest_keeps_no_injection_state():
     assert set(vars(_Builder())) == {"resolver", "roots", "index", "_live_threads"}
-    assert "live_threads" not in ProcessNode.__dataclass_fields__
+    # a node keeps what `tree` prints, and nothing else
+    assert set(ProcessNode.__dataclass_fields__) == {
+        "key", "parent", "image_path", "args", "threads", "images", "io_summary", "dropped_files",
+        "children"}
 
 
 # --- cost per record ------------------------------------------------------------------
