@@ -138,7 +138,7 @@ def _cmd_validate(args) -> int:
         reader = TraceReader(_source(path), frozenset())
         for _ in reader:
             pass
-        print(f"{label}: {reader.count} records OK")
+        print(f"{label}: {len(reader)} records OK")
     return EXIT_OK
 
 
@@ -269,8 +269,8 @@ def _dumps_indented(value) -> str:
 def _cmd_tree(args) -> int:
     from . import forest
 
-    # Hold no reference to the trace: its records are freed before rendering.
-    built = forest.build_forest(read_trace(_source(args.trace)))
+    reader = TraceReader(_source(args.trace))
+    built = forest.build_forest(Trace(reader.header, reader))
     for warning in built.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.root is not None:
@@ -301,22 +301,22 @@ def _cmd_inject_scan(args) -> int:
 
     # Build only the records the detector reads, and the first.
     reader = TraceReader(_source(args.trace), forest.INJECTION_KINDS)
-    trace = Trace(reader.header, tuple(reader))
     window = {} if args.window_ms is None else {"window_ms": args.window_ms}
-    _write_findings(forest.detect_remote_thread_injection(trace, **window), args.format)
+    findings = forest.detect_remote_thread_injection(Trace(reader.header, reader), **window)
+    _write_findings(findings, args.format)
     return EXIT_OK
 
 
 def _cmd_fingerprint(args) -> int:
     from . import fingerprint
 
-    trace = read_trace(_source(args.trace))
+    reader = TraceReader(_source(args.trace))
     source = args.signatures or os.environ.get("LASE_SIGNATURES") or "default"
     if source == "default":
         signatures = fingerprint.default_signatures()
     else:
         signatures = fingerprint.load_signatures(Path(source).read_text(encoding="utf-8"))
-    _write_findings(fingerprint.scan(trace, signatures), args.format)
+    _write_findings(fingerprint.scan(Trace(reader.header, reader), signatures), args.format)
     return EXIT_OK
 
 

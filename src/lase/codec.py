@@ -592,7 +592,9 @@ class TraceReader:
     kinds, a set of selector names from events.KIND_NAMES, limits the
     records built: a line of any other kind is checked as strictly and
     counted, but yields nothing. The first record line is always built, as
-    it dates the trace. count is the number of record lines read so far.
+    it dates the trace. len() is the number of record lines read so far.
+    Trace(reader.header, reader) streams the records into an analysis that
+    loops over trace.records once: each is freed unless the analysis keeps it.
     """
 
     def __init__(self, source, kinds: Iterable[str] | None = None):
@@ -616,8 +618,7 @@ class TraceReader:
             # reader dropped before its first record would leak the file.
             weakref.finalize(self._records, file.close)
 
-    @property
-    def count(self) -> int:
+    def __len__(self) -> int:
         return self._counted[0]
 
     def close(self) -> None:

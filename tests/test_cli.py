@@ -338,6 +338,60 @@ def test_checked_lines_on_stdin_fail_like_read_trace(fixture_trace, capsys, monk
         assert run_cli(capsys, *argv) == (2, "", expected_err), argv
 
 
+# `tree`, `fingerprint` and `inject-scan` analyse each record as the reader
+# yields it, and write nothing until the last line is read: a bad last line
+# still fails them as read_trace fails, with empty stdout.
+_STREAMED = (["tree"], ["tree", "--format", "json"], ["tree", "--root", "10092"],
+             ["fingerprint"], ["inject-scan"])
+
+
+@pytest.mark.parametrize("case", sorted(_LAST_LINE_ERRORS))
+@pytest.mark.parametrize("source", ["plain", "gzip", "stdin"])
+def test_streamed_commands_fail_like_read_trace(fixture_trace, tmp_path, capsys, monkeypatch,
+                                                case, source):
+    text = _with_last_line(fixture_trace, _LAST_LINE_ERRORS[case])
+    data = text if source == "plain" else gzip.compress(text, mtime=0)
+    bad = tmp_path / "bad.lase"
+    bad.write_bytes(data)
+    expected_err = f"error: {_read_trace_error(data)}\n"
+    for command, *rest in _STREAMED:
+        path = str(bad)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            path = "-"
+        assert run_cli(capsys, command, path, *rest) == (2, "", expected_err), (command, rest)
+
+
+# The reader reads the header before the command checks its other arguments,
+# and the record lines after: a bad header wins over a bad signature file or
+# a negative window, and those win over a bad record line.
+_BAD_SIGNATURES = "only\ttwo fields\n"
+_BAD_ARGUMENTS = {
+    "signatures": (["fingerprint", "--signatures", "{sigs}"],
+                   "expected 4 or 5 tab-separated fields, got 2 (line 1)"),
+    "window": (["inject-scan", "--window-ms", "-5"], "window_ms must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(_BAD_ARGUMENTS))
+@pytest.mark.parametrize("flaw", ["header", "last line"])
+def test_a_bad_header_then_a_bad_argument_then_a_bad_record_line(fixture_trace, tmp_path, capsys,
+                                                                  argument, flaw):
+    data = _with_last_line(fixture_trace, _LAST_LINE_ERRORS["syntax"])
+    if flaw == "header":
+        data = data.replace(b"#date\t2018/10/01", b"#date\t2018/13/01", 1)
+    bad = tmp_path / "bad.lase"
+    bad.write_bytes(data)
+    sigs = tmp_path / "bad.sigs"
+    sigs.write_text(_BAD_SIGNATURES, encoding="utf-8")
+    error = _read_trace_error(data)
+    assert error.line_no == (2 if flaw == "header" else data.count(b"\n"))
+    command, *rest = _BAD_ARGUMENTS[argument][0]
+    message = error if flaw == "header" else _BAD_ARGUMENTS[argument][1]
+    assert run_cli(capsys, command, str(bad), *(a.format(sigs=sigs) for a in rest)) == (
+        2, "", f"error: {message}\n")
+
+
 def test_intrude_dwell_runs_from_a_first_record_that_is_no_create(tmp_path, capsys):
     trace = build_trace([
         (IMAGE_LOAD, 4, 0, 0, "C:\\svc.exe", "", "C:\\Windows\\ntdll.dll"),

@@ -5,13 +5,14 @@ the process imports only the analysis modules the command calls."""
 from __future__ import annotations
 
 import gc
+import itertools
 
 import pytest
 
 from helpers import run_lase
 
 from lase import cli, forest
-from lase.codec import write_trace
+from lase.codec import TraceReader, write_trace
 from lase.events import EventRecord
 from lase.pipeline import BackpressurePolicy, WorkloadSpec, run_synthetic
 
@@ -129,14 +130,21 @@ def test_commands_leave_no_cyclic_garbage_per_record(command, traces, tmp_path, 
     assert found[LARGE] < 1_000, found
 
 
-def test_tree_renders_after_the_records_are_freed(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "t.lase"
-    write_trace(run_synthetic(WorkloadSpec(events_per_producer=5_000, seed=1)), path)
-    render_dot = forest.render_dot
+def live_records() -> int:
+    gc.collect()
+    return sum(isinstance(o, EventRecord) for o in gc.get_objects())
 
-    def live_records() -> int:
-        gc.collect()
-        return sum(isinstance(o, EventRecord) for o in gc.get_objects())
+
+@pytest.fixture(scope="module")
+def streamed_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("streamed") / "t.lase"
+    write_trace(run_synthetic(WorkloadSpec(events_per_producer=5_000, seed=1,
+                                           injection_templates=4)), path)
+    return path
+
+
+def test_tree_renders_after_the_records_are_freed(streamed_trace, capsys, monkeypatch):
+    render_dot = forest.render_dot
 
     def spy(*args, **kwargs):
         alive.append(live_records() - before)
@@ -144,8 +152,33 @@ def test_tree_renders_after_the_records_are_freed(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(forest, "render_dot", spy)
     alive, before = [], live_records()
-    assert run_main(capsys, "tree", path) == 0
+    assert run_main(capsys, "tree", streamed_trace) == 0
     assert len(alive) == 1 and alive[0] < 100, alive  # none of the 5,000 read
+
+
+@pytest.mark.parametrize("argv", [["tree"], ["tree", "--format", "json"], ["fingerprint"],
+                                  ["inject-scan"]], ids=" ".join)
+def test_streamed_commands_hold_few_records_at_once(argv, streamed_trace, capsys, monkeypatch):
+    records = TraceReader.__iter__
+
+    def sampled(reader):
+        # Counts the live records before every 250th record is read and
+        # after the last; holds none of them while it counts.
+        it = records(reader)
+        for i in itertools.count():
+            if i % 250 == 0:
+                alive.append(live_records() - before)
+            record = next(it, None)
+            if record is None:
+                alive.append(live_records() - before)
+                return
+            yield record
+            del record
+
+    monkeypatch.setattr(TraceReader, "__iter__", sampled)
+    alive, before = [], live_records()
+    assert run_main(capsys, argv[0], streamed_trace, *argv[1:]) == 0
+    assert len(alive) > 2 and max(alive) < 100, alive
 
 
 # --- the modules a command imports ---------------------------------------------

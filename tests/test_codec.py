@@ -863,10 +863,24 @@ def test_reader_with_kinds_builds_only_those_and_the_first(fixture_path, fixture
     first, *rest = fixture_trace.records
     for kinds in (frozenset(), {"ProcessCreate"}, {"Irp", "ThreadExit"}, KIND_NAMES):
         reader = TraceReader(fixture_path, kinds=kinds)
-        assert reader.count == 0
+        assert len(reader) == 0
         built = list(reader)
         assert built == [first] + [r for r in rest if kind_name(r.kind) in kinds]
-        assert reader.count == len(fixture_trace) == 38
+        assert len(reader) == len(fixture_trace) == 38
+
+
+@pytest.mark.parametrize("kinds", [None, frozenset(), {"ProcessCreate"}])
+@pytest.mark.parametrize("compress", [False, True])
+def test_reader_len_is_the_record_lines_read(fixture_trace, kinds, compress):
+    buf = io.BytesIO()
+    write_trace(fixture_trace, buf, compress=compress)
+    reader = TraceReader(buf.getvalue(), kinds=kinds)
+    assert len(reader) == 0  # the header is read, no record line yet
+    next(iter(reader))
+    assert len(reader) == 1
+    for _ in reader:
+        pass
+    assert len(reader) == len(fixture_trace) == 38
 
 
 def test_reader_refuses_unknown_kinds(fixture_path):
@@ -891,7 +905,7 @@ def test_records_are_built_through_the_module_decode_line(monkeypatch, fixture_p
     built.clear()
     reader = TraceReader(fixture_path, kinds={"ProcessCreate"})
     assert list(reader) == built
-    assert 1 < len(built) < reader.count == 38
+    assert 1 < len(built) < len(reader) == 38
 
 
 def test_a_line_validate_record_checks_is_built_once(monkeypatch):
@@ -1172,7 +1186,7 @@ _FIRST_LINE = b"Pr Exit\t00:00:00:000\t\t0\t0\t1\t0\tC:\\x.exe\t\t\t\n"
 def _checked_count(data: bytes) -> int:
     reader = TraceReader(data, kinds=frozenset())
     assert len(list(reader)) == 1
-    return reader.count
+    return len(reader)
 
 
 def _outcome(read):
