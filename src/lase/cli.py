@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
 import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 # Each command imports the modules it calls beyond the codec, so a process
 # loads only what its command runs.
@@ -240,19 +242,19 @@ def _subtree_to_json(built: forest.ProcessForest, root: forest.ProcessKey) -> di
     return docs[root]
 
 
-def _dumps_indented(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for str-keyed dicts, lists
-    and scalars, with a stack instead of one recursion per level of nesting."""
-    out: list[str] = []
+def _indented(value) -> Iterator[str]:
+    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces, for
+    str-keyed dicts, lists and scalars, with a stack instead of one recursion
+    per level of nesting."""
     todo: list = [(value, 0)]  # (value, depth) to write, or literal text
     while todo:
         item = todo.pop()
         if isinstance(item, str):
-            out.append(item)
+            yield item
             continue
         value, depth = item
         if not (value and isinstance(value, (dict, list))):
-            out.append(json.dumps(value))
+            yield json.dumps(value)
             continue
         pad = "\n" + "  " * depth
         if isinstance(value, dict):
@@ -263,7 +265,19 @@ def _dumps_indented(value) -> str:
         for i, (key, v) in enumerate(items):
             parts += [("," if i else "") + pad + "  " + key, (v, depth + 1)]
         todo += reversed(parts + [close])
-    return "".join(out)
+
+
+# json.dumps(value, indent=2, sort_keys=True), as pieces from iterencode.
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+_JSON_BATCH = 1024  # pieces joined per write
+
+
+def _print_json(pieces: Iterator[str]) -> None:
+    """Write the pieces of a JSON text to stdout as they are encoded, joined
+    in batches, then a newline."""
+    while batch := "".join(itertools.islice(pieces, _JSON_BATCH)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _cmd_tree(args) -> int:
@@ -278,12 +292,12 @@ def _cmd_tree(args) -> int:
         if args.format == "dot":
             sys.stdout.write(forest.render_dot(built, root, name=f"subtree_{root.pid}"))
         else:
-            print(_dumps_indented(_subtree_to_json(built, root)))
+            _print_json(_indented(_subtree_to_json(built, root)))
     else:
         if args.format == "dot":
             sys.stdout.write(forest.render_dot(built))
         else:
-            print(json.dumps(_forest_to_json(built), indent=2, sort_keys=True))
+            _print_json(_JSON.iterencode(_forest_to_json(built)))
     return EXIT_OK
 
 
@@ -293,7 +307,7 @@ def _write_findings(findings, fmt: str) -> None:
     if fmt == "jsonl":
         sys.stdout.write(forest.findings_to_jsonl(findings))
     else:
-        print(json.dumps([f.to_dict() for f in findings], indent=2, sort_keys=True))
+        _print_json(_JSON.iterencode([f.to_dict() for f in findings]))
 
 
 def _cmd_inject_scan(args) -> int:
@@ -370,7 +384,7 @@ def _cmd_intrude(args) -> int:
             "median_latency_seconds": stats.median_latency.total_seconds() if stats.median_latency else None,
             "clean_traces": stats.n_clean,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(_JSON.iterencode(doc))
     return EXIT_OK
 
 

@@ -1,23 +1,24 @@
 """Reader/writer for the text trace format and its gzip container.
 
-A trace file is a "#LASEv1" magic line, "#key<TAB>value" header lines, then
-one tab-separated record per line in the fixed column order: operation
-label, time, duration (empty unless an I/O event), global sequence, ppid,
-pid, tid, image path, args, file path, result (empty means OK). Text
-fields (the paths, args and result) escape raw tabs and newlines, and
-double a backslash only before 't', 'n', a backslash, a tab or a
-newline, so plain Windows paths are stored verbatim. Numbers follow one
-strict grammar (ASCII digits, fixed time widths, no sign or leading
-zero), so every accepted line re-encodes to the same bytes; for the same
-reason an I/O label must be its exact display form, a result is never
-the literal "OK", a text field holds only escapes the rule above writes,
-and the text must be UTF-8. Files ending in .lase.gz
-(or any stream starting with the gzip magic) are transparently
+A trace file is a "#LASEv1" magic line, "#key<TAB>value" header lines,
+then one tab-separated record per line (a blank line is a malformed
+record) in the fixed column order: operation label, time, duration (empty
+unless an I/O event), global sequence, ppid, pid, tid, image path, args,
+file path, result (empty means OK). Text fields (the paths, args and
+result) escape raw tabs and newlines, and double a backslash only before
+'t', 'n', a backslash, a tab or a newline, so plain Windows paths are
+stored verbatim. Numbers follow one strict grammar (ASCII digits, fixed
+time widths, no sign or leading zero), so every accepted line re-encodes
+to the same bytes; for the same reason an I/O label must be its exact
+display form, a result is never the literal "OK", a text field holds only
+escapes the rule above writes, and the text must be UTF-8. Files ending in
+.lase.gz (or any stream starting with the gzip magic) are transparently
 decompressed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gzip
 import io
@@ -165,22 +166,24 @@ _UINT64_DIGITS = 19  # every integer this wide or narrower is at most _UINT64_MA
 _iso_date = functools.lru_cache(maxsize=16)(date.isoformat)
 
 # Per reader: the records one reader builds share one int per distinct pid,
-# ppid, tid and duration text (a process's pid repeats on each of its
-# records, and I/O durations repeat across a trace). The table is a local
-# of the reader's record loop, so it is freed with the reader, and it stops
-# growing at _ID_MEMO texts.
+# ppid, tid and duration value (a process's pid repeats on each of its
+# records, and I/O durations repeat across a trace). The table maps each
+# value to the first int of it the reader built and holds no text: a
+# canonical id text and its value map one to one. It is a local of the
+# reader's record loop, so it is freed with the reader, and it stops
+# growing at _ID_MEMO values.
 _ID_MEMO = 16384
 
 
 class _Ids(dict):
-    """Id text -> int; a text missing from a full table is converted anew."""
+    """Id value -> the shared int of that value; a value missing from a full
+    table is returned as it is."""
 
     __slots__ = ()
 
-    def __missing__(self, text: str) -> int:
-        value = int(text)
+    def __missing__(self, value: int) -> int:
         if len(self) < _ID_MEMO:
-            self[text] = value
+            self[value] = value
         return value
 
 
@@ -270,10 +273,10 @@ def _reject(line: str, header: TraceHeader) -> NoReturn:
 
 
 def _check(line: str, header: TraceHeader,
-           read_id: Callable[[str], int] = int) -> tuple[tuple, EventRecord | None]:
+           read_id: Callable[[int], int] = int) -> tuple[tuple, EventRecord | None]:
     """Run every test that can refuse a record line; return the fields
     _build makes the record from, and the record if validating built it
-    (reading its ids through read_id).
+    (sharing its ids through read_id).
 
     Raises TraceSyntaxError for malformed fields, TraceValidationError when
     the record the line describes breaks a structural invariant, and
@@ -341,20 +344,22 @@ def _check(line: str, header: TraceHeader,
 _CHECKED_SEQ = 6  # where _check's tuple holds the sequence number
 
 
-def _build(checked: tuple, header: TraceHeader, read_id: Callable[[str], int] = int) -> EventRecord:
-    """The record of a line _check accepted; read_id turns the pid, ppid,
-    tid and duration texts into ints."""
+def _build(checked: tuple, header: TraceHeader, read_id: Callable[[int], int] = int) -> EventRecord:
+    """The record of a line _check accepted; read_id maps the value of each
+    pid, ppid, tid and duration to the int the record holds."""
     (year, month, day, clock, millis, duration, seq, ppid, pid, tid, kind, image, args, file_path,
      result) = checked
     return EventRecord(int(seq), _datetime(year, month, day, clock, millis, header.base_date), kind,
-                       read_id(pid), read_id(ppid), read_id(tid),
-                       None if duration is None else read_id(duration), image, args, file_path, result)
+                       read_id(int(pid)), read_id(int(ppid)), read_id(int(tid)),
+                       None if duration is None else read_id(int(duration)),
+                       image, args, file_path, result)
 
 
-def decode_line(line: str, header: TraceHeader, read_id: Callable[[str], int] = int) -> EventRecord:
+def decode_line(line: str, header: TraceHeader, read_id: Callable[[int], int] = int) -> EventRecord:
     """Decode one record line into a validated EventRecord; raises what
-    _check raises. read_id turns the pid, ppid, tid and duration texts into
-    ints (a reader passes its shared table's lookup)."""
+    _check raises. read_id maps the value of each pid, ppid, tid and
+    duration to the int the record holds (a reader passes its shared
+    table's lookup; the default keeps each value's own int)."""
     checked, record = _check(line, header, read_id)
     return _build(checked, header, read_id) if record is None else record
 
@@ -555,8 +560,6 @@ def _records(lines: Iterator[tuple[int, str]], header: TraceHeader, file: IO[byt
     read_id = _Ids().__getitem__
     try:
         for line_no, line in lines:
-            if not line:
-                continue
             try:
                 # last_seq < 0 until the first record line, which is built.
                 if (kinds is None or last_seq < 0
@@ -582,7 +585,8 @@ def _records(lines: Iterator[tuple[int, str]], header: TraceHeader, file: IO[byt
 class TraceReader:
     """Streaming reader: exposes the header up front, then iterates records.
 
-    Memory use is bounded by line length, not trace size. Sequence
+    Memory use is bounded by line length and by the id table, which holds
+    at most _ID_MEMO ints and no text, not by trace size. Sequence
     monotonicity and per-record validation are enforced on the fly. The
     reader is a single pass over the trace: every iter() returns the same
     iterator, so a later loop resumes where an earlier one stopped. A file
@@ -664,16 +668,16 @@ def write_trace(trace: Trace, sink, compress: bool = False) -> int:
         with open(sink, "wb") as fh:
             return write_trace(trace, fh, compress=compress)
     counter = _CountingWriter(sink)
-    out = (gzip.GzipFile(fileobj=counter, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0)
-           if compress else counter)
-    header, records = trace.header, trace.records
-    stamp = _timestamp_formatter(header.base_date)
-    out.write(_encode_header(header).encode("utf-8"))
-    for start in range(0, len(records), _WRITE_BATCH):
-        lines = [_encode(r, stamp(r.time)) for r in records[start:start + _WRITE_BATCH]]
-        out.write(("\n".join(lines) + "\n").encode("utf-8"))
-    if compress:
-        out.close()
+    # The gzip stream is closed even when the sink fails, so that no
+    # finalizer writes to the sink later.
+    with (gzip.GzipFile(fileobj=counter, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0)
+          if compress else contextlib.nullcontext(counter)) as out:
+        header, records = trace.header, trace.records
+        stamp = _timestamp_formatter(header.base_date)
+        out.write(_encode_header(header).encode("utf-8"))
+        for start in range(0, len(records), _WRITE_BATCH):
+            lines = [_encode(r, stamp(r.time)) for r in records[start:start + _WRITE_BATCH]]
+            out.write(("\n".join(lines) + "\n").encode("utf-8"))
     return counter.count
 
 

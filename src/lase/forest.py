@@ -19,12 +19,13 @@ keeps no injection state.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from heapq import heappop, heappush
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .codec import Trace
 from .errors import UnknownKey
@@ -378,27 +379,37 @@ def _node_id(key: ProcessKey) -> str:
 
 def _dot_node(node: ProcessNode) -> str:
     label = _dot_escape(f"{path_basename(node.image_path)} ({node.key.pid})")
-    return f'  {_node_id(node.key)} [label="{label}"];'
+    return f'  {_node_id(node.key)} [label="{label}"];\n'
 
 
-def render_dot(forest: ProcessForest, root: ProcessKey | None = None, name: str = "trace") -> str:
-    """Render the forest, or the subtree under root, as a deterministic DOT
-    digraph."""
-    lines = [f'digraph "{_dot_escape(name)}" {{', "  rankdir=LR;"]
+def _dot_lines(forest: ProcessForest, root: ProcessKey | None, name: str) -> Iterator[str]:
+    """The lines of render_dot's text, each with its newline."""
+    yield f'digraph "{_dot_escape(name)}" {{\n  rankdir=LR;\n'
     if root is None:
         keys = sorted(forest.index, key=lambda k: (k.birth_seq, k.pid))
-        lines += (_dot_node(forest.index[key]) for key in keys)
+        for key in keys:
+            yield _dot_node(forest.index[key])
         for key in keys:
             for child in forest.index[key].children:
-                lines.append(f"  {_node_id(key)} -> {_node_id(child)};")
+                yield f"  {_node_id(key)} -> {_node_id(child)};\n"
     else:
         # Each node after the edge from its parent: the order of a recursive visit.
         for parent, node in subtree(forest, root):
             if parent is not None:
-                lines.append(f"  {_node_id(parent.key)} -> {_node_id(node.key)};")
-            lines.append(_dot_node(node))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                yield f"  {_node_id(parent.key)} -> {_node_id(node.key)};\n"
+            yield _dot_node(node)
+    yield "}\n"
+
+
+_DOT_BATCH = 1024  # lines joined at a time
+
+
+def render_dot(forest: ProcessForest, root: ProcessKey | None = None, name: str = "trace") -> str:
+    """Render the forest, or the subtree under root, as a deterministic DOT
+    digraph. The lines are joined in batches, so no list of every line is
+    held beside the text."""
+    lines = _dot_lines(forest, root, name)
+    return "".join(iter(lambda: "".join(itertools.islice(lines, _DOT_BATCH)), ""))
 
 
 def findings_to_jsonl(findings) -> str:

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import build_trace, run_lase
 
-from lase import forest
+from lase import cli, forest
 from lase.cli import main
 from lase.codec import _COLUMNS, read_trace, trace_from_records, write_trace
 from lase.errors import LaseError
@@ -49,6 +49,14 @@ def test_validate_names_the_bad_column_once(capsys, tmp_path):
                    "IRP_Read\tx9:00:00:000\t5\t1\t0\t44\t0\tC:\\x.exe\t\tC:\\f\t\n")
     assert run_cli(capsys, "validate", str(bad)) == (
         2, "", "error: bad timestamp 'x9:00:00:000' (column time) at line 3\n")
+
+
+def test_validate_refuses_a_blank_line(fixture_path, capsys, tmp_path):
+    bad = tmp_path / "blank.lase"
+    bad.write_bytes(fixture_path.read_bytes() + b"\n")
+    lines = bad.read_bytes().count(b"\n")
+    assert run_cli(capsys, "validate", str(bad)) == (
+        2, "", f"error: expected 11 tab-separated fields, got 1 (column line) at line {lines}\n")
 
 
 def test_validate_corrupt_gzip_is_input_error(capsys, tmp_path):
@@ -527,6 +535,55 @@ def nested_subtree_doc(built, key) -> dict:
         "dropped_files": node.dropped_files,
         "children": [nested_subtree_doc(built, c) for c in node.children],
     }
+
+
+def reference_dot(built, root=None, name="trace") -> str:
+    """DOT text as a list of every line, joined once, with its newline
+    added after: the formula the batched render_dot must match."""
+    lines = [f'digraph "{forest._dot_escape(name)}" {{', "  rankdir=LR;"]
+    if root is None:
+        keys = sorted(built.index, key=lambda k: (k.birth_seq, k.pid))
+        lines += (forest._dot_node(built.index[key]).rstrip("\n") for key in keys)
+        lines += [f"  {forest._node_id(key)} -> {forest._node_id(child)};"
+                  for key in keys for child in built.index[key].children]
+    else:
+        for parent, node in forest.subtree(built, root):
+            if parent is not None:
+                lines.append(f"  {forest._node_id(parent.key)} -> {forest._node_id(node.key)};")
+            lines.append(forest._dot_node(node).rstrip("\n"))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["fixture", "generated", "pid reuse"])
+def test_tree_output_matches_the_one_shot_formulas(source, fixture_trace, tmp_path, capsys):
+    # DOT is joined in batches and JSON written as it is encoded; the bytes
+    # are those of one join and of json.dumps, whole and under --root.
+    from lase.pipeline import WorkloadSpec, run_synthetic
+    from test_injection import random_rows, trace_of
+
+    if source == "fixture":
+        trace = fixture_trace
+    elif source == "generated":  # more lines than one batch
+        trace = run_synthetic(WorkloadSpec(seed=2, events_per_producer=12_000, injection_templates=4))
+    else:
+        trace = trace_of(random_rows(random.Random(3)), False)
+    path = tmp_path / "t.lase"
+    write_trace(trace, path)
+    built = forest.build_forest(trace)
+    assert len(built.index) > 3 and (source != "generated" or len(built.index) * 2 > forest._DOT_BATCH)
+    _, _, err = run_cli(capsys, "tree", str(path))
+    assert err == "".join(f"warning: {w}\n" for w in built.warnings)
+    assert (source == "pid reuse") == bool(built.warnings)
+    assert run_cli(capsys, "tree", str(path)) == (0, reference_dot(built), err)
+    whole = json.dumps(cli._forest_to_json(built), indent=2, sort_keys=True) + "\n"
+    assert run_cli(capsys, "tree", str(path), "--format", "json") == (0, whole, err)
+    for key in [*built.roots, max(built.index, key=lambda k: len(built.index[k].children))]:
+        spec = f"{key.pid}:{key.birth_seq}"
+        dot = reference_dot(built, key, name=f"subtree_{key.pid}")
+        assert run_cli(capsys, "tree", str(path), "--root", spec) == (0, dot, err)
+        doc = json.dumps(cli._subtree_to_json(built, key), indent=2, sort_keys=True) + "\n"
+        assert run_cli(capsys, "tree", str(path), "--root", spec, "--format", "json") == (0, doc, err)
 
 
 @pytest.mark.parametrize("depth", [None, 300])

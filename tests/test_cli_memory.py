@@ -6,7 +6,8 @@ loads the modules and compiles the rules the command uses. The margin, 30%
 of the one-input peak, leaves room for what the command prints (findings,
 dwell sessions, the diff's running totals) and is below the size of one
 more decoded trace, so keeping any earlier trace alive fails the test.
-`inject-scan`'s peak per trace record is bounded the same way.
+`inject-scan`'s and `tree`'s peaks per trace record, and `render_dot`'s
+per node, are bounded on one generated trace.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from lase import cli
-from lase.codec import write_trace
+from lase import cli, forest
+from lase.codec import read_trace, write_trace
 from lase.pipeline import WorkloadSpec, run_synthetic
 
 COPIES = 16
@@ -50,15 +51,23 @@ def _argv(command: str, root: Path) -> list[str]:
     return {"intrude": ["intrude", *paths, "--dwell"], "validate": ["validate", *paths]}[command]
 
 
-def _run(argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing it is given, so the output a command
+    writes in pieces is not counted in its peak."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _run(argv: list[str], out: type[io.TextIOBase] = io.StringIO) -> None:
+    with contextlib.redirect_stdout(out()):
         assert cli.main(argv) == 0
 
 
-def _peak(argv: list[str]) -> int:
+def _peak(argv: list[str], out: type[io.TextIOBase] = io.StringIO) -> int:
     tracemalloc.start()
     try:
-        _run(argv)
+        _run(argv, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -75,15 +84,56 @@ def test_many_traces_peak_near_one(command, corpora):
 INJECT_SCAN_BYTES_PER_RECORD = 60
 
 
-def test_inject_scan_builds_only_the_records_it_reads(tmp_path):
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory) -> tuple[Path, int]:
+    """A 20k-record generated trace with 8 injections (1,220 processes),
+    and its record count."""
+    path = tmp_path_factory.mktemp("generated") / "trace.lase"
+    trace = run_synthetic(WorkloadSpec(events_per_producer=20_000, seed=1, injection_templates=8))
+    write_trace(trace, path)
+    return path, len(trace)
+
+
+def test_inject_scan_builds_only_the_records_it_reads(generated):
     # inject-scan builds the creates, exits, thread creates and image loads
     # (about a quarter of a generated trace) and feeds each to the detector
     # as it is read: its heap peak is about 50 B per trace record. Holding
     # the records it built until the scan, it was about 72 B; building
     # every record, about 292 B.
-    path = tmp_path / "trace.lase"
-    trace = run_synthetic(WorkloadSpec(events_per_producer=20_000, seed=1, injection_templates=8))
-    write_trace(trace, path)
+    path, records = generated
     argv = ["inject-scan", str(path)]
     _run(argv)
-    assert _peak(argv) / len(trace) < INJECT_SCAN_BYTES_PER_RECORD
+    assert _peak(argv) / records < INJECT_SCAN_BYTES_PER_RECORD
+
+
+RENDER_DOT_BYTES_PER_NODE = 200
+
+
+def test_render_dot_holds_no_list_of_its_lines(generated):
+    # Batches joined from a generator: about 145 B per node, the text and
+    # its batches. A list of every line, joined and then copied with its
+    # last newline, was about 335 B.
+    built = forest.build_forest(read_trace(generated[0]))
+    assert len(built.index) == 1_220
+    forest.render_dot(built)
+    tracemalloc.start()
+    try:
+        forest.render_dot(built)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(built.index) < RENDER_DOT_BYTES_PER_NODE
+
+
+TREE_JSON_BYTES_PER_RECORD = 250
+
+
+@pytest.mark.parametrize("flags", [[], ["--root", "4"]])
+def test_tree_json_is_written_as_it_is_encoded(flags, generated):
+    # About 145 B per trace record, whole or under the root process: the
+    # forest and its JSON document. Encoding the whole text before printing
+    # it peaked at about 430 B, and 645 B under --root.
+    path, records = generated
+    argv = ["tree", str(path), *flags, "--format", "json"]
+    _run(argv, _Discard)
+    assert _peak(argv, _Discard) / records < TREE_JSON_BYTES_PER_RECORD

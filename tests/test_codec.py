@@ -1236,3 +1236,68 @@ def test_mutated_lines_round_trip_or_name_their_column(case):
         again = io.BytesIO()
         write_trace(trace, again)
         assert again.getvalue() == text
+
+
+def _small_trace_text() -> str:
+    return _encoded(run_synthetic(WorkloadSpec(events_per_producer=20, seed=5))).decode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["after the header", "between records", "at the end"])
+def test_a_blank_record_line_is_refused(where):
+    # Skipped, the blank line would pass and re-encode without it: no
+    # byte-exact round trip.
+    lines = _small_trace_text().split("\n")[:-1]
+    first_record = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    at = {"after the header": first_record, "between records": first_record + 5,
+          "at the end": len(lines)}[where]
+    data = "\n".join(lines[:at] + [""] + lines[at:]) + "\n"
+    for read in (read_trace, lambda d: list(TraceReader(d, frozenset()))):
+        with pytest.raises(TraceSyntaxError) as exc:
+            read(data.encode("utf-8"))
+        assert (exc.value.column, exc.value.line_no) == ("line", at + 1)
+
+
+class _BreaksAfter:
+    """A sink that takes limit bytes, then raises BrokenPipeError."""
+
+    def __init__(self, limit: int):
+        self.left = limit
+
+    def write(self, data: bytes) -> int:
+        if len(data) > self.left:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.left -= len(data)
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_a_failing_sink_leaves_no_gzip_stream_to_finalize():
+    # An open GzipFile left behind would write its trailer from its
+    # finalizer, raising an unraisable BrokenPipeError (an error under this
+    # suite's warning filters).
+    trace = run_synthetic(WorkloadSpec(events_per_producer=5_000, seed=1))
+    try:
+        write_trace(trace, _BreaksAfter(1024), compress=True)
+    except BrokenPipeError:
+        pass  # its traceback, and the frames it holds, are freed here
+    else:
+        pytest.fail("the sink did not fail")
+    gc.collect()
+
+
+def test_the_id_table_keys_ints_by_their_own_value(monkeypatch):
+    tables = []
+
+    class Kept(codec._Ids):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(codec, "_Ids", Kept)
+    trace = run_synthetic(WorkloadSpec(events_per_producer=2000, seed=3, injection_templates=2))
+    assert read_trace(_encoded(trace)) == trace
+    (table,) = tables
+    assert len(table) > 100
+    assert all(type(key) is int and table[key] is key for key in table)
