@@ -24,7 +24,6 @@ import gzip
 import io
 import itertools
 import re
-import weakref
 import zlib
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -124,22 +123,39 @@ def escape_field(text: str) -> str:
 
 
 # Bounded memo: decoded records share one string per distinct text (a
-# process's image path repeats on each of its records), while a file of
-# endless distinct paths cannot grow it.
+# process's image path repeats on each of its records). It keeps at most
+# _FIELD_MEMO texts of at most MEMO_TEXT_CHARS characters (fingerprint's
+# memos too), so no file of distinct or long fields can grow it.
 _FIELD_MEMO = 4096
+MEMO_TEXT_CHARS = 1024
 
 
-@functools.lru_cache(maxsize=_FIELD_MEMO)
-def unescape_field(text: str) -> str:
-    """Inverse of escape_field. Raises ValueError for text escape_field never
-    writes (a doubled backslash not followed by 't', 'n' or a backslash),
-    which would re-encode to other bytes."""
-    if "\\t" in text or "\\n" in text or "\\\\" in text:
-        plain = _UNESCAPE_RE.sub(_unescape_match, text)
-        if escape_field(plain) != text:
-            raise ValueError(f"non-canonical escape in {text!r}")
+class _Unescaped(dict):
+    """Escaped text -> its plain text, the inverse of escape_field. A miss
+    raises ValueError for text escape_field never writes (a doubled
+    backslash not followed by 't', 'n' or a backslash), which would
+    re-encode to other bytes. The memo outlives every reader, so a full one
+    is emptied rather than kept with the texts of an old trace. Readers in
+    several threads need no lock: a text has one plain text, so a race only
+    computes it twice or lets the memo pass its bound by one per thread."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        plain = text
+        if "\\t" in text or "\\n" in text or "\\\\" in text:
+            plain = _UNESCAPE_RE.sub(_unescape_match, text)
+            if escape_field(plain) != text:
+                raise ValueError(f"non-canonical escape in {text!r}")
+        if len(text) <= MEMO_TEXT_CHARS:
+            if len(self) >= _FIELD_MEMO:
+                self.clear()
+            self[text] = plain
         return plain
-    return text
+
+
+_UNESCAPED = _Unescaped()
+unescape_field = _UNESCAPED.__getitem__
 
 
 # The strict time and integer grammar, written once and shared by
@@ -482,13 +498,12 @@ def _open_for_read(source) -> IO[bytes]:
 _BLOCK = 65536  # bytes read (and decoded) at a time
 
 
-def _decoded(data: bytes, end: int, line_no: int) -> Iterator[list[str]]:
-    """The lines of data[:end], decoded as UTF-8; line_no is the number of
-    the line before data.
+def _decoded(data: bytes, end: int) -> Iterator[list[str]]:
+    """The lines of data[:end], decoded as UTF-8.
 
     At the first line that is not valid UTF-8, yields the lines before it
-    and then raises TraceSyntaxError(column="encoding") for that line, so an
-    earlier bad line is still reported first.
+    and then raises TraceSyntaxError(column="encoding"), so an earlier bad
+    line is still reported first.
     """
     try:
         lines = data[:end].decode("utf-8").split("\n")
@@ -496,20 +511,17 @@ def _decoded(data: bytes, end: int, line_no: int) -> Iterator[list[str]]:
         start = data.rfind(b"\n", 0, exc.start) + 1
         if start:
             yield data[:start - 1].decode("utf-8").split("\n")
-        raise TraceSyntaxError(f"invalid UTF-8 ({exc.reason})", column="encoding",
-                               line_no=line_no + data.count(b"\n", 0, start) + 1) from None
+        raise TraceSyntaxError(f"invalid UTF-8 ({exc.reason})", column="encoding") from None
     yield lines
 
 
 def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
-    """The complete lines of each block read from stream, decoded at once; a
-    corrupt compressed stream names the line being read, the one after the
-    last line yielded.
+    """The complete lines of each block read from stream, decoded at once.
 
     Only each new chunk is searched for a newline; chunks without one are
     kept apart and joined once a newline comes, so a long line costs time
     linear in its length."""
-    pending, line_no = b"", 0
+    pending = b""
     unfinished: list[bytes] = []  # chunks with no newline, read after pending
     try:
         while chunk := stream.read(_BLOCK):
@@ -523,60 +535,62 @@ def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
             data = pending + chunk
             end += len(pending)
             pending = data[end + 1:]
-            yield from _decoded(data, end, line_no)
-            line_no += data.count(b"\n", 0, end) + 1
+            yield from _decoded(data, end)
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise TraceSyntaxError(f"corrupt compressed stream: {exc}",
-                               column="gzip", line_no=line_no + 1) from None
+        raise TraceSyntaxError(f"corrupt compressed stream: {exc}", column="gzip") from None
     pending += b"".join(unfinished)
     if pending:
-        yield from _decoded(pending, len(pending), line_no)
+        yield from _decoded(pending, len(pending))
 
 
-def _read_header(lines: Iterator[tuple[int, str]]) -> tuple[TraceHeader, Iterator[tuple[int, str]]]:
-    """The header, and the numbered lines from the first record line on."""
-    line_no, line = next(lines, (None, None))
-    if line != MAGIC:
-        raise BadMagic("empty stream" if line is None else
-                       f"expected {MAGIC!r} magic line, got {line[:32]!r}", line_no=line_no)
-    kv: dict = {}
-    for line_no, line in lines:
-        if not line.startswith("#"):
-            return TraceHeader(**kv), itertools.chain([(line_no, line)], lines)
-        try:
-            _parse_header_line(line, kv)
-        except TraceError as exc:
-            exc.line_no = line_no
-            raise
-    return TraceHeader(**kv), lines
-
-
-def _records(lines: Iterator[tuple[int, str]], header: TraceHeader, file: IO[bytes] | None,
-             kinds: frozenset[str] | None, counted: list[int]) -> Iterator[EventRecord]:
-    """Decode the record lines, or with kinds only those of the selected
-    kinds and the first, checking the rest; counts every record line in
-    counted[0] and closes file (if any) once iteration ends."""
-    last_seq = -1
-    read_id = _Ids().__getitem__
+def _read(source, kinds: frozenset[str] | None,
+          counted: list[int]) -> Iterator[TraceHeader | EventRecord]:
+    """The header, then the records (with kinds, those of the selected kinds
+    and the first, checking the rest); counts every record line in
+    counted[0]. Closes a file opened from a path however the read ends, and
+    gives every TraceError the number of the line being read."""
+    file = open(source, "rb") if isinstance(source, (str, Path)) else None
+    line_no = 1  # counted up once a line is done, so a failed stream names the next
     try:
-        for line_no, line in lines:
-            try:
-                # last_seq < 0 until the first record line, which is built.
-                if (kinds is None or last_seq < 0
-                        or _SELECTOR_BY_LABEL.get(line.partition("\t")[0], _IRP_SELECTOR) in kinds):
-                    record = decode_line(line, header, read_id)
-                    seq = record.global_seq
-                else:
-                    record, seq = None, int(_check(line, header)[0][_CHECKED_SEQ])
-            except TraceError as exc:
-                exc.line_no = line_no
-                raise
+        lines = itertools.chain.from_iterable(_blocks(_open_for_read(source if file is None else file)))
+        line = next(lines, None)
+        if line != MAGIC:
+            if line is None:
+                line_no = None  # an empty stream has no line to name
+            raise BadMagic("empty stream" if line is None else
+                           f"expected {MAGIC!r} magic line, got {line[:32]!r}")
+        line_no += 1
+        kv: dict = {}
+        records = lines  # the lines from the first record line on
+        for line in lines:
+            if not line.startswith("#"):
+                records = itertools.chain([line], lines)
+                break
+            _parse_header_line(line, kv)
+            line_no += 1
+        header = TraceHeader(**kv)
+        yield header
+
+        last_seq = -1
+        read_id = _Ids().__getitem__
+        for line in records:
+            # last_seq < 0 until the first record line, which is built.
+            if (kinds is None or last_seq < 0
+                    or _SELECTOR_BY_LABEL.get(line.partition("\t")[0], _IRP_SELECTOR) in kinds):
+                record = decode_line(line, header, read_id)
+                seq = record.global_seq
+            else:
+                record, seq = None, int(_check(line, header)[0][_CHECKED_SEQ])
             if seq <= last_seq:
-                raise NonMonotonicSequence(seq, line_no=line_no)
+                raise NonMonotonicSequence(seq)
             last_seq = seq
             counted[0] += 1
+            line_no += 1
             if record is not None:
                 yield record
+    except TraceError as exc:
+        exc.line_no = line_no
+        raise
     finally:
         if file is not None:
             file.close()
@@ -585,13 +599,14 @@ def _records(lines: Iterator[tuple[int, str]], header: TraceHeader, file: IO[byt
 class TraceReader:
     """Streaming reader: exposes the header up front, then iterates records.
 
-    Memory use is bounded by line length and by the id table, which holds
-    at most _ID_MEMO ints and no text, not by trace size. Sequence
-    monotonicity and per-record validation are enforced on the fly. The
-    reader is a single pass over the trace: every iter() returns the same
-    iterator, so a later loop resumes where an earlier one stopped. A file
-    the reader opened from a path is closed once iteration ends, or by
-    close().
+    Memory use is bounded by line length, by the id table, which holds at
+    most _ID_MEMO ints and no text, and by the text memo, which holds at
+    most _FIELD_MEMO texts of at most MEMO_TEXT_CHARS characters each, not
+    by trace size. Sequence monotonicity and per-record validation are
+    enforced on the fly. The reader is a single pass over the trace: every
+    iter() returns the same iterator, so a later loop resumes where an
+    earlier one stopped. A file the reader opened from a path is closed
+    once iteration ends, by close(), or when the reader is dropped.
 
     kinds, a set of selector names from events.KIND_NAMES, limits the
     records built: a line of any other kind is checked as strictly and
@@ -606,21 +621,10 @@ class TraceReader:
             kinds = frozenset(kinds)
             if not kinds <= KIND_NAMES:
                 raise ValueError(f"unknown event kinds {sorted(kinds - KIND_NAMES)}")
-        file = open(source, "rb") if isinstance(source, (str, Path)) else None
-        try:
-            blocks = _blocks(_open_for_read(source if file is None else file))
-            self.header, lines = _read_header(enumerate(itertools.chain.from_iterable(blocks), 1))
-        except BaseException:
-            if file is not None:
-                file.close()
-            raise
-        self._file = file
         self._counted = [0]
-        self._records = _records(lines, self.header, file, kinds, self._counted)
-        if file is not None:
-            # A generator that never started runs no finally block, so a
-            # reader dropped before its first record would leak the file.
-            weakref.finalize(self._records, file.close)
+        self._records = _read(source, kinds, self._counted)
+        # Taking the header starts the generator: its finally runs however the reader ends.
+        self.header: TraceHeader = next(self._records)
 
     def __len__(self) -> int:
         return self._counted[0]
@@ -629,8 +633,6 @@ class TraceReader:
         """End iteration and close the file the reader opened; a caller's
         stream stays open."""
         self._records.close()
-        if self._file is not None:
-            self._file.close()
 
     def __iter__(self) -> Iterator[EventRecord]:
         return self._records

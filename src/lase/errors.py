@@ -50,8 +50,8 @@ class BadMagic(TraceError):
 class NonMonotonicSequence(TraceError):
     """Global sequence numbers are not strictly increasing."""
 
-    def __init__(self, at_seq: int, line_no: int | None = None):
-        super().__init__(f"global sequence not strictly increasing at {at_seq}", line_no=line_no)
+    def __init__(self, at_seq: int):
+        super().__init__(f"global sequence not strictly increasing at {at_seq}")
         self.at_seq = at_seq
 
 

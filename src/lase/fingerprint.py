@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .codec import Trace
+from .codec import MEMO_TEXT_CHARS, Trace
 from .errors import SignatureParseError
 from .events import KIND_NAMES, Annotation, EventRecord, kind_name
 from .forest import ProcessKey, Resolver
@@ -32,7 +32,8 @@ from .forest import ProcessKey, Resolver
 _FIELDS = ("image_path", "file_path", "args", "annotation")
 
 # Per scan and matcher: hit or miss per distinct field text (a path repeats
-# on many records), bounded like the codec's text memo.
+# on many records), bounded like the codec's text memo: at most _TEXT_MEMO
+# texts, each at most MEMO_TEXT_CHARS long.
 _TEXT_MEMO = 4096
 
 DEFAULT_SIGNATURE_TEXT = """\
@@ -189,7 +190,7 @@ def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[Fingerpri
             hit = memo.get(text)
             if hit is None:
                 hit = matcher.hits(text)
-                if len(memo) < _TEXT_MEMO:
+                if len(memo) < _TEXT_MEMO and len(text) <= MEMO_TEXT_CHARS:
                     memo[text] = hit
             if hit:
                 group = key if sig.scope == "process" else trace_key.setdefault(sig.name, key)

@@ -45,6 +45,7 @@ from .events import (
 
 PRE_EXISTING_IMAGE = "<pre-existing>"
 DEFAULT_INJECTION_WINDOW_MS = 2000
+_MAX_WINDOW_MS = timedelta.max // timedelta(milliseconds=1)  # the widest a timedelta holds
 
 # The kinds injection findings are made from; a reader may skip building
 # the others.
@@ -350,6 +351,8 @@ def detect_remote_thread_injection(trace: Trace,
     process. Reads only the INJECTION_KINDS records of the trace."""
     if window_ms < 0:
         raise ValueError("window_ms must be non-negative")
+    if window_ms > _MAX_WINDOW_MS:
+        raise ValueError(f"window_ms must be at most {_MAX_WINDOW_MS}")
     injections = _Injections(window_ms)
     for record in trace.records:
         injections.feed(record)

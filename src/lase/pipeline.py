@@ -566,7 +566,10 @@ def _paced(records: Iterable[EventRecord], speed: float) -> Iterator[EventRecord
         if speed != math.inf and prev_time is not None:
             gap = (record.time - prev_time).total_seconds()
             if gap > 0:
-                _time.sleep(gap / speed)
+                try:
+                    _time.sleep(gap / speed)
+                except OverflowError:
+                    raise ValueError(f"speed {speed} stretches a {gap} s gap past the longest sleep") from None
         prev_time = record.time
         yield record
 

@@ -263,6 +263,7 @@ CASES: dict[str, str] = {
     "replay-lossy": "replay syn.lase --ring 4 --chunk 2 --policy drop-oldest",
     "replay-stdin": "replay -",
     "replay-no-consumers": "replay fixture.lase --consumers 0",
+    "replay-fixture-speed-tiny": "replay fixture.lase --speed 1e-300",
     # tree
     "tree-fixture-dot": "tree fixture.lase",
     "tree-fixture-json": "tree fixture.lase --format json",
@@ -294,6 +295,7 @@ CASES: dict[str, str] = {
     "inject-syn-json": "inject-scan syn.lase.gz --format json",
     "inject-syn-window": "inject-scan syn.lase --window-ms 0",
     "inject-syn-window-negative": "inject-scan syn.lase --window-ms -5",
+    "inject-fixture-window-overflow": "inject-scan fixture.lase --window-ms 100000000000000000",
     "inject-shapes": "inject-scan shapes.lase --format json",
     "inject-reuse": "inject-scan reuse.lase --format json",
     "inject-bad": "inject-scan bad-order.lase",
@@ -436,6 +438,8 @@ DIGESTS = {
         "fc2682b5e9eb911b7a285a617794713af1a52527dee9608536a09ab4da9fd9d3",
     "replay-no-consumers":
         "a1689633dfa495cab90a2f14c016ee0a7f1e40a05b64db9d4efdf93dead49f33",
+    "replay-fixture-speed-tiny":
+        "2f54623ff1c257cb035429cdd368d870321fc4e00b56efbf5c1e08e62d2bf397",
     "tree-fixture-dot":
         "14c9b82485adac13143f520cb13ffde59f397da9ae900dac26a7e2fcd1296d39",
     "tree-fixture-json":
@@ -494,6 +498,8 @@ DIGESTS = {
         "0b234dfd77f0dc17e5053bfb9e0f3d29e6f049c1885ae8c1793f8b7118cb3e30",
     "inject-syn-window-negative":
         "7bd6ed69cd38ab0d2203fe4faf15b88a1bef74355f3fe623a4ea12d12f02c5b9",
+    "inject-fixture-window-overflow":
+        "5f3145f9345ef272d9fcb7a8bda4d24aa19a0f038f6864e0095aaad7d0823759",
     "inject-shapes":
         "d7cf4c952f29ce61187c39bb8aef30d6215ceac57992355f63bba16757c51558",
     "inject-reuse":
@@ -602,6 +608,13 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_contract(name, in_inputs):
     assert digest(name) == DIGESTS[name], CASES[name]
+
+
+@pytest.mark.parametrize("name", ["inject-fixture-window-overflow", "replay-fixture-speed-tiny"])
+def test_a_flag_value_too_large_to_use_is_an_input_error(name, in_inputs):
+    code, out, err = outcome(CASES[name].split())
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
 
 
 @pytest.mark.parametrize("name", list(BENCH))

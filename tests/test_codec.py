@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import gzip
@@ -39,6 +40,7 @@ from lase.errors import (
     BadMagic,
     LaseError,
     NonMonotonicSequence,
+    TraceError,
     TraceSyntaxError,
     TraceValidationError,
     UnknownIrp,
@@ -704,7 +706,42 @@ def test_text_memo_is_bounded_and_round_trips():
     second = io.BytesIO()
     write_trace(again, second)
     assert second.getvalue() == first.getvalue()
-    assert unescape_field.cache_info().currsize <= _FIELD_MEMO
+    assert len(codec._UNESCAPED) <= _FIELD_MEMO
+
+
+# 400 distinct texts of 10,000 characters each: 4 MB if a memo keeps them.
+_LONG_TEXT, _LONG_TEXTS = 10_000, 400
+
+
+def _long_field_trace(shape: str) -> bytes:
+    """Process creates with distinct long args, or image loads with
+    distinct long paths."""
+    lines = []
+    for seq in range(1, _LONG_TEXTS + 1):
+        text = f"{shape}{seq:05d}".ljust(_LONG_TEXT, "a")
+        if shape == "create":
+            lines.append(_line(operation="Pr Create", duration_us="", global_seq=str(seq),
+                               pid=str(1000 + seq), tid="0", args=text))
+        else:
+            lines.append(_line(operation="Ld Image", duration_us="", global_seq=str(seq),
+                               file_path="C:\\" + text))
+    return _trace_text(*lines)
+
+
+@pytest.mark.parametrize("shape", ["create", "image"])
+def test_a_check_only_read_keeps_no_long_text(tmp_path, shape):
+    path = tmp_path / "long.lase"
+    path.write_bytes(_long_field_trace(shape))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reader = TraceReader(path, kinds=frozenset())
+        assert len(list(reader)) == 1 and len(reader) == _LONG_TEXTS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A few read blocks and their lines, not every text read.
+    assert peak < _LONG_TEXT * _LONG_TEXTS / 4
 
 
 def _encoded(trace: Trace) -> bytes:
@@ -845,11 +882,25 @@ def test_resumed_reader_keeps_line_numbers_and_sequence_check():
     assert exc.value.line_no == 6
 
 
-def test_closed_reader_yields_nothing_more(fixture_path):
+def _watch_opened(monkeypatch) -> list:
+    """Every file the codec opens from now on."""
+    opened = []
+
+    def watched(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(codec, "open", watched, raising=False)
+    return opened
+
+
+def test_closed_reader_yields_nothing_more(fixture_path, monkeypatch):
+    opened = _watch_opened(monkeypatch)
     reader = TraceReader(fixture_path)
     next(iter(reader))
     reader.close()
-    assert reader._file.closed
+    [file] = opened
+    assert file.closed
     assert list(reader) == []
 
 
@@ -1057,13 +1108,64 @@ def test_a_corrupt_later_gzip_block_names_its_first_line():
 
 @pytest.mark.filterwarnings("error::ResourceWarning",
                             "error::pytest.PytestUnraisableExceptionWarning")
-def test_reader_dropped_before_iteration_closes_its_file(fixture_path):
+def test_reader_dropped_before_iteration_closes_its_file(fixture_path, monkeypatch):
     TraceReader(fixture_path)
+    opened = _watch_opened(monkeypatch)
     reader = TraceReader(fixture_path)
-    file = reader._file
+    [file] = opened
     del reader
     gc.collect()
     assert file.closed
+
+
+_GOOD_TEXT = _trace_text(*(_IRP_LINE.format(seq=s) for s in (1, 2, 3)))
+# Each way a read can end: (trace bytes, what the caller does with the
+# reader, the error the read ends with or None).
+_ENDINGS = {
+    "exhausted": (_GOOD_TEXT, list, None),
+    "closed-before-first": (_GOOD_TEXT, TraceReader.close, None),
+    "closed-after-first": (_GOOD_TEXT, lambda reader: (next(iter(reader)), reader.close()), None),
+    "dropped-before-iteration": (_GOOD_TEXT, lambda reader: None, None),
+    "bad-magic": (b"#LASEv0\n" + _GOOD_TEXT[8:], list, BadMagic),
+    "bad-header-line": (b"#LASEv1\n#date\t2024/1/1\n", list, TraceSyntaxError),
+    "bad-record": (_GOOD_TEXT.replace(b"\t2\t", b"\tx\t"), list, TraceSyntaxError),
+    "sequence-order": (_GOOD_TEXT.replace(b"\t3\t", b"\t2\t"), list, NonMonotonicSequence),
+    "utf8": (_GOOD_TEXT.replace(b"C:\\f\t\n", b"C:\\\xff\t\n", 1), list, TraceSyntaxError),
+    "gzip": (gzip.compress(_GOOD_TEXT)[:-12], list, TraceSyntaxError),
+}
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("ending", list(_ENDINGS))
+def test_every_ending_closes_the_opened_file_and_not_a_callers_stream(ending, tmp_path, monkeypatch):
+    data, finish, error = _ENDINGS[ending]
+    path = tmp_path / "trace.lase"
+    path.write_bytes(data)
+    opened = _watch_opened(monkeypatch)
+    with open(path, "rb") as stream:
+        for source in (path, stream):
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                finish(TraceReader(source))
+            gc.collect()
+        [file] = opened
+        assert file.closed
+        assert not stream.closed
+
+
+# Every reader error with the line number it carries, None for an empty
+# stream, whatever kinds the reader builds.
+_ERROR_LINES = [*_READER_ERRORS, (b"", BadMagic, None, None)]
+
+
+@pytest.mark.parametrize("kinds", [None, frozenset(), {"ProcessCreate"}])
+@pytest.mark.parametrize("data, error, column, line_no", _ERROR_LINES,
+                         ids=[f"{e.__name__}-{c}-{n}" for _, e, c, n in _ERROR_LINES])
+def test_each_reader_error_carries_its_line_number(data, error, column, line_no, kinds):
+    with pytest.raises(TraceError) as exc:
+        list(TraceReader(data, kinds=kinds))
+    assert type(exc.value) is error
+    assert (exc.value.column, exc.value.line_no) == (column, line_no)
 
 
 # Every decoded line that can break an invariant: decode_line must raise

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from datetime import timedelta
 
 import pytest
 
-from helpers import build_trace
+from helpers import BASE_TIME, build_trace
 
-from lase.codec import trace_from_records
+from lase.codec import Trace, TraceHeader, trace_from_records
 from lase.errors import SignatureParseError
 from lase.events import (
     IMAGE_LOAD,
     PROCESS_CREATE,
     PROCESS_EXIT,
     Annotation,
+    EventRecord,
     Irp,
     kind_name,
 )
@@ -300,7 +303,8 @@ def test_scan_searches_each_distinct_text_once_per_matcher(monkeypatch):
     searched = []
     hits = fingerprint.Matcher.hits
     monkeypatch.setattr(fingerprint.Matcher, "hits", lambda m, text: searched.append(text) or hits(m, text))
-    bios = "C:\\Windows\\drivers\\" * 200 + "bios.sys"  # a long path that backtracks
+    bios = "C:\\Windows\\drivers\\" * 50 + "bios.sys"  # a path that backtracks, short enough to keep
+    assert len(bios) <= fingerprint.MEMO_TEXT_CHARS
     trace = build_trace([(PROCESS_CREATE, 90, 4, 0, "C:\\m\\x.exe")]
                         + [(READ, 90, 0, 0, "C:\\m\\x.exe", "", bios)] * 50
                         + [(IMAGE_LOAD, 90, 0, 0, "C:\\m\\x.exe", "", bios)] * 50)
@@ -309,6 +313,35 @@ def test_scan_searches_each_distinct_text_once_per_matcher(monkeypatch):
     # calls-wmi and checks-bios each have one ImageLoad matcher; checks-bios
     # has one Irp matcher; calls-wmi has one ProcessCreate matcher.
     assert sorted(searched) == sorted([bios] * 3 + ["C:\\m\\x.exe"])
+
+
+def test_scan_searches_a_text_too_long_to_keep_on_every_record(monkeypatch):
+    searched = []
+    hits = fingerprint.Matcher.hits
+    monkeypatch.setattr(fingerprint.Matcher, "hits", lambda m, text: searched.append(text) or hits(m, text))
+    long = "C:\\" + "a" * fingerprint.MEMO_TEXT_CHARS
+    scan(build_trace([(IMAGE_LOAD, 90, 0, 0, "C:\\m\\x.exe", "", long)] * 5), default_signatures())
+    assert searched == [long] * 10  # the ImageLoad matchers of calls-wmi and checks-bios
+
+
+def test_scan_keeps_no_long_text():
+    """400 image loads, each with its own 10,000-character path, streamed
+    through the scan: its memos keep none of them (4 MB if they did)."""
+    def records():
+        for seq in range(1, 401):
+            yield EventRecord(global_seq=seq, time=BASE_TIME + timedelta(milliseconds=seq),
+                              kind=IMAGE_LOAD, pid=90, ppid=4, tid=0, duration_us=None,
+                              image_path="C:\\m\\x.exe", args="",
+                              file_path=f"C:\\{seq:05d}".ljust(10_000, "a"))
+
+    trace = Trace(TraceHeader(base_date=BASE_TIME.date()), records())
+    tracemalloc.start()
+    try:
+        assert scan(trace, default_signatures()) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000 * 400 / 4
 
 
 def test_scan_is_pure_and_idempotent(fixture_trace):
