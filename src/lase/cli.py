@@ -200,52 +200,60 @@ def _io_summary_to_json(io_summary: dict) -> dict:
             for major, t in sorted(io_summary.items())}
 
 
-def _forest_to_json(built: forest.ProcessForest) -> dict:
-    return {
+def _forest_json(built: forest.ProcessForest) -> Iterator[str]:
+    """The whole forest's JSON text, in pieces; each node's dict is built
+    when the encoder reaches it. Its nesting is fixed, so the encoder's
+    recursion is bounded."""
+    def node_doc(node: forest.ProcessNode) -> dict:
+        return {
+            "pid": node.key.pid,
+            "birth_seq": node.key.birth_seq,
+            "parent": [node.parent.pid, node.parent.birth_seq] if node.parent else None,
+            "image_path": node.image_path,
+            "args": node.args,
+            "threads": node.threads,
+            "images": node.images,
+            "io_summary": _io_summary_to_json(node.io_summary),
+            "children": [[c.pid, c.birth_seq] for c in node.children],
+        }
+
+    return json.JSONEncoder(indent=2, sort_keys=True, default=node_doc).iterencode({
         "roots": [[k.pid, k.birth_seq] for k in built.roots],
         "created": built.created_count(),
         "preexisting": built.preexisting_count(),
         "warnings": built.warnings,
-        "nodes": [
-            {
-                "pid": node.key.pid,
-                "birth_seq": node.key.birth_seq,
-                "parent": [node.parent.pid, node.parent.birth_seq] if node.parent else None,
-                "image_path": node.image_path,
-                "args": node.args,
-                "threads": node.threads,
-                "images": node.images,
-                "io_summary": _io_summary_to_json(node.io_summary),
-                "children": [[c.pid, c.birth_seq] for c in node.children],
-            }
-            for _, node in sorted(built.index.items(), key=lambda kv: (kv[0].birth_seq, kv[0].pid))
-        ],
-    }
+        "nodes": [built.index[k] for k in sorted(built.index, key=lambda k: (k.birth_seq, k.pid))],
+    })
 
 
-def _subtree_to_json(built: forest.ProcessForest, root: forest.ProcessKey) -> dict:
-    from . import forest
-
-    # Built in reverse preorder, each node after all of its descendants, so
-    # a deep process chain needs no stack frame per generation.
-    docs: dict[forest.ProcessKey, dict] = {}
-    for _, node in reversed(forest.subtree(built, root)):
-        docs[node.key] = {
+def _subtree_json(built: forest.ProcessForest, root: forest.ProcessKey) -> Iterator[str]:
+    """The JSON text of the subtree under root, children nested in their
+    parents, in pieces; each node's dict is built when the writer reaches
+    it. A process chain nests as deep as it is long, so this writer keeps
+    a stack, not a recursion."""
+    def node_doc(node: forest.ProcessNode) -> dict:
+        return {
             "pid": node.key.pid,
             "birth_seq": node.key.birth_seq,
             "image_path": node.image_path,
             "args": node.args,
             "io_summary": _io_summary_to_json(node.io_summary),
             "dropped_files": node.dropped_files,
-            "children": [docs.pop(c) for c in node.children],
+            "children": [built.index[c] for c in node.children],
         }
-    return docs[root]
+
+    return _indented(built.node(root), node_doc)
 
 
-def _indented(value) -> Iterator[str]:
-    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces, for
-    str-keyed dicts, lists and scalars, with a stack instead of one recursion
-    per level of nesting."""
+_JSON_TYPES = (dict, list, str, int, float, type(None))  # bool is an int
+
+
+def _indented(value, default) -> Iterator[str]:
+    """The text of json.dumps(value, indent=2, sort_keys=True,
+    default=default), in pieces, for str-keyed dicts, lists and scalars.
+    default is called on any other object when the writer reaches it, so a
+    document's parts need not exist before they are written. A stack
+    replaces one recursion per level of nesting."""
     todo: list = [(value, 0)]  # (value, depth) to write, or literal text
     while todo:
         item = todo.pop()
@@ -253,6 +261,8 @@ def _indented(value) -> Iterator[str]:
             yield item
             continue
         value, depth = item
+        if not isinstance(value, _JSON_TYPES):
+            value = default(value)
         if not (value and isinstance(value, (dict, list))):
             yield json.dumps(value)
             continue
@@ -284,7 +294,7 @@ def _cmd_tree(args) -> int:
     from . import forest
 
     reader = TraceReader(_source(args.trace))
-    built = forest.build_forest(Trace(reader.header, reader))
+    built = forest.build_forest(Trace(reader.header, reader), activity=args.format == "json")
     for warning in built.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.root is not None:
@@ -292,12 +302,12 @@ def _cmd_tree(args) -> int:
         if args.format == "dot":
             sys.stdout.write(forest.render_dot(built, root, name=f"subtree_{root.pid}"))
         else:
-            _print_json(_indented(_subtree_to_json(built, root)))
+            _print_json(_subtree_json(built, root))
     else:
         if args.format == "dot":
             sys.stdout.write(forest.render_dot(built))
         else:
-            _print_json(_JSON.iterencode(_forest_to_json(built)))
+            _print_json(_forest_json(built))
     return EXIT_OK
 
 

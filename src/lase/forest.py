@@ -69,10 +69,11 @@ class ProcessNode:
     parent: ProcessKey | None
     image_path: str
     args: str = ""
-    threads: int = 0  # thread creates seen
-    images: int = 0  # image loads seen
-    io_summary: dict[str, IoTotals] = field(default_factory=dict)
-    dropped_files: list[str] = field(default_factory=list)  # in trace order, see events.drops_file
+    # The node's activity: None in a forest built without it (build_forest).
+    threads: int | None = None  # thread creates seen
+    images: int | None = None  # image loads seen
+    io_summary: dict[str, IoTotals] | None = None
+    dropped_files: list[str] | None = None  # in trace order, see events.drops_file
     children: list[ProcessKey] = field(default_factory=list)
 
 
@@ -189,16 +190,24 @@ class Resolver:
 
 
 class _Builder:
-    def __init__(self):
+    def __init__(self, activity: bool):
+        self.activity = activity
         self.resolver = Resolver()
         self.roots: list[ProcessKey] = []
         self.index: dict[ProcessKey, ProcessNode] = {}
         self._live_threads: dict[tuple[ProcessKey, int], int] = {}  # (owner, tid) -> creates not yet exited
 
+    def _new_node(self, key: ProcessKey, parent: ProcessKey | None, image_path: str,
+                  args: str = "") -> ProcessNode:
+        if self.activity:
+            return ProcessNode(key, parent, image_path, args,
+                               threads=0, images=0, io_summary={}, dropped_files=[])
+        return ProcessNode(key, parent, image_path, args)
+
     def _node(self, key: ProcessKey) -> ProcessNode:
         node = self.index.get(key)
         if node is None:  # a pre-existing process the resolver just synthesized
-            node = self.index[key] = ProcessNode(key=key, parent=None, image_path=PRE_EXISTING_IMAGE)
+            node = self.index[key] = self._new_node(key, None, PRE_EXISTING_IMAGE)
             self.roots.append(key)
         return node
 
@@ -209,13 +218,14 @@ class _Builder:
         kind = record.kind
         if isinstance(kind, Irp):  # most records; tested first
             node = self._actor(record)
-            totals = node.io_summary.get(kind.code.major)
-            if totals is None:
-                totals = node.io_summary[kind.code.major] = IoTotals()
-            totals.count += 1
-            totals.duration_us += record.duration_us or 0
-            if drops_file(record):
-                node.dropped_files.append(record.file_path)
+            if self.activity:
+                totals = node.io_summary.get(kind.code.major)
+                if totals is None:
+                    totals = node.io_summary[kind.code.major] = IoTotals()
+                totals.count += 1
+                totals.duration_us += record.duration_us or 0
+                if drops_file(record):
+                    node.dropped_files.append(record.file_path)
         elif isinstance(kind, ProcessCreate):
             self._on_create(record)
         elif isinstance(kind, ProcessExit):
@@ -225,7 +235,9 @@ class _Builder:
         elif isinstance(kind, ThreadExit):
             self._on_thread_exit(record)
         elif isinstance(kind, ImageLoad):
-            self._actor(record).images += 1
+            node = self._actor(record)
+            if self.activity:
+                node.images += 1
         elif isinstance(kind, Annotation):
             self._actor(record)  # ensure the acting pid is represented
 
@@ -235,16 +247,12 @@ class _Builder:
             self.roots.append(key)
         else:
             self._node(parent_key).children.append(key)
-        self.index[key] = ProcessNode(
-            key=key,
-            parent=parent_key,
-            image_path=record.image_path,
-            args=record.args,
-        )
+        self.index[key] = self._new_node(key, parent_key, record.image_path, record.args)
 
     def _on_thread_create(self, record: EventRecord) -> None:
         owner = self._actor(record)
-        owner.threads += 1
+        if self.activity:
+            owner.threads += 1
         if record.tid:  # tid 0 names no thread an exit could match
             thread = (owner.key, record.tid)
             self._live_threads[thread] = self._live_threads.get(thread, 0) + 1
@@ -337,9 +345,14 @@ class _Injections:
                 finding.confidence = InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY
 
 
-def build_forest(trace: Trace) -> ProcessForest:
-    """Reconstruct the process forest from a trace (deterministic)."""
-    builder = _Builder()
+def build_forest(trace: Trace, activity: bool = True) -> ProcessForest:
+    """Reconstruct the process forest from a trace (deterministic).
+
+    With activity, each node also counts its thread creates and image loads
+    and keeps its I/O rollup and dropped files. Without it those fields stay
+    None; the keys, parents, children, images, arguments and warnings are
+    the same, so a reader that prints only those (DOT) builds no more."""
+    builder = _Builder(activity)
     for record in trace.records:
         builder.feed(record)
     return builder.result()

@@ -494,7 +494,8 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     speed scales inter-event gaps (inf = no pacing). The single
     producer/consumer form is fully deterministic. A replay has no priority
     sink, so a config with priority kinds raises ValueError before any
-    record is submitted.
+    record is submitted. A producer thread's error is raised here, once the
+    pipeline is closed and every thread joined.
     """
     if producers < 1 or consumers < 1:
         raise ValueError("replay needs at least one producer and one consumer, "
@@ -512,10 +513,14 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     # Each record lands in its sequence slot. Assigned seqs are unique and at
     # most the number submitted; evicted or refused records leave holes.
     out: list[EventRecord | None] = [None] * len(trace.records)
+    errors: list[Exception | None] = [None] * producers  # per producer; the lowest one's is raised
 
     def produce(producer_id: int, shard: list[EventRecord]) -> None:
-        for record in _paced(shard, speed):
-            pipeline.submit(producer_id, record)
+        try:
+            for record in _paced(shard, speed):
+                pipeline.submit(producer_id, record)
+        except Exception as exc:
+            errors[producer_id] = exc
 
     def consume() -> None:
         while True:
@@ -537,6 +542,9 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     pipeline.close()
     for t in consumer_threads:
         t.join()
+    for error in errors:
+        if error is not None:
+            raise error
     if pipeline.stats.drained < len(out):  # evicted or refused records left holes
         out = [r for r in out if r is not None]
     return Trace(trace.header, _resequenced(out))

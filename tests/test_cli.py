@@ -537,6 +537,32 @@ def nested_subtree_doc(built, key) -> dict:
     }
 
 
+def forest_doc(built) -> dict:
+    """The whole forest's document, built at once: the reference the JSON
+    written node by node must print byte for byte through json.dumps."""
+    return {
+        "roots": [[k.pid, k.birth_seq] for k in built.roots],
+        "created": built.created_count(),
+        "preexisting": built.preexisting_count(),
+        "warnings": built.warnings,
+        "nodes": [
+            {
+                "pid": key.pid,
+                "birth_seq": key.birth_seq,
+                "parent": [node.parent.pid, node.parent.birth_seq] if node.parent else None,
+                "image_path": node.image_path,
+                "args": node.args,
+                "threads": node.threads,
+                "images": node.images,
+                "io_summary": {m: {"count": t.count, "duration_us": t.duration_us}
+                               for m, t in sorted(node.io_summary.items())},
+                "children": [[c.pid, c.birth_seq] for c in node.children],
+            }
+            for key, node in sorted(built.index.items(), key=lambda kv: (kv[0].birth_seq, kv[0].pid))
+        ],
+    }
+
+
 def reference_dot(built, root=None, name="trace") -> str:
     """DOT text as a list of every line, joined once, with its newline
     added after: the formula the batched render_dot must match."""
@@ -576,13 +602,13 @@ def test_tree_output_matches_the_one_shot_formulas(source, fixture_trace, tmp_pa
     assert err == "".join(f"warning: {w}\n" for w in built.warnings)
     assert (source == "pid reuse") == bool(built.warnings)
     assert run_cli(capsys, "tree", str(path)) == (0, reference_dot(built), err)
-    whole = json.dumps(cli._forest_to_json(built), indent=2, sort_keys=True) + "\n"
+    whole = json.dumps(forest_doc(built), indent=2, sort_keys=True) + "\n"
     assert run_cli(capsys, "tree", str(path), "--format", "json") == (0, whole, err)
     for key in [*built.roots, max(built.index, key=lambda k: len(built.index[k].children))]:
         spec = f"{key.pid}:{key.birth_seq}"
         dot = reference_dot(built, key, name=f"subtree_{key.pid}")
         assert run_cli(capsys, "tree", str(path), "--root", spec) == (0, dot, err)
-        doc = json.dumps(cli._subtree_to_json(built, key), indent=2, sort_keys=True) + "\n"
+        doc = json.dumps(nested_subtree_doc(built, key), indent=2, sort_keys=True) + "\n"
         assert run_cli(capsys, "tree", str(path), "--root", spec, "--format", "json") == (0, doc, err)
 
 

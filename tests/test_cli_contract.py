@@ -264,6 +264,7 @@ CASES: dict[str, str] = {
     "replay-stdin": "replay -",
     "replay-no-consumers": "replay fixture.lase --consumers 0",
     "replay-fixture-speed-tiny": "replay fixture.lase --speed 1e-300",
+    "replay-fixture-speed-tiny-threaded": "replay fixture.lase --speed 1e-300 --producers 2",
     # tree
     "tree-fixture-dot": "tree fixture.lase",
     "tree-fixture-json": "tree fixture.lase --format json",
@@ -440,6 +441,8 @@ DIGESTS = {
         "a1689633dfa495cab90a2f14c016ee0a7f1e40a05b64db9d4efdf93dead49f33",
     "replay-fixture-speed-tiny":
         "2f54623ff1c257cb035429cdd368d870321fc4e00b56efbf5c1e08e62d2bf397",
+    "replay-fixture-speed-tiny-threaded":
+        "2f54623ff1c257cb035429cdd368d870321fc4e00b56efbf5c1e08e62d2bf397",
     "tree-fixture-dot":
         "14c9b82485adac13143f520cb13ffde59f397da9ae900dac26a7e2fcd1296d39",
     "tree-fixture-json":
@@ -610,7 +613,8 @@ def test_cli_contract(name, in_inputs):
     assert digest(name) == DIGESTS[name], CASES[name]
 
 
-@pytest.mark.parametrize("name", ["inject-fixture-window-overflow", "replay-fixture-speed-tiny"])
+@pytest.mark.parametrize("name", ["inject-fixture-window-overflow", "replay-fixture-speed-tiny",
+                                  "replay-fixture-speed-tiny-threaded"])
 def test_a_flag_value_too_large_to_use_is_an_input_error(name, in_inputs):
     code, out, err = outcome(CASES[name].split())
     assert (code, out) == (2, b"")

@@ -6,8 +6,8 @@ loads the modules and compiles the rules the command uses. The margin, 30%
 of the one-input peak, leaves room for what the command prints (findings,
 dwell sessions, the diff's running totals) and is below the size of one
 more decoded trace, so keeping any earlier trace alive fails the test.
-`inject-scan`'s and `tree`'s peaks per trace record, and `render_dot`'s
-per node, are bounded on one generated trace.
+`inject-scan`'s and `tree`'s (DOT and JSON) peaks per trace record, and
+`render_dot`'s per node, are bounded on one generated trace.
 """
 
 from __future__ import annotations
@@ -125,14 +125,30 @@ def test_render_dot_holds_no_list_of_its_lines(generated):
     assert peak / len(built.index) < RENDER_DOT_BYTES_PER_NODE
 
 
-TREE_JSON_BYTES_PER_RECORD = 250
+TREE_DOT_BYTES_PER_RECORD = 80
+
+
+@pytest.mark.parametrize("flags", [[], ["--root", "4"]])
+def test_tree_dot_builds_no_activity(flags, generated):
+    # DOT prints keys, images and edges, so its forest keeps no thread or
+    # image counts, I/O rollups or dropped files: about 64 B per trace
+    # record, whole or under the root process. With them, about 97 B.
+    path, records = generated
+    argv = ["tree", str(path), *flags]
+    _run(argv, _Discard)
+    assert _peak(argv, _Discard) / records < TREE_DOT_BYTES_PER_RECORD
+
+
+TREE_JSON_BYTES_PER_RECORD = 120
 
 
 @pytest.mark.parametrize("flags", [[], ["--root", "4"]])
 def test_tree_json_is_written_as_it_is_encoded(flags, generated):
-    # About 145 B per trace record, whole or under the root process: the
-    # forest and its JSON document. Encoding the whole text before printing
-    # it peaked at about 430 B, and 645 B under --root.
+    # About 96 B per trace record, whole or under the root process: the
+    # forest as it is built, each node's JSON dict built as it is written.
+    # Building every node's dict before the first byte peaked at about
+    # 143 B (145 B under --root); encoding the whole text before printing
+    # it, at about 430 B (645 B under --root).
     path, records = generated
     argv = ["tree", str(path), *flags, "--format", "json"]
     _run(argv, _Discard)

@@ -17,6 +17,7 @@ from lase.events import (
     PROCESS_EXIT,
     THREAD_CREATE,
     THREAD_EXIT,
+    Annotation,
     EventRecord,
     Irp,
     ProcessCreate,
@@ -449,25 +450,26 @@ def test_create_over_live_pid_force_closes_with_warning():
     assert (forest.index[ProcessKey(10, 1)].images, forest.index[ProcessKey(10, 2)].images) == (0, 1)
 
 
+PATHOLOGICAL = [
+    (PROCESS_CREATE, 10, 0, 0, "C:\\orphan\\root.exe"),        # ppid 0: its own root
+    (PROCESS_CREATE, 20, 99, 0, "C:\\a\\one.exe"),             # parent synthesized
+    (PROCESS_EXIT, 20, 99, 0, "C:\\a\\one.exe"),
+    (PROCESS_EXIT, 20, 99, 0, "C:\\a\\one.exe"),               # double exit
+    (WRITE, 20, 0, 0, "C:\\a\\one.exe", "", "C:\\late\\write.bin"),  # stale attach
+    (PROCESS_CREATE, 20, 10, 0, "C:\\a\\two.exe"),             # pid reuse
+    (PROCESS_CREATE, 20, 10, 0, "C:\\a\\three.exe"),           # create over live
+    (THREAD_EXIT, 30, 0, 501, "C:\\b\\ghost.exe"),             # unseen actor + tid
+    (Annotation("api", "RDTSC"), 20, 0, 0, "C:\\a\\three.exe"),
+    (PROCESS_EXIT, 77, 0, 0, "C:\\b\\preexisting.exe"),        # pre-existing exit
+]
+
+
 def test_pathological_trace_consistency():
     """PID reuse, double exits, stale attaches, unknown parents and scans all
     at once; the builder, the fingerprint scanner and the brute-force
     counters must still agree on attribution."""
-    from lase.events import Annotation, THREAD_EXIT
     from lase.fingerprint import default_signatures, scan
-    rows = [
-        (PROCESS_CREATE, 10, 0, 0, "C:\\orphan\\root.exe"),        # ppid 0: its own root
-        (PROCESS_CREATE, 20, 99, 0, "C:\\a\\one.exe"),             # parent synthesized
-        (PROCESS_EXIT, 20, 99, 0, "C:\\a\\one.exe"),
-        (PROCESS_EXIT, 20, 99, 0, "C:\\a\\one.exe"),               # double exit
-        (WRITE, 20, 0, 0, "C:\\a\\one.exe", "", "C:\\late\\write.bin"),  # stale attach
-        (PROCESS_CREATE, 20, 10, 0, "C:\\a\\two.exe"),             # pid reuse
-        (PROCESS_CREATE, 20, 10, 0, "C:\\a\\three.exe"),           # create over live
-        (THREAD_EXIT, 30, 0, 501, "C:\\b\\ghost.exe"),             # unseen actor + tid
-        (Annotation("api", "RDTSC"), 20, 0, 0, "C:\\a\\three.exe"),
-        (PROCESS_EXIT, 77, 0, 0, "C:\\b\\preexisting.exe"),        # pre-existing exit
-    ]
-    trace = build_trace(rows)
+    trace = build_trace(PATHOLOGICAL)
     forest = build_forest(trace)
     assert len(forest.index) == node_count_oracle(trace)
     # warnings for: double exit, stale attach, create-over-live, ghost tid
@@ -483,6 +485,31 @@ def test_pathological_trace_consistency():
     three = forest.index[ProcessKey(20, 7)]
     assert three.parent == ProcessKey(10, 1)
     assert forest.index[ProcessKey(20, 2)].parent == ProcessKey(99, 0)
+
+
+def outline(forest) -> tuple:
+    """What DOT prints and every forest keeps: roots, keys in index order,
+    parents, children, images, arguments and warnings."""
+    return (forest.roots, list(forest.index),
+            [(n.parent, n.children, n.image_path, n.args) for n in forest.index.values()],
+            forest.warnings)
+
+
+def test_a_forest_built_without_activity_is_the_same_forest(fixture_trace):
+    from test_injection import random_rows, trace_of
+
+    traces = [fixture_trace, build_trace(PATHOLOGICAL)]
+    for seed in range(400):
+        rng = random.Random(seed)
+        traces.append(trace_of(random_rows(rng), rng.random() < 0.2))
+    warned = 0
+    for i, trace in enumerate(traces):
+        full, bare = build_forest(trace), build_forest(trace, activity=False)
+        assert outline(bare) == outline(full), i
+        assert all((n.threads, n.images, n.io_summary, n.dropped_files) == (None,) * 4
+                   for n in bare.index.values()), i
+        warned += bool(full.warnings)
+    assert warned > 300  # most of the random traces reuse pids and warn
 
 
 def test_acyclic_and_parent_exists_on_synthetic_traces():

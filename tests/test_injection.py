@@ -251,7 +251,8 @@ def test_no_process_is_its_own_injector():
 
 
 def test_the_forest_keeps_no_injection_state():
-    assert set(vars(_Builder())) == {"resolver", "roots", "index", "_live_threads"}
+    assert set(vars(_Builder(activity=True))) == {
+        "activity", "resolver", "roots", "index", "_live_threads"}
     # a node keeps what `tree` prints, and nothing else
     assert set(ProcessNode.__dataclass_fields__) == {
         "key", "parent", "image_path", "args", "threads", "images", "io_summary", "dropped_files",

@@ -644,6 +644,16 @@ def test_replay_producers_submit_under_their_shard_index(fixture_trace, monkeypa
     assert all(producer == pid % 3 for producer, pid in seen)
 
 
+# A gap too long to sleep at this speed fails a producer thread; its error
+# reaches the caller once every thread has been joined.
+@pytest.mark.parametrize("producers, consumers", [(2, 1), (3, 2)])
+def test_a_producer_error_is_raised_after_the_threads_are_joined(fixture_trace, producers, consumers):
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="past the longest sleep"):
+        replay_fixture(fixture_trace, speed=1e-300, producers=producers, consumers=consumers)
+    assert threading.active_count() == threads
+
+
 # Only counts that cannot hang here: several producers and no consumer are
 # covered in a subprocess by test_cli.
 @pytest.mark.parametrize("producers, consumers", [(0, 1), (0, 2), (1, 0), (1, -1)])
@@ -653,8 +663,7 @@ def test_replay_rejects_counts_below_one(fixture_trace, producers, consumers):
 
 
 # A replay has no priority sink, so both paths refuse a config with priority
-# kinds before a record is submitted, also when the trace holds none of them:
-# a producer thread's ValueError would not reach the caller.
+# kinds before a record is submitted, also when the trace holds none of them.
 @pytest.mark.parametrize("priority_kinds", ["ImageLoad", "Annotation"])
 @pytest.mark.parametrize("producers, consumers", [(1, 1), (2, 1), (3, 2)])
 def test_replay_refuses_priority_kinds(priority_kinds, producers, consumers):
