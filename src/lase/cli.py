@@ -14,7 +14,6 @@ import gc
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -66,8 +65,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a deterministic synthetic trace")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--producers", type=int, default=1)
-    p.add_argument("--events", type=int, default=100, help="events per producer")
+    p.add_argument("--events", type=int, default=100, help="events to generate")
     p.add_argument("--injections", type=int, default=0,
                    help="remote-thread injection templates to plant")
     p.add_argument("--out", default="-")
@@ -92,8 +90,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fingerprint", help="scan for environment fingerprinting")
     p.add_argument("trace")
-    p.add_argument("--signatures", default=None,
-                   help="signature file ('default' = built-ins; also LASE_SIGNATURES)")
+    p.add_argument("--signatures", default=None, help="signature file (default: built-ins)")
     p.add_argument("--format", choices=["jsonl", "json"], default="jsonl")
 
     p = sub.add_parser("diff", help="differential comparison of two runs")
@@ -102,9 +99,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--nonempty-only", action="store_true",
                    help="corpus mode: keep only pairs with file write activity")
-    p.add_argument("--workers", type=int, default=1,
-                   help="corpus mode: pairs read at once (default 1; each holds its two "
-                        "traces, and more threads are not faster)")
 
     p = sub.add_parser("intrude", help="scan command lines for intrusion tactics")
     p.add_argument("traces", nargs="+")
@@ -147,12 +141,8 @@ def _cmd_validate(args) -> int:
 def _cmd_gen(args) -> int:
     from . import pipeline
 
-    spec = pipeline.WorkloadSpec(
-        producers=args.producers,
-        events_per_producer=args.events,
-        seed=args.seed,
-        injection_templates=args.injections,
-    )
+    spec = pipeline.WorkloadSpec(events_per_producer=args.events, seed=args.seed,
+                                 injection_templates=args.injections)
     trace = pipeline.run_synthetic(spec)
     _write_trace_out(trace, args.out, args.compress)
     return EXIT_OK
@@ -166,7 +156,9 @@ def _cmd_replay(args) -> int:
         ring_capacity=args.ring, chunk_size=args.chunk,
         backpressure_policy=pipeline.BackpressurePolicy(args.policy),
     )
-    speed = math.inf if args.speed <= 0 else args.speed
+    if not args.speed >= 0:  # also refuses NaN
+        raise LaseError(f"--speed must be 0 (no pacing) or positive, got {args.speed}")
+    speed = args.speed or math.inf
     result = pipeline.replay_fixture(trace, speed=speed, config=config,
                                      producers=args.producers, consumers=args.consumers)
     _write_trace_out(result, args.out, args.compress)
@@ -335,11 +327,10 @@ def _cmd_fingerprint(args) -> int:
     from . import fingerprint
 
     reader = TraceReader(_source(args.trace))
-    source = args.signatures or os.environ.get("LASE_SIGNATURES") or "default"
-    if source == "default":
+    if args.signatures is None:
         signatures = fingerprint.default_signatures()
     else:
-        signatures = fingerprint.load_signatures(Path(source).read_text(encoding="utf-8"))
+        signatures = fingerprint.load_signatures(Path(args.signatures).read_text(encoding="utf-8"))
     _write_findings(fingerprint.scan(Trace(reader.header, reader), signatures), args.format)
     return EXIT_OK
 
@@ -351,8 +342,7 @@ def _cmd_diff(args) -> int:
     if bare.is_dir() != vm.is_dir():
         raise LaseError("--bare and --vm must both be files or both directories")
     if bare.is_dir():
-        report = diffreport.compare_corpora(bare, vm, nonempty_only=args.nonempty_only,
-                                            workers=args.workers)
+        report = diffreport.compare_corpora(bare, vm, nonempty_only=args.nonempty_only)
     else:
         report = diffreport.compare_traces(read_trace(bare), read_trace(vm))
     out = diffreport.report_to_tsv(report) if args.format == "tsv" else diffreport.report_to_json(report)
@@ -364,7 +354,7 @@ def _cmd_intrude(args) -> int:
     from . import intrusion
 
     rules = intrusion.DEFAULT_RULES
-    if args.rules:
+    if args.rules is not None:
         rules = intrusion.load_rules(Path(args.rules).read_text(encoding="utf-8"))
     labels = ["stdin" if p == "-" else p for p in args.traces]
 

@@ -183,11 +183,14 @@ def compare_corpora(dir_a: Path | str, dir_b: Path | str,
     file, mirroring a "samples with file write activity" filter. Each of the
     workers holds one pair of decoded traces until it has summarized them.
     """
+    if workers < 1:
+        raise ValueError(f"compare_corpora needs at least one worker, got {workers}")
+
     def load(pair: tuple[str, Path, Path]) -> PairSummary:
         _, pa, pb = pair
         return _summarize(read_trace(pa), read_trace(pb))
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return _fold(pool.map(load, pair_directories(dir_a, dir_b)), nonempty_only)
 
 

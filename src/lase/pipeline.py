@@ -237,9 +237,12 @@ _FILE_EXTS = ("exe", "dll", "js", "tmp", "txt", "dat", "log", "vbs")
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Deterministic synthetic workload description (same seed, same trace)."""
+    """Deterministic synthetic workload description (same seed, same trace).
 
-    producers: int = 1
+    events_per_producer is the trace's event count, apart from the records
+    the injection templates add.
+    """
+
     events_per_producer: int = 100
     mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
     seed: int = 0
@@ -247,8 +250,8 @@ class WorkloadSpec:
     injection_templates: int = 0
 
     def __post_init__(self):
-        if self.producers <= 0 or self.events_per_producer < 0:
-            raise ValueError("producers must be positive, events_per_producer non-negative")
+        if self.events_per_producer < 0:
+            raise ValueError(f"events_per_producer must be non-negative, got {self.events_per_producer}")
         if self.injection_templates < 0:
             raise ValueError("injection_templates must be non-negative")
         for token, weight in self.mix.items():
@@ -268,10 +271,6 @@ class WorkloadSpec:
                 raise ValueError(f"branching weight of {children} must be non-negative, got {weight}")
         if abs(sum(self.branching.values()) - 1.0) > 1e-9:
             raise ValueError("branching weights must sum to 1")
-
-    @property
-    def total_events(self) -> int:
-        return self.producers * self.events_per_producer
 
 
 class _Proc:
@@ -338,8 +337,7 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     create event, every tid a thread-create, deterministic for a seed."""
     below, choice, weighted = _draws(random.Random(spec.seed))
     header = TraceHeader(base_date=START_TIME.date(), host_label=f"synthetic-{spec.seed}")
-    total = spec.total_events
-    if total == 0 and spec.injection_templates == 0:
+    if spec.events_per_producer == 0 and spec.injection_templates == 0:
         return Trace(header, ())
 
     draw_token = weighted(list(spec.mix), spec.mix.values())
@@ -414,7 +412,7 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
         return paths[(below(len(_FILE_STEMS)) * 10 + below(10)) * len(_FILE_EXTS)
                      + below(len(_FILE_EXTS))]
 
-    budget = total
+    budget = spec.events_per_producer
     if budget > 0:
         spawn()  # bootstrap root consumes one event
         budget -= 1

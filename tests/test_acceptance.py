@@ -259,7 +259,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     def inputs():
         for seed in range(traces):
             yield f"seed {seed}", run_synthetic(WorkloadSpec(
-                seed=seed, producers=2, events_per_producer=events // 2))
+                seed=seed, events_per_producer=events))
         yield "exited parent", build_trace(EXITED_PARENT)
         yield "reused parent", build_trace(REUSED_PARENT)
         yield "seq-0 parent", from_seq_zero(SEQ_ZERO_PARENT)

@@ -139,7 +139,7 @@ def test_tree_reads_no_record_time(source, fixture_trace, tmp_path, capsys):
     if source == "fixture":
         trace = fixture_trace
     elif source == "generated":
-        trace = run_synthetic(WorkloadSpec(seed=1, producers=2, events_per_producer=500, injection_templates=2))
+        trace = run_synthetic(WorkloadSpec(seed=1, events_per_producer=1000, injection_templates=2))
     else:  # warnings on stderr
         trace = trace_of(random_rows(random.Random(3)), False)
     root = str(trace.records[-1].pid)
@@ -188,7 +188,7 @@ def test_tree_root_takes_only_digits(fixture_path, capsys, spec):
 
 def test_inject_scan_jsonl(tmp_path, capsys):
     from lase.pipeline import WorkloadSpec, run_synthetic
-    trace = run_synthetic(WorkloadSpec(seed=5, producers=1, events_per_producer=50,
+    trace = run_synthetic(WorkloadSpec(seed=5, events_per_producer=50,
                                        injection_templates=2))
     path = tmp_path / "inj.lase"
     write_trace(trace, path)
@@ -206,13 +206,29 @@ def test_fingerprint_fixture(fixture_path, capsys):
     assert [d["signature"] for d in docs] == ["calls-wmi"]
 
 
-def test_fingerprint_env_var_signatures(fixture_path, tmp_path, capsys, monkeypatch):
-    sig = tmp_path / "only_wmi.sig"
-    sig.write_text("calls-wmi\tProcessCreate\timage_path\twmiprvse\n")
+def test_fingerprint_reads_no_environment_variable(fixture_path, tmp_path, capsys, monkeypatch):
+    sig = tmp_path / "every_create.sig"
+    sig.write_text("any-create\tProcessCreate\timage_path\t.\n")
+    monkeypatch.delenv("LASE_SIGNATURES", raising=False)
+    expected = run_cli(capsys, "fingerprint", str(fixture_path))
     monkeypatch.setenv("LASE_SIGNATURES", str(sig))
-    code, out, _ = run_cli(capsys, "fingerprint", str(fixture_path))
+    assert run_cli(capsys, "fingerprint", str(fixture_path)) == expected
+
+
+def test_signatures_default_is_a_file_name(fixture_path, tmp_path, capsys, monkeypatch):
+    # Only a missing --signatures means the built-ins; any value is a path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "default").write_text("any-create\tProcessCreate\timage_path\t.\n")
+    code, out, _ = run_cli(capsys, "fingerprint", str(fixture_path), "--signatures", "default")
     assert code == 0
-    assert len(out.splitlines()) == 1
+    assert {json.loads(x)["signature"] for x in out.splitlines()} == {"any-create"}
+
+
+@pytest.mark.parametrize("argv", [["fingerprint", "--signatures="], ["intrude", "--rules="]])
+def test_an_empty_rule_file_path_is_an_input_error(fixture_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, str(fixture_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_fingerprint_json_round_trips(fixture_path, capsys):

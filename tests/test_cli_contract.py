@@ -201,7 +201,7 @@ def build_inputs(root: Path) -> None:
     shutil.copy(macro_malware_path(), root / "fixture.lase")
     (root / "fixture.lase.gz").write_bytes(
         gzip.compress((root / "fixture.lase").read_bytes(), mtime=0))
-    syn = run_synthetic(WorkloadSpec(producers=2, events_per_producer=400, seed=11,
+    syn = run_synthetic(WorkloadSpec(events_per_producer=800, seed=11,
                                      injection_templates=4))
     write_trace(syn, root / "syn.lase")
     write_trace(syn, root / "syn.lase.gz", compress=True)
@@ -244,6 +244,8 @@ CASES: dict[str, str] = {
     "usage-missing": "tree",
     "usage-choice": "tree fixture.lase --format xml",
     "usage-int": "gen --events many",
+    "usage-gen-producers": "gen --seed 4 --events 60 --producers 2",
+    "usage-diff-workers": "diff --bare bare --vm vm --workers 2",
     # validate
     "validate-fixture": "validate fixture.lase",
     "validate-fixture-gz": "validate fixture.lase.gz",
@@ -254,7 +256,7 @@ CASES: dict[str, str] = {
     **{f"validate-bad-{name}": f"validate bad-{name}.lase" for name in INVALID},
     # gen and replay
     "gen": "gen --seed 3 --events 50",
-    "gen-injections": "gen --seed 4 --events 60 --producers 2 --injections 3",
+    "gen-injections": "gen --seed 4 --events 120 --injections 3",
     "gen-gzip": "gen --seed 5 --events 40 --compress",
     "gen-negative": "gen --events -1",
     "gen-injections-negative": "gen --events 3 --injections -2",
@@ -265,6 +267,10 @@ CASES: dict[str, str] = {
     "replay-no-consumers": "replay fixture.lase --consumers 0",
     "replay-fixture-speed-tiny": "replay fixture.lase --speed 1e-300",
     "replay-fixture-speed-tiny-threaded": "replay fixture.lase --speed 1e-300 --producers 2",
+    "replay-fixture-speed-negative": "replay fixture.lase --speed -5",
+    "replay-fixture-speed-nan": "replay fixture.lase --speed nan",
+    "replay-fixture-speed-nan-threaded": "replay fixture.lase --speed nan --producers 2",
+    "replay-empty-speed-nan": "replay empty.lase --speed nan",
     # tree
     "tree-fixture-dot": "tree fixture.lase",
     "tree-fixture-json": "tree fixture.lase --format json",
@@ -304,7 +310,6 @@ CASES: dict[str, str] = {
     "fingerprint-fixture": "fingerprint fixture.lase",
     "fingerprint-syn": "fingerprint syn.lase",
     "fingerprint-syn-json": "fingerprint syn.lase --format json",
-    "fingerprint-default": "fingerprint fixture.lase --signatures default",
     "fingerprint-custom": "fingerprint shapes.lase --signatures custom.sig",
     "fingerprint-bad-sig": "fingerprint fixture.lase --signatures bad.sig",
     "fingerprint-missing-sig": "fingerprint fixture.lase --signatures nope.sig",
@@ -325,7 +330,7 @@ CASES: dict[str, str] = {
     "diff-files-json": "diff --bare shapes.lase --vm fixture.lase.gz --format json",
     "diff-unique": "diff --bare unique.lase --vm shapes.lase --format json",
     "diff-corpus": "diff --bare bare --vm vm",
-    "diff-corpus-json": "diff --bare bare --vm vm --format json --workers 1",
+    "diff-corpus-json": "diff --bare bare --vm vm --format json",
     "diff-corpus-nonempty": "diff --bare bare --vm vm --nonempty-only",
     "diff-mixed": "diff --bare bare --vm fixture.lase",
     "diff-missing": "diff --bare nope.lase --vm fixture.lase",
@@ -357,6 +362,10 @@ DIGESTS = {
         "b4697edd1b5c1608cf0e93980c06d45992d605e22500efeac67263f7134ee99f",
     "usage-int":
         "6b3be03732e63e9de38284f9f0c9f0ab6876d14376641c48f6547edd8c70042b",
+    "usage-gen-producers":
+        "72e3d42498a1a3bf7557c48df9623eaca266da9e4cc331cd0d5062bbb795a4d7",
+    "usage-diff-workers":
+        "03ee71347f1aa1c71190d955860191d851f14ab818bf8e14c714935bad0f3a36",
     "validate-fixture":
         "c1bc50b4277cc583e792301cf782db294fd9efa424c51ac6015f222fdbe1cf69",
     "validate-fixture-gz":
@@ -426,7 +435,7 @@ DIGESTS = {
     "gen-gzip":
         "535d31628fb9a1f1f92c475636f6d54cf007dc097025bc9d1c93cf74db1e66e7",
     "gen-negative":
-        "2f5fc339b6c052ced74ba3bee46d4313d684e32cb012a88e11fdc9454c4e9c3e",
+        "967f816500959af212d126399898511800b9566e05f4151819bed9a352c9bffe",
     "gen-injections-negative":
         "689cb934258425f9a1abc96bca56c53a119f0043f30b6c11acd932c97806d653",
     "replay-fixture":
@@ -443,6 +452,14 @@ DIGESTS = {
         "2f54623ff1c257cb035429cdd368d870321fc4e00b56efbf5c1e08e62d2bf397",
     "replay-fixture-speed-tiny-threaded":
         "2f54623ff1c257cb035429cdd368d870321fc4e00b56efbf5c1e08e62d2bf397",
+    "replay-fixture-speed-negative":
+        "515f2d9227fe78cd5a4713b352922794cd20314d9da81d1bf514ff4ca74da346",
+    "replay-fixture-speed-nan":
+        "84d5efd3b369c60985356bfc3d20476f94420752240bc8ff801987daea9979b7",
+    "replay-fixture-speed-nan-threaded":
+        "84d5efd3b369c60985356bfc3d20476f94420752240bc8ff801987daea9979b7",
+    "replay-empty-speed-nan":
+        "84d5efd3b369c60985356bfc3d20476f94420752240bc8ff801987daea9979b7",
     "tree-fixture-dot":
         "14c9b82485adac13143f520cb13ffde59f397da9ae900dac26a7e2fcd1296d39",
     "tree-fixture-json":
@@ -515,8 +532,6 @@ DIGESTS = {
         "c6a405cbbf06194a71c77e1865dd5928e3c7717942566af20acb83d0355d357f",
     "fingerprint-syn-json":
         "b68bffa5ca4f7af067ec0d1cbc9aa8fff49331384011466698b5e9df57744733",
-    "fingerprint-default":
-        "d5e3b42d681267f1face7c6ea391bc2c02893d31868a16d0c0ec6a2ce0c71b9c",
     "fingerprint-custom":
         "c0c6181271556eeccc2c6852e5c01afd60f39e63b884ad10daeb3e9ade74aba1",
     "fingerprint-bad-sig":
@@ -601,7 +616,6 @@ def inputs(tmp_path_factory):
 @pytest.fixture
 def in_inputs(inputs, monkeypatch):
     monkeypatch.chdir(inputs)
-    monkeypatch.delenv("LASE_SIGNATURES", raising=False)
 
 
 def test_every_case_is_pinned():
@@ -619,6 +633,14 @@ def test_a_flag_value_too_large_to_use_is_an_input_error(name, in_inputs):
     code, out, err = outcome(CASES[name].split())
     assert (code, out) == (2, b"")
     assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
+
+
+@pytest.mark.parametrize("name", ["replay-fixture-speed-negative", "replay-fixture-speed-nan",
+                                  "replay-fixture-speed-nan-threaded", "replay-empty-speed-nan"])
+def test_a_speed_below_zero_or_not_a_number_is_an_input_error(name, in_inputs):
+    code, out, err = outcome(CASES[name].split())
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: --speed ") and err.count(b"\n") == 1, err
 
 
 @pytest.mark.parametrize("name", list(BENCH))

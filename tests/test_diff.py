@@ -189,7 +189,7 @@ def op_count_oracle(trace) -> dict[str, int]:
 
 def test_operation_counts_match_grep_oracle():
     for seed in range(8):
-        trace = run_synthetic(WorkloadSpec(seed=seed, producers=1, events_per_producer=500))
+        trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=500))
         assert operation_counts(trace) == op_count_oracle(trace)
 
 
@@ -228,6 +228,12 @@ def test_corpus_mode_pairs_by_stem(tmp_path, fixture_trace):
 
     filtered = compare_corpora(bare, vm, nonempty_only=True)
     assert filtered.overlap.only_a == 8  # sample2 pair dropped, same totals
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_compare_corpora_refuses_fewer_than_one_worker(tmp_path, workers):
+    with pytest.raises(ValueError, match=f"at least one worker, got {workers}"):
+        compare_corpora(tmp_path, tmp_path, workers=workers)
 
 
 def test_tsv_report_difference_column(fixture_trace):

@@ -295,7 +295,7 @@ def test_scan_matches_naive_oracle_on_synthetic_traces(memo, monkeypatch):
         monkeypatch.setattr(fingerprint, "_TEXT_MEMO", memo)
     sigs = default_signatures()
     for seed in range(10):
-        trace = run_synthetic(WorkloadSpec(seed=seed, producers=2, events_per_producer=300))
+        trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=600))
         assert scan(trace, sigs) == naive_scan_oracle(trace, sigs), f"seed {seed}"
 
 

@@ -205,7 +205,7 @@ def test_initial_thread_alone_is_exempt():
 
 
 def test_synthetic_injection_templates_verified_by_hand_trace():
-    trace = run_synthetic(WorkloadSpec(seed=11, producers=1, events_per_producer=200,
+    trace = run_synthetic(WorkloadSpec(seed=11, events_per_producer=200,
                                        injection_templates=4))
     findings = detect_remote_thread_injection(trace)
     # hand-trace oracle: replay liveness, apply the attribution rule naively
@@ -298,7 +298,7 @@ def test_fixture_node_count_matches_oracle(fixture_trace):
 
 def test_random_trace_node_counts_match_oracle():
     for seed in range(20):
-        trace = run_synthetic(WorkloadSpec(seed=seed, producers=2, events_per_producer=250))
+        trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=500))
         forest = build_forest(trace)
         assert len(forest.index) == node_count_oracle(trace), f"seed {seed}"
 
@@ -372,7 +372,7 @@ def test_scan_findings_name_forest_processes():
     rules = DEFAULT_RULES + (IntrusionRule(Tactic.SCHEDULED_TASK, re.compile("")),)
     sigs = default_signatures() + load_signatures("any\t*\timage_path\t")
     for seed in range(20):
-        trace = run_synthetic(WorkloadSpec(seed=seed, producers=2, events_per_producer=250))
+        trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=500))
         index = build_forest(trace).index
         tactics = scan_commands(trace, rules)
         fingerprints = scan(trace, sigs)
@@ -514,7 +514,7 @@ def test_a_forest_built_without_activity_is_the_same_forest(fixture_trace):
 
 def test_acyclic_and_parent_exists_on_synthetic_traces():
     for seed in (3, 17):
-        trace = run_synthetic(WorkloadSpec(seed=seed, producers=1, events_per_producer=400))
+        trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=400))
         forest = build_forest(trace)
         for key, node in forest.index.items():
             if node.parent is not None:

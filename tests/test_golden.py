@@ -56,9 +56,9 @@ SPEC_DIGESTS = [
      "68a5f9f8c31dc6168c336422ca45f2f8fda50bf0d26739980ecc861ccb8c272e"),
     (WorkloadSpec(events_per_producer=100, seed=3),
      "a69cb9a5d8490b079769a963c99b8006f5550d81c2e8a0a9c6c61e2d7fc6fc0f"),
-    (WorkloadSpec(producers=2, events_per_producer=300, seed=4),
+    (WorkloadSpec(events_per_producer=600, seed=4),
      "767ca2394d489bed345d1e65ed12682547fcc7e1530081f8a9922e2b5c7c115f"),
-    (WorkloadSpec(producers=5, events_per_producer=300, seed=4),
+    (WorkloadSpec(events_per_producer=1500, seed=4),
      "136c11425f510f253c13230fac76e680fdaeac95e08f8bc745e9710c384c44f9"),
     (WorkloadSpec(events_per_producer=500, injection_templates=1, seed=5),
      "e28cf36c1abeeba1948e20071607c6ebc42d9ff23aa46dddfca4dad838323f45"),

@@ -387,7 +387,7 @@ def test_memory_bound_holds_under_load():
 # --- synthetic workloads ---------------------------------------------------
 
 def test_synthetic_is_deterministic():
-    spec = WorkloadSpec(seed=7, producers=2, events_per_producer=300)
+    spec = WorkloadSpec(seed=7, events_per_producer=600)
     a, b = run_synthetic(spec), run_synthetic(spec)
     buf_a, buf_b = io.BytesIO(), io.BytesIO()
     write_trace(a, buf_a)
@@ -432,12 +432,12 @@ def test_generated_records_hold_one_copy_of_what_repeats():
 
 
 def test_synthetic_zero_events_is_header_only():
-    trace = run_synthetic(WorkloadSpec(seed=1, producers=1, events_per_producer=0))
+    trace = run_synthetic(WorkloadSpec(seed=1, events_per_producer=0))
     assert len(trace) == 0
 
 
 def test_synthetic_trace_validates_and_builds_clean_forest():
-    trace = run_synthetic(WorkloadSpec(seed=42, producers=3, events_per_producer=400))
+    trace = run_synthetic(WorkloadSpec(seed=42, events_per_producer=1200))
     buf = io.BytesIO()
     write_trace(trace, buf)
     again = read_trace(buf.getvalue())  # read_trace validates every record
