@@ -112,8 +112,6 @@ def build_parser() -> _Parser:
     p.add_argument("--small", type=int, default=10 * 1024)
     p.add_argument("--large", type=int, default=10 * 1024 * 1024)
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--instrumented", action="store_true",
-                   help="also run the instrumented half and report overhead")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
     return parser
@@ -141,6 +139,10 @@ def _cmd_validate(args) -> int:
 def _cmd_gen(args) -> int:
     from . import pipeline
 
+    if args.events < 0:
+        raise LaseError(f"--events must be non-negative, got {args.events}")
+    if args.injections < 0:
+        raise LaseError(f"--injections must be non-negative, got {args.injections}")
     spec = pipeline.WorkloadSpec(events_per_producer=args.events, seed=args.seed,
                                  injection_templates=args.injections)
     trace = pipeline.run_synthetic(spec)
@@ -304,10 +306,11 @@ def _cmd_tree(args) -> int:
 
 
 def _write_findings(findings, fmt: str) -> None:
-    from . import forest
-
+    """Findings (anything with to_dict) as one JSON object per line, or as
+    one JSON array."""
     if fmt == "jsonl":
-        sys.stdout.write(forest.findings_to_jsonl(findings))
+        for f in findings:
+            sys.stdout.write(json.dumps(f.to_dict(), sort_keys=True) + "\n")
     else:
         _print_json(_JSON.iterencode([f.to_dict() for f in findings]))
 
@@ -396,9 +399,7 @@ def _cmd_bench(args) -> int:
         large_size=args.large, repetitions=args.reps, instrumented=False,
     )
     baseline = bench.run_workload(base_config).cells
-    instrumented = baseline
-    if args.instrumented:
-        instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True)).cells
+    instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True)).cells
     report = bench.overhead(baseline, instrumented)
     out = bench.report_to_tsv(report) if args.format == "tsv" else bench.report_to_json(report)
     sys.stdout.write(out)

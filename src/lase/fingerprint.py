@@ -88,7 +88,7 @@ class FingerprintSignature:
 class FingerprintFinding:
     signature: str
     process: ProcessKey
-    evidence: tuple[int, ...]  # sorted global_seq values
+    evidence: tuple[int, ...]  # sorted distinct global_seq values
 
     @property
     def first_seq(self) -> int:
@@ -172,18 +172,16 @@ def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[Fingerpri
     (first evidence seq, signature name).
     """
     resolve = Resolver().resolve
-    by_kind: dict[str, list[tuple[FingerprintSignature, int, Matcher, dict[str, bool]]]] = {}
-    for sig in signatures:
-        for mi, matcher in enumerate(sig.matchers):
-            by_kind.setdefault(matcher.kind, []).append((sig, mi, matcher, {}))
-    wildcard = by_kind.pop("*", [])
+    entries = [(sig, mi, matcher, {}) for sig in signatures for mi, matcher in enumerate(sig.matchers)]
+    # Per event kind: the matchers of that kind, then the "*" ones.
+    by_kind = {name: [e for e in entries if e[2].kind == name] + [e for e in entries if e[2].kind == "*"]
+               for name in KIND_NAMES}
     # hits[sig_name][process][matcher_index] -> seqs
     hits: dict[str, dict[ProcessKey, dict[int, list[int]]]] = {s.name: {} for s in signatures}
     trace_key: dict[str, ProcessKey] = {}
     for record in trace.records:
         key = resolve(record)
-        candidates = by_kind.get(kind_name(record.kind))
-        for sig, mi, matcher, memo in (candidates + wildcard if candidates else wildcard):
+        for sig, mi, matcher, memo in by_kind[kind_name(record.kind)]:
             text = matcher.text_of(record)
             if text is None:
                 continue
@@ -200,7 +198,7 @@ def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[Fingerpri
         for process, per_matcher in hits[sig.name].items():
             if sig.require_all and len(per_matcher) < len(sig.matchers):
                 continue
-            evidence = sorted(seq for seqs in per_matcher.values() for seq in seqs)
+            evidence = sorted({seq for seqs in per_matcher.values() for seq in seqs})
             findings.append(FingerprintFinding(sig.name, process, tuple(evidence)))
     findings.sort(key=lambda f: (f.first_seq, f.signature))
     return findings

@@ -20,7 +20,6 @@ keeps no injection state.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
@@ -151,11 +150,17 @@ class Resolver:
             return self.exit(record)
         return self.actor(record)
 
-    def create(self, record: EventRecord) -> tuple[ProcessKey, ProcessKey | None, ProcessKey | None]:
-        """Returns the new instance, its parent (None when ppid is 0, the
-        unknown parent) and the still-live instance of the pid it closed."""
-        stale = self._live.pop(record.pid, None)
-        if stale is not None:
+    def is_live(self, key: ProcessKey) -> bool:
+        """Whether the instance create returned as key is still its pid's
+        live one: until the pid's next create or exit. Compared by identity,
+        since a create at seq 0 makes (pid, 0), which equals the pre-existing
+        instance a later parent of that pid makes live."""
+        return self._live.get(key.pid) is key
+
+    def create(self, record: EventRecord) -> tuple[ProcessKey, ProcessKey | None]:
+        """Returns the new instance and its parent (None when ppid is 0, the
+        unknown parent)."""
+        if self._live.pop(record.pid, None) is not None:
             self.warnings.append(
                 f"seq {record.global_seq}: create for already-live pid {record.pid}, closing stale node")
         parent = None
@@ -163,7 +168,7 @@ class Resolver:
             parent = self._live.get(record.ppid) or self._preexisting(record.ppid)
         key = ProcessKey(record.pid, record.global_seq)
         self._live[record.pid] = self._latest[record.pid] = key
-        return key, parent, stale
+        return key, parent
 
     def exit(self, record: EventRecord) -> ProcessKey:
         """Returns the instance that ends here, or the pid's latest one
@@ -242,7 +247,7 @@ class _Builder:
             self._actor(record)  # ensure the acting pid is represented
 
     def _on_create(self, record: EventRecord) -> None:
-        key, parent_key, _ = self.resolver.create(record)
+        key, parent_key = self.resolver.create(record)
         if parent_key is None:
             self.roots.append(key)
         else:
@@ -292,7 +297,6 @@ class _Injections:
         self.examined = 0  # stack and heap entries looked at; read by the cost tests
         self._images: dict[ProcessKey, str] = {}  # created process -> normalized image
         self._threaded: set[ProcessKey] = set()  # processes whose first thread was seen
-        self._live: set[ProcessKey] = set()  # created processes not yet ended
         self._by_image: dict[str, list[ProcessKey]] = {}  # created processes per image, birth order
         self._pending: dict[ProcessKey, list[tuple[datetime, int, InjectionFinding]]] = {}
 
@@ -303,13 +307,11 @@ class _Injections:
         elif isinstance(kind, ImageLoad):
             self._on_image_load(record)
         elif isinstance(kind, ProcessCreate):
-            key, _, stale = self.resolver.create(record)
-            self._live.discard(stale)
-            self._live.add(key)
+            key, _ = self.resolver.create(record)
             image = self._images[key] = normalize_path(record.image_path)
             self._by_image.setdefault(image, []).append(key)
         elif isinstance(kind, ProcessExit):
-            self._live.discard(self.resolver.exit(record))  # not there when the pid had already exited
+            self.resolver.exit(record)
 
     def _on_thread_create(self, record: EventRecord) -> None:
         owner = self.resolver.actor(record)
@@ -323,7 +325,7 @@ class _Injections:
         stack = self._by_image.get(image, [])
         while stack:
             self.examined += 1
-            if stack[-1] in self._live:
+            if self.resolver.is_live(stack[-1]):
                 finding = InjectionFinding(target=owner, injector=stack[-1],
                                            thread_seq=record.global_seq,
                                            confidence=InjectionConfidence.REMOTE_THREAD)
@@ -427,8 +429,3 @@ def render_dot(forest: ProcessForest, root: ProcessKey | None = None, name: str 
     lines = _dot_lines(forest, root, name)
     return "".join(iter(lambda: "".join(itertools.islice(lines, _DOT_BATCH)), ""))
 
-
-def findings_to_jsonl(findings) -> str:
-    """One JSON object per finding (anything with to_dict: injection,
-    fingerprint or intrusion findings), newline-delimited."""
-    return "".join(json.dumps(f.to_dict(), sort_keys=True) + "\n" for f in findings)

@@ -9,8 +9,9 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
+from lase import cli
 from lase.bench import CellStats
-from lase.codec import Trace, TraceHeader, trace_from_records
+from lase.codec import Trace, TraceHeader, trace_from_records, write_trace
 from lase.events import (
     IMAGE_LOAD,
     PROCESS_CREATE,
@@ -139,6 +140,17 @@ def run_lase(*argv, timeout: float = 60) -> tuple[int, str, str]:
     except subprocess.TimeoutExpired:
         raise AssertionError(f"{' '.join(command)} did not exit within {timeout} s") from None
     return done.returncode, done.stdout, done.stderr
+
+
+def findings_jsonl(capsys, tmp_path: Path, command: str, trace: Trace) -> str:
+    """The stdout of ``lase COMMAND TRACE`` run in process: the findings as
+    JSON lines, written by the CLI. The trace is written under tmp_path."""
+    path = tmp_path / "findings.lase"
+    write_trace(trace, path)
+    code = cli.main([command, str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
 
 
 def cells_of(means: dict) -> dict:

@@ -454,13 +454,24 @@ def test_intrude_custom_rules(tmp_path, capsys):
 def test_bench_smoke_tsv(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bench", "--dir", str(tmp_path / "bench"),
                            "--files", "3", "--small", "1024", "--large", "4096",
-                           "--reps", "1", "--instrumented")
+                           "--reps", "1")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "Operation\tSize\tBaseline KB/s\tInstrumented KB/s\tOverhead"
     assert len(lines) == 9  # header + 8 cells
     for line in lines[1:]:
         assert line.endswith("%")
+
+
+def test_bench_always_runs_the_instrumented_half(tmp_path, capsys):
+    # The instrumented half records its file operations to bench_events.lase,
+    # so the overhead column compares two measured runs.
+    target = tmp_path / "bench"
+    code, _, _ = run_cli(capsys, "bench", "--dir", str(target), "--files", "2",
+                         "--small", "64", "--large", "128", "--reps", "1")
+    assert code == 0
+    events = read_trace(target / "bench_events.lase")
+    assert len(events.records) == 2 * 2 * 4  # files x sizes x operations
 
 
 def test_bench_json_round_trips(tmp_path, capsys):

@@ -246,6 +246,7 @@ CASES: dict[str, str] = {
     "usage-int": "gen --events many",
     "usage-gen-producers": "gen --seed 4 --events 60 --producers 2",
     "usage-diff-workers": "diff --bare bare --vm vm --workers 2",
+    "usage-bench-instrumented": "bench --dir bench --files 1 --small 64 --large 64 --reps 1 --instrumented",
     # validate
     "validate-fixture": "validate fixture.lase",
     "validate-fixture-gz": "validate fixture.lase.gz",
@@ -346,7 +347,7 @@ STDIN = {
 
 # name -> (argv, exit code)
 BENCH = {
-    "bench": ("bench --dir bench --files 2 --small 64 --large 128 --reps 1 --instrumented", 0),
+    "bench": ("bench --dir bench --files 2 --small 64 --large 128 --reps 1", 0),
     "bench-json": ("bench --dir bench --files 1 --small 64 --large 64 --reps 1 --format json", 0),
     "bench-usage": ("bench --files 2", 1),
 }
@@ -366,6 +367,8 @@ DIGESTS = {
         "72e3d42498a1a3bf7557c48df9623eaca266da9e4cc331cd0d5062bbb795a4d7",
     "usage-diff-workers":
         "03ee71347f1aa1c71190d955860191d851f14ab818bf8e14c714935bad0f3a36",
+    "usage-bench-instrumented":
+        "bfd3f6911c1a92fb946ba68ae0484778bf74a6013752de9f0e8666a2e1feee1f",
     "validate-fixture":
         "c1bc50b4277cc583e792301cf782db294fd9efa424c51ac6015f222fdbe1cf69",
     "validate-fixture-gz":
@@ -435,9 +438,9 @@ DIGESTS = {
     "gen-gzip":
         "535d31628fb9a1f1f92c475636f6d54cf007dc097025bc9d1c93cf74db1e66e7",
     "gen-negative":
-        "967f816500959af212d126399898511800b9566e05f4151819bed9a352c9bffe",
+        "8934da087ba054e3dd2c9ff1886e8fcf442b3d72980b1eddd19985679664a1f9",
     "gen-injections-negative":
-        "689cb934258425f9a1abc96bca56c53a119f0043f30b6c11acd932c97806d653",
+        "91a6e6d1474978ba4cb5c3b8a1f25f795d8c2cf8619eb19e3376901e107a7a90",
     "replay-fixture":
         "fc2682b5e9eb911b7a285a617794713af1a52527dee9608536a09ab4da9fd9d3",
     "replay-syn-gz":
@@ -641,6 +644,14 @@ def test_a_speed_below_zero_or_not_a_number_is_an_input_error(name, in_inputs):
     code, out, err = outcome(CASES[name].split())
     assert (code, out) == (2, b"")
     assert err.startswith(b"error: --speed ") and err.count(b"\n") == 1, err
+
+
+@pytest.mark.parametrize("name, flag", [("gen-negative", "--events"),
+                                        ("gen-injections-negative", "--injections")])
+def test_a_negative_gen_count_names_its_flag(name, flag, in_inputs):
+    code, out, err = outcome(CASES[name].split())
+    assert (code, out) == (2, b"")
+    assert err.startswith(f"error: {flag} ".encode()) and err.count(b"\n") == 1, err
 
 
 @pytest.mark.parametrize("name", list(BENCH))

@@ -99,8 +99,7 @@ COMMANDS = {
     "replay-2x1": lambda n, t, t2, tmp: ["replay", t, "--out", tmp / "r.lase", "--producers", "2"],
     "gen": lambda n, t, t2, tmp: ["gen", "--events", n, "--out", tmp / "g.lase"],
     "bench": lambda n, t, t2, tmp: ["bench", "--dir", tmp / "bench", "--files", n // 400,
-                                    "--small", "64", "--large", "256", "--reps", "1",
-                                    "--instrumented"],
+                                    "--small", "64", "--large", "256", "--reps", "1"],
 }
 
 

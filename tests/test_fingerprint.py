@@ -6,7 +6,7 @@ from datetime import timedelta
 
 import pytest
 
-from helpers import BASE_TIME, build_trace
+from helpers import BASE_TIME, build_trace, findings_jsonl
 
 from lase.codec import Trace, TraceHeader, trace_from_records
 from lase.errors import SignatureParseError
@@ -26,7 +26,7 @@ from lase.fingerprint import (
     load_signatures,
     scan,
 )
-from lase.forest import ProcessKey, build_forest, findings_to_jsonl
+from lase.forest import ProcessKey, build_forest
 from lase.irp import IrpCode
 from lase.pipeline import WorkloadSpec, run_synthetic
 
@@ -289,6 +289,31 @@ def test_oracle_takes_an_exited_parent_as_preexisting():
         assert naive_scan_oracle(trace, sigs) == scan(trace, sigs) == want
 
 
+# Several signatures, each mixing "*" matchers with per-kind ones, some on
+# the same field as another signature's.
+MIXED_KINDS = (
+    "updater-anywhere\t*\timage_path\tupdater\n"
+    "updater-anywhere\tImageLoad\tfile_path\twinhttp\n"
+    "system32\tProcessCreate\timage_path\tsystem32\n"
+    "system32\t*\tfile_path\tsystem32\n"
+    "any-api\t*\tannotation[api]\t.\n"
+    "dll-loads\tImageLoad\tfile_path\t\\.dll$\n"
+    "everything\t*\timage_path\t.\n"
+)
+
+
+@pytest.mark.parametrize("memo", [None, 2])
+def test_scan_mixing_wildcard_and_per_kind_matchers_matches_naive_oracle(memo, monkeypatch):
+    if memo is not None:
+        monkeypatch.setattr(fingerprint, "_TEXT_MEMO", memo)
+    sigs = load_signatures(MIXED_KINDS)
+    for seed in range(4):
+        trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=600))
+        findings = scan(trace, sigs)
+        assert {f.signature for f in findings} == {s.name for s in sigs}, f"seed {seed}"
+        assert findings == naive_scan_oracle(trace, sigs), f"seed {seed}"
+
+
 @pytest.mark.parametrize("memo", [None, 2])
 def test_scan_matches_naive_oracle_on_synthetic_traces(memo, monkeypatch):
     if memo is not None:  # a full memo searches each new text anew
@@ -369,7 +394,6 @@ def test_concatenating_traces_unions_findings():
     assert second.evidence == tuple(s + shift for s in f2[0].evidence)  # re-based
 
 
-def test_findings_jsonl(fixture_trace):
-    findings = scan(fixture_trace, default_signatures())
-    lines = findings_to_jsonl(findings).splitlines()
+def test_findings_jsonl(fixture_trace, capsys, tmp_path):
+    lines = findings_jsonl(capsys, tmp_path, "fingerprint", fixture_trace).splitlines()
     assert [json.loads(x)["signature"] for x in lines] == ["calls-wmi"]

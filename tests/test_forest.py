@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from helpers import build_trace
+from helpers import build_trace, findings_jsonl
 
 from lase.codec import trace_from_records
 from lase.errors import UnknownKey
@@ -32,7 +32,6 @@ from lase.forest import (
     Resolver,
     build_forest,
     detect_remote_thread_injection,
-    findings_to_jsonl,
     render_dot,
     subtree,
 )
@@ -233,11 +232,9 @@ def test_synthetic_injection_templates_verified_by_hand_trace():
     assert confidences.count(InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY) == 2
 
 
-def test_findings_jsonl_round_trips():
-    import json
+def test_findings_jsonl_round_trips(capsys, tmp_path):
     trace = build_trace(injection_rows(with_load=True))
-    findings = detect_remote_thread_injection(trace)
-    lines = findings_to_jsonl(findings).splitlines()
+    lines = findings_jsonl(capsys, tmp_path, "inject-scan", trace).splitlines()
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["target_pid"] == 60

@@ -9,8 +9,10 @@ import io
 
 import pytest
 
+from helpers import findings_jsonl
+
 from lase.codec import read_trace, write_trace
-from lase.forest import build_forest, detect_remote_thread_injection, findings_to_jsonl, render_dot
+from lase.forest import build_forest, render_dot
 from lase.pipeline import PipelineConfig, WorkloadSpec, replay_fixture, run_synthetic
 
 
@@ -94,8 +96,8 @@ def test_forest_dot_digest(injected_trace):
     assert _sha(dot.encode()) == "7432db3eae07354fc2f91dac602ac13bdf327b81459a1f4d16748601b8c24b5b"
 
 
-def test_injection_findings_digest(injected_trace):
-    findings = findings_to_jsonl(detect_remote_thread_injection(injected_trace))
+def test_injection_findings_digest(injected_trace, capsys, tmp_path):
+    findings = findings_jsonl(capsys, tmp_path, "inject-scan", injected_trace)
     assert findings.count("\n") >= 6
     assert _sha(findings.encode()) == "88ace9331528003922d0c8ca6ff3d270066fc8e3e9dbc311b08074d0a8479fe6"
 

@@ -55,26 +55,29 @@ def reference_injections(trace: Trace, window_ms: int) -> list:
     """Brute force: a Resolver fed the INJECTION_KINDS records attributes
     them, the injector is the live created process of the creator's image
     with the largest birth_seq, found by a scan of every created process,
-    and every image load rechecks every open finding of its process."""
+    and every image load rechecks every open finding of its process. A
+    created process is live until the next create or exit of its pid; the
+    oracle tracks that itself, not asking the Resolver."""
     resolver = Resolver()
     window = timedelta(milliseconds=window_ms)
     created: list[list] = []  # [key, normalized image, live]
     threaded: set[ProcessKey] = set()
     findings, open_findings = [], []  # open: (finding, thread time)
 
-    def end(key):
+    def end(pid):
         for row in created:
-            if row[0] == key:
+            if row[0].pid == pid:
                 row[2] = False
 
     for r in trace.records:
         kind = r.kind
         if isinstance(kind, ProcessCreate):
-            key, _, stale = resolver.create(r)
-            end(stale)
+            key, _ = resolver.create(r)
+            end(r.pid)
             created.append([key, normalize_path(r.image_path), True])
         elif isinstance(kind, ProcessExit):
-            end(resolver.exit(r))
+            resolver.exit(r)
+            end(r.pid)
         elif isinstance(kind, ThreadCreate):
             owner = resolver.actor(r)
             images = {row[0]: row[1] for row in created}
@@ -147,6 +150,13 @@ REVIVED_PARENT = [(0, 5, 0, 0, 5), (9, 3, 0, 3, 5), (0, 2, 0, 2, 5), (0, 3, 0, 0
                   (0, 4, 3, 3, 5), (3, 3, 0, 3, 5), (3, 3, 0, 2, 5)]
 
 
+# 1 is created at seq 0 as (1, 0), exits, and is named as 2's parent, which
+# makes the pre-existing (1, 0) live: a key equal to the created one's, but
+# not a created process, so 2's second thread, from 1's image, names no
+# injector.
+SEQ_ZERO_REVIVED = [(2, 1, 0, 0, 5), (0, 2, 1, 2, 5), (3, 2, 0, 0, 5), (3, 2, 0, 0, 5)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(0, len(KINDS) - 1), st.integers(1, 6), st.integers(0, 6),
                                st.integers(0, len(IMAGES) - 1),
@@ -154,6 +164,7 @@ REVIVED_PARENT = [(0, 5, 0, 0, 5), (9, 3, 0, 3, 5), (0, 2, 0, 2, 5), (0, 3, 0, 0
                      max_size=60),
        self_parent_first=st.booleans(), window_ms=st.integers(0, 5000))
 @example(rows=REVIVED_PARENT, self_parent_first=False, window_ms=2000)
+@example(rows=SEQ_ZERO_REVIVED, self_parent_first=True, window_ms=2000)
 def test_findings_are_the_same_on_the_injection_kinds_alone(rows, self_parent_first, window_ms):
     trace = trace_of(rows, self_parent_first)
     findings = detect_remote_thread_injection(trace, window_ms)
@@ -162,6 +173,15 @@ def test_findings_are_the_same_on_the_injection_kinds_alone(rows, self_parent_fi
     assert detect_remote_thread_injection(subset, window_ms) == findings
     assert reference_injections(subset, window_ms) == findings
     assert all(f.injector != f.target for f in findings)
+
+
+def test_a_preexisting_instance_equal_to_a_created_one_is_not_an_injector():
+    trace = trace_of(SEQ_ZERO_REVIVED, True)
+    assert detect_remote_thread_injection(trace) == []
+    # The same thread with 1 still live names the created (1, 0).
+    still_live = trace_of(SEQ_ZERO_REVIVED[1:], True)
+    assert [(f.target, f.injector) for f in detect_remote_thread_injection(still_live)] == [
+        (ProcessKey(2, 1), ProcessKey(1, 0))]
 
 
 def test_the_detector_resolves_the_injection_kinds_alone():

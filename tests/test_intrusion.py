@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_trace
+from helpers import build_trace, findings_jsonl
 
 from lase import intrusion
 from lase.codec import trace_from_records
@@ -22,7 +22,6 @@ from lase.intrusion import (
     normalize_command,
     scan_commands,
 )
-from lase.forest import findings_to_jsonl
 
 # Verbatim attacker command lines with their expected tactic.
 MALICIOUS = [
@@ -245,8 +244,8 @@ def test_dwell_needs_one_finding_list_per_trace():
         dwell_stats([session(start, None)], [])
 
 
-def test_findings_jsonl_shape():
+def test_findings_jsonl_shape(capsys, tmp_path):
     trace = trace_of_commands([("wmic.exe", "shadowcopy delete")])
-    doc = json.loads(findings_to_jsonl(scan_commands(trace)).splitlines()[0])
+    doc = json.loads(findings_jsonl(capsys, tmp_path, "intrude", trace).splitlines()[0])
     assert doc["category"] == "BackupErasure"
     assert doc["matched_text"] == "wmic shadowcopy delete"
