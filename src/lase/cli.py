@@ -48,22 +48,16 @@ def _source(path: str):
     return sys.stdin.buffer if path == "-" else path
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--producers", type=int, default=1)
-    p.add_argument("--consumers", type=int, default=1)
-    p.add_argument("--ring", type=int, default=64)
-    p.add_argument("--chunk", type=int, default=16)
-    p.add_argument("--policy", choices=_POLICIES, default="block")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="lase", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="decode and validate traces")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("traces", nargs="+")
 
     p = sub.add_parser("gen", help="generate a deterministic synthetic trace")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=100, help="events to generate")
     p.add_argument("--injections", type=int, default=0,
@@ -72,41 +66,52 @@ def build_parser() -> _Parser:
     p.add_argument("--compress", action="store_true")
 
     p = sub.add_parser("replay", help="replay a trace through the pipeline")
+    p.set_defaults(run=_cmd_replay)
     p.add_argument("trace")
     p.add_argument("--speed", type=float, default=0.0, help="0 = no pacing")
     p.add_argument("--out", default="-")
     p.add_argument("--compress", action="store_true")
-    _add_pipeline_flags(p)
+    p.add_argument("--producers", type=int, default=1)
+    p.add_argument("--consumers", type=int, default=1)
+    p.add_argument("--ring", type=int, default=64)
+    p.add_argument("--chunk", type=int, default=16)
+    p.add_argument("--policy", choices=_POLICIES, default="block")
 
     p = sub.add_parser("tree", help="reconstruct the process forest")
+    p.set_defaults(run=_cmd_tree)
     p.add_argument("trace")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--root", help="render only the subtree under PID[:BIRTH_SEQ]")
 
     p = sub.add_parser("inject-scan", help="flag remote-thread injection")
+    p.set_defaults(run=_cmd_inject_scan)
     p.add_argument("trace")
     p.add_argument("--window-ms", type=int)  # None: the detector's own default
     p.add_argument("--format", choices=["jsonl", "json"], default="jsonl")
 
     p = sub.add_parser("fingerprint", help="scan for environment fingerprinting")
+    p.set_defaults(run=_cmd_fingerprint)
     p.add_argument("trace")
     p.add_argument("--signatures", default=None, help="signature file (default: built-ins)")
     p.add_argument("--format", choices=["jsonl", "json"], default="jsonl")
 
     p = sub.add_parser("diff", help="differential comparison of two runs")
+    p.set_defaults(run=_cmd_diff)
     p.add_argument("--bare", required=True, help="trace file or directory")
     p.add_argument("--vm", required=True, help="trace file or directory")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--nonempty-only", action="store_true",
-                   help="corpus mode: keep only pairs with file write activity")
+                   help="keep only pairs with file write activity")
 
     p = sub.add_parser("intrude", help="scan command lines for intrusion tactics")
+    p.set_defaults(run=_cmd_intrude)
     p.add_argument("traces", nargs="+")
     p.add_argument("--rules", default=None, help="rule file (default: built-ins)")
     p.add_argument("--dwell", action="store_true", help="append dwell-time statistics")
     p.add_argument("--format", choices=["jsonl", "json"], default="jsonl")
 
     p = sub.add_parser("bench", help="file I/O throughput benchmark")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--dir", required=True)
     p.add_argument("--files", type=int, default=500)
     p.add_argument("--small", type=int, default=10 * 1024)
@@ -347,7 +352,8 @@ def _cmd_diff(args) -> int:
     if bare.is_dir():
         report = diffreport.compare_corpora(bare, vm, nonempty_only=args.nonempty_only)
     else:
-        report = diffreport.compare_traces(read_trace(bare), read_trace(vm))
+        report = diffreport.compare_traces(read_trace(_source(args.bare)), read_trace(_source(args.vm)),
+                                           nonempty_only=args.nonempty_only)
     out = diffreport.report_to_tsv(report) if args.format == "tsv" else diffreport.report_to_json(report)
     sys.stdout.write(out)
     return EXIT_OK
@@ -406,19 +412,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "gen": _cmd_gen,
-    "replay": _cmd_replay,
-    "tree": _cmd_tree,
-    "inject-scan": _cmd_inject_scan,
-    "fingerprint": _cmd_fingerprint,
-    "diff": _cmd_diff,
-    "intrude": _cmd_intrude,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -431,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except BrokenPipeError:
         return EXIT_OK
     except (LaseError, OSError, ValueError) as exc:

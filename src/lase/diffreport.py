@@ -148,8 +148,9 @@ def _fold(summaries: Iterable[PairSummary], nonempty_only: bool = False) -> Diff
     return diff_report(dict(hist_a), dict(hist_b), dict(ops_a), dict(ops_b), all_a, all_b)
 
 
-def compare_traces(trace_a: Trace, trace_b: Trace) -> DiffReport:
-    return _fold([_summarize(trace_a, trace_b)])
+def compare_traces(trace_a: Trace, trace_b: Trace, nonempty_only: bool = False) -> DiffReport:
+    """One pair's report, folded as compare_corpora folds each pair."""
+    return _fold([_summarize(trace_a, trace_b)], nonempty_only)
 
 
 # --- corpus mode ----------------------------------------------------------

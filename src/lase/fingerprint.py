@@ -14,9 +14,9 @@ Signature file format, one matcher per line, "#" comments:
 
 kind is one of ProcessCreate/ProcessExit/ThreadCreate/ThreadExit/ImageLoad/
 Irp/Annotation or "*"; field is image_path, file_path, args, or
-annotation[KEY]; flags (first line of a signature only) may include "all"
-(every matcher must hit) and "trace" (trace-wide scope instead of
-per-process). Consecutive lines with the same name extend one signature.
+annotation[KEY]; flags may include "all" (every matcher must hit) and
+"trace" (trace-wide scope instead of per-process). Consecutive lines with
+the same name extend one signature, whose flags are those of all its lines.
 """
 
 from __future__ import annotations

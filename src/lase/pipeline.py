@@ -42,7 +42,6 @@ from .events import (
     EventRecord,
     IoMode,
     Irp,
-    kind_name,
 )
 from .irp import parse_irp_code
 
@@ -63,7 +62,6 @@ class SubmitResult(Enum):
 class PipelineConfig:
     ring_capacity: int = 64
     chunk_size: int = 16
-    priority_kinds: frozenset[str] = frozenset()
     backpressure_policy: BackpressurePolicy = BackpressurePolicy.BLOCK
 
     def __post_init__(self):
@@ -71,8 +69,6 @@ class PipelineConfig:
             raise ValueError("ring_capacity must be a positive power of two")
         if not 0 < self.chunk_size <= self.ring_capacity:
             raise ValueError("chunk_size must be in 1..ring_capacity")
-        if unknown := set(self.priority_kinds) - KIND_NAMES:
-            raise ValueError(f"unknown priority kinds {sorted(unknown)}")
 
 
 @dataclass
@@ -118,14 +114,13 @@ class EventPipeline:
         pipeline without a sink raises ValueError for it, before any
         sequence number is assigned.
         """
-        is_priority = priority or kind_name(proto_event.kind) in self.config.priority_kinds
-        if is_priority and self._priority_sink is None:
+        if priority and self._priority_sink is None:
             raise ValueError("priority event submitted to a pipeline without a priority sink")
         with self._lock:
             if self._closed:
                 self.stats.rejected += 1
                 return SubmitResult.DROPPED
-            if is_priority:
+            if priority:
                 record = self._stamp(proto_event)
                 self.stats.priority_delivered += 1
                 self._priority_sink(producer_id, record)
@@ -490,18 +485,14 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
     producers (shard i submits as producer i), and the drained output is
     merged by assigned sequence.
     speed scales inter-event gaps (inf = no pacing). The single
-    producer/consumer form is fully deterministic. A replay has no priority
-    sink, so a config with priority kinds raises ValueError before any
-    record is submitted. A producer thread's error is raised here, once the
-    pipeline is closed and every thread joined.
+    producer/consumer form is fully deterministic. A producer thread's
+    error is raised here, once the pipeline is closed and every thread
+    joined.
     """
     if producers < 1 or consumers < 1:
         raise ValueError("replay needs at least one producer and one consumer, "
                          f"got {producers} and {consumers}")
     config = config or PipelineConfig()
-    if config.priority_kinds:
-        raise ValueError("replay has no priority sink for priority kinds "
-                         f"{sorted(config.priority_kinds)}")
     if producers == 1 and consumers == 1:
         return _replay_single(trace, speed, config)
     pipeline = EventPipeline(config)

@@ -247,6 +247,23 @@ def test_diff_files_tsv(fixture_path, tmp_path, capsys):
     assert "∞" in out  # vm side has no drops at all
 
 
+@pytest.mark.parametrize("side", ["bare", "vm"])
+def test_diff_reads_either_side_from_stdin(fixture_path, tmp_path, capsys, monkeypatch, side):
+    other = tmp_path / "other.lase"
+    write_trace(build_trace([(PROCESS_CREATE, 10, 4, 0, "C:\\x.exe")]), other)
+    paths = {"bare": fixture_path, "vm": other}
+    from_files = run_cli(capsys, "diff", "--bare", str(paths["bare"]), "--vm", str(paths["vm"]))
+    assert from_files[0] == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(paths[side].read_bytes())))
+    paths[side] = "-"
+    assert run_cli(capsys, "diff", "--bare", str(paths["bare"]), "--vm", str(paths["vm"])) == from_files
+
+
+def test_diff_reads_stdin_once(fixture_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(fixture_path.read_bytes())))
+    assert run_cli(capsys, "diff", "--bare", "-", "--vm", "-") == (2, "", "error: empty stream\n")
+
+
 def test_diff_requires_matching_kinds(fixture_path, tmp_path, capsys):
     code, _, err = run_cli(capsys, "diff", "--bare", str(fixture_path), "--vm", str(tmp_path))
     assert code == 2

@@ -333,6 +333,9 @@ CASES: dict[str, str] = {
     "diff-corpus": "diff --bare bare --vm vm",
     "diff-corpus-json": "diff --bare bare --vm vm --format json",
     "diff-corpus-nonempty": "diff --bare bare --vm vm --nonempty-only",
+    "diff-files-nonempty": "diff --bare bare/quiet.lase --vm vm/quiet.lase --nonempty-only --format json",
+    "diff-stdin": "diff --bare - --vm syn.lase",
+    "diff-stdin-twice": "diff --bare - --vm -",
     "diff-mixed": "diff --bare bare --vm fixture.lase",
     "diff-missing": "diff --bare nope.lase --vm fixture.lase",
     "diff-bad": "diff --bare fixture.lase --vm bad-host.lase",
@@ -343,6 +346,8 @@ STDIN = {
     "replay-stdin": "fixture.lase",
     "tree-stdin": "shapes.lase",
     "intrude-stdin": "tactic-first.lase",
+    "diff-stdin": "fixture.lase",
+    "diff-stdin-twice": "fixture.lase",
 }
 
 # name -> (argv, exit code)
@@ -575,6 +580,12 @@ DIGESTS = {
         "269bff2143a4cac19ba8a2e39a7ec1aa555201ea8b4dd9396293ed739cadcf8a",
     "diff-corpus-nonempty":
         "895f0ba084ead901be7ea85ad740f150529356a16b3fa5724f73fc0c7edc4767",
+    "diff-files-nonempty":
+        "79a123758dd179230dabefbe3900ae90472857546078ff46f11af72d0ff19281",
+    "diff-stdin":
+        "9f243b284924cc542363bb2d48c64e7794f582b9f2f091769d509f89c0d55fe8",
+    "diff-stdin-twice":
+        "190cdec2b93bc5b71398ffb21420c42bf1208e930adfa4006b901f43ec59c0f1",
     "diff-mixed":
         "be86ad648a03ff37cc5e1e3c27e0b3a3cfb65a442ea33e648b07e8cc700c9bc0",
     "diff-missing":

@@ -40,7 +40,7 @@ def test_command_runs_with_the_collector_paused(caller_gc, fixture_path, capsys,
         seen.append(gc.isenabled())
         return cli.EXIT_OK
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", spy)
+    monkeypatch.setattr(cli, "_cmd_validate", spy)
     assert run_main(capsys, "validate", fixture_path) == 0
     assert seen == [False]
     assert gc.isenabled() is caller_gc
@@ -62,7 +62,7 @@ def test_internal_error_restores_the_collector_state(caller_gc, fixture_path, ca
     def boom(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", boom)
+    monkeypatch.setattr(cli, "_cmd_validate", boom)
     assert run_main(capsys, "validate", fixture_path) == cli.EXIT_INTERNAL
     assert gc.isenabled() is caller_gc
 

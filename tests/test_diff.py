@@ -230,6 +230,22 @@ def test_corpus_mode_pairs_by_stem(tmp_path, fixture_trace):
     assert filtered.overlap.only_a == 8  # sample2 pair dropped, same totals
 
 
+@pytest.mark.parametrize("nonempty_only", [False, True])
+@pytest.mark.parametrize("sides", ["quiet-quiet", "fixture-quiet", "quiet-fixture"])
+def test_a_file_pair_folds_like_a_one_pair_corpus(tmp_path, fixture_trace, sides, nonempty_only):
+    from lase.codec import write_trace
+    quiet = build_trace([(PROCESS_CREATE, 10, 4, 0, "C:\\idle.exe"),
+                         (READ, 10, 0, 0, "C:\\idle.exe", "", "C:\\in.txt")])
+    trace_a, trace_b = ({"quiet": quiet, "fixture": fixture_trace}[s] for s in sides.split("-"))
+    for side, trace in (("bare", trace_a), ("vm", trace_b)):
+        (tmp_path / side).mkdir()
+        write_trace(trace, tmp_path / side / "s.lase")
+    report = compare_traces(trace_a, trace_b, nonempty_only=nonempty_only)
+    assert report == compare_corpora(tmp_path / "bare", tmp_path / "vm", nonempty_only=nonempty_only)
+    # A pair that drops no file on either side is skipped whole, reads too.
+    assert (report.per_operation == {}) == (nonempty_only and sides == "quiet-quiet")
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_compare_corpora_refuses_fewer_than_one_worker(tmp_path, workers):
     with pytest.raises(ValueError, match=f"at least one worker, got {workers}"):

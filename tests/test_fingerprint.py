@@ -74,6 +74,17 @@ def test_flags_parse():
         load_signatures("s\tIrp\tfile_path\tx\tbogus\n")
 
 
+@pytest.mark.parametrize("flags", [("all,trace", ""), ("", "all,trace"), ("all", "trace"),
+                                   ("trace", "all")])
+def test_flags_of_every_line_of_a_signature_merge(flags):
+    first, second = (f"\t{f}" if f else "" for f in flags)
+    sigs = load_signatures(f"s\tIrp\tfile_path\tx{first}\n"
+                           f"s\tImageLoad\tfile_path\ty{second}\n"
+                           "t\tIrp\tfile_path\tz\n")
+    assert [(s.name, s.require_all, s.scope) for s in sigs] == [
+        ("s", True, "trace"), ("t", False, "process")]
+
+
 def test_unknown_kind_and_field_rejected():
     with pytest.raises(SignatureParseError):
         load_signatures("s\tNotAKind\tfile_path\tx\n")

@@ -47,14 +47,6 @@ def test_config_validation():
         PipelineConfig(ring_capacity=8, chunk_size=9)
 
 
-def test_config_refuses_unknown_priority_kinds():
-    with pytest.raises(ValueError, match="ProcessCreat"):
-        PipelineConfig(priority_kinds=frozenset({"ProcessCreat"}))
-    with pytest.raises(ValueError):
-        PipelineConfig(priority_kinds=frozenset({"ProcessCreate", "*"}))
-    PipelineConfig(priority_kinds=frozenset({"ProcessCreate", "Irp", "Annotation"}))
-
-
 def test_single_producer_fifo():
     pipeline = EventPipeline(PipelineConfig(ring_capacity=16, chunk_size=16))
     results = [pipeline.submit(1, PROTO) for _ in range(10)]
@@ -132,25 +124,10 @@ def test_priority_delivered_before_later_nonpriority():
     assert pipeline.stats.priority_delivered == 1
 
 
-def test_priority_kinds_route_by_selector():
-    config = PipelineConfig(ring_capacity=16, chunk_size=16,
-                            priority_kinds=frozenset({"ProcessCreate"}))
-    sink: list[tuple[int, EventRecord]] = []
-    pipeline = EventPipeline(config, priority_sink=lambda producer, rec: sink.append((producer, rec)))
-    assert pipeline.submit(1, PROTO) is SubmitResult.ACCEPTED
-    assert sink == [(1, PROTO.with_seq(1))]
-    assert drain_all(pipeline) == []
-    assert pipeline.stats.priority_delivered == 1
-
-
-@pytest.mark.parametrize("config, priority", [
-    (PipelineConfig(), True),
-    (PipelineConfig(priority_kinds=frozenset({"ProcessCreate"})), False),
-])
-def test_priority_without_sink_raises_before_stamping(config, priority):
-    pipeline = EventPipeline(config)
+def test_priority_without_sink_raises_before_stamping():
+    pipeline = EventPipeline()
     with pytest.raises(ValueError, match="priority sink"):
-        pipeline.submit(1, PROTO, priority=priority)
+        pipeline.submit(1, PROTO, priority=True)
     assert pipeline.stats == PipelineStats()
     exit_event = EventRecord(0, BASE_TIME, PROCESS_EXIT, pid=7, image_path="C:\\x.exe")
     assert pipeline.submit(1, exit_event) is SubmitResult.ACCEPTED
@@ -660,18 +637,3 @@ def test_a_producer_error_is_raised_after_the_threads_are_joined(fixture_trace, 
 def test_replay_rejects_counts_below_one(fixture_trace, producers, consumers):
     with pytest.raises(ValueError, match="at least one producer and one consumer"):
         replay_fixture(fixture_trace, producers=producers, consumers=consumers)
-
-
-# A replay has no priority sink, so both paths refuse a config with priority
-# kinds before a record is submitted, also when the trace holds none of them.
-@pytest.mark.parametrize("priority_kinds", ["ImageLoad", "Annotation"])
-@pytest.mark.parametrize("producers, consumers", [(1, 1), (2, 1), (3, 2)])
-def test_replay_refuses_priority_kinds(priority_kinds, producers, consumers):
-    trace = run_synthetic(WorkloadSpec(seed=3, events_per_producer=500))
-    # Annotation stands for a priority kind the trace does not hold.
-    trace = Trace(trace.header, tuple(r for r in trace.records if kind_name(r.kind) != "Annotation"))
-    config = PipelineConfig(priority_kinds=frozenset({priority_kinds}))
-    threads = threading.active_count()
-    with pytest.raises(ValueError, match="priority sink"):
-        replay_fixture(trace, config=config, producers=producers, consumers=consumers)
-    assert threading.active_count() == threads
