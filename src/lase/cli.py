@@ -299,7 +299,7 @@ def _cmd_tree(args) -> int:
     if args.root is not None:
         root = _parse_root(args.root, built)
         if args.format == "dot":
-            sys.stdout.write(forest.render_dot(built, root, name=f"subtree_{root.pid}"))
+            sys.stdout.write(forest.render_dot(built, root))
         else:
             _print_json(_subtree_json(built, root))
     else:
@@ -377,10 +377,7 @@ def _cmd_intrude(args) -> int:
     findings, heads = zip(*map(scan, args.traces))
     _write_findings([f for found in findings for f in found], args.format)
     if args.dwell:
-        nonempty = [i for i, head in enumerate(heads) if head.records]
-        stats = intrusion.dwell_stats([heads[i] for i in nonempty],
-                                      [findings[i] for i in nonempty],
-                                      [labels[i] for i in nonempty])
+        stats = intrusion.dwell_stats(heads, findings, labels)
         doc = {
             "sessions": [
                 {

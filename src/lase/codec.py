@@ -19,7 +19,6 @@ decompressed.
 from __future__ import annotations
 
 import contextlib
-import functools
 import gzip
 import io
 import itertools
@@ -122,40 +121,50 @@ def escape_field(text: str) -> str:
     return text
 
 
-# Bounded memo: decoded records share one string per distinct text (a
-# process's image path repeats on each of its records). It keeps at most
-# _FIELD_MEMO texts of at most MEMO_TEXT_CHARS characters (fingerprint's
-# memos too), so no file of distinct or long fields can grow it.
-_FIELD_MEMO = 4096
+# The one bound on every memo: a text key longer than MEMO_TEXT_CHARS is
+# never kept, and a full memo is emptied before it keeps another key, so no
+# input of distinct or long values can grow one past its size.
 MEMO_TEXT_CHARS = 1024
 
 
-class _Unescaped(dict):
-    """Escaped text -> its plain text, the inverse of escape_field. A miss
-    raises ValueError for text escape_field never writes (a doubled
-    backslash not followed by 't', 'n' or a backslash), which would
-    re-encode to other bytes. The memo outlives every reader, so a full one
-    is emptied rather than kept with the texts of an old trace. Readers in
-    several threads need no lock: a text has one plain text, so a race only
-    computes it twice or lets the memo pass its bound by one per thread."""
+class Memo(dict):
+    """key -> fn(key), computed on a miss and kept under the bound above; a
+    key whose fn raises is not kept. A hit is a plain dict subscript. fn
+    gives each key one value, so threads sharing a memo need no lock: a race
+    only computes a value twice or lets the memo pass its size by one per
+    thread."""
 
-    __slots__ = ()
+    __slots__ = ("fn", "size")
 
-    def __missing__(self, text: str) -> str:
-        plain = text
-        if "\\t" in text or "\\n" in text or "\\\\" in text:
-            plain = _UNESCAPE_RE.sub(_unescape_match, text)
-            if escape_field(plain) != text:
-                raise ValueError(f"non-canonical escape in {text!r}")
-        if len(text) <= MEMO_TEXT_CHARS:
-            if len(self) >= _FIELD_MEMO:
+    def __init__(self, fn: Callable, size: int = 4096):
+        super().__init__()
+        self.fn, self.size = fn, size
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if not (isinstance(key, str) and len(key) > MEMO_TEXT_CHARS):
+            if len(self) >= self.size:
                 self.clear()
-            self[text] = plain
+            self[key] = value
+        return value
+
+
+def _unescape(text: str) -> str:
+    """The plain text of an escaped field, the inverse of escape_field.
+    Raises ValueError for text escape_field never writes (a doubled
+    backslash not followed by 't', 'n' or a backslash), which would
+    re-encode to other bytes."""
+    if "\\t" in text or "\\n" in text or "\\\\" in text:
+        plain = _UNESCAPE_RE.sub(_unescape_match, text)
+        if escape_field(plain) != text:
+            raise ValueError(f"non-canonical escape in {text!r}")
         return plain
+    return text
 
 
-_UNESCAPED = _Unescaped()
-unescape_field = _UNESCAPED.__getitem__
+# Decoded records share one string per distinct text (a process's image
+# path repeats on each of its records). The memo outlives every reader.
+unescape_field = Memo(_unescape).__getitem__
 
 
 # The strict time and integer grammar, written once and shared by
@@ -179,28 +188,19 @@ _LINE_RE = re.compile("\t".join(
 _UINT64_MAX = 2**64 - 1
 _UINT64_DIGITS = 19  # every integer this wide or narrower is at most _UINT64_MAX
 
-_iso_date = functools.lru_cache(maxsize=16)(date.isoformat)
+_iso_date = Memo(date.isoformat, 16).__getitem__
 
 # Per reader: the records one reader builds share one int per distinct pid,
 # ppid, tid and duration value (a process's pid repeats on each of its
 # records, and I/O durations repeat across a trace). The table maps each
 # value to the first int of it the reader built and holds no text: a
 # canonical id text and its value map one to one. It is a local of the
-# reader's record loop, so it is freed with the reader, and it stops
-# growing at _ID_MEMO values.
+# reader's record loop, so it is freed with the reader.
 _ID_MEMO = 16384
 
 
-class _Ids(dict):
-    """Id value -> the shared int of that value; a value missing from a full
-    table is returned as it is."""
-
-    __slots__ = ()
-
-    def __missing__(self, value: int) -> int:
-        if len(self) < _ID_MEMO:
-            self[value] = value
-        return value
+def _same(value: int) -> int:
+    return value
 
 
 def _datetime(year: str | None, month: str | None, day: str | None, clock: str, millis: str,
@@ -242,20 +242,20 @@ def _parse_uint(text: str, column: str) -> int:
     return value
 
 
-# Shared Irp kind per (operation label, I/O mode token) seen so far. Only
-# canonical labels and tokens enter, so it holds at most one entry per
-# registered code and mode.
-_IRP_KINDS: dict[tuple[str, str], Irp] = {}
-
-
-def _irp_kind(op: str, mode_token: str) -> Irp:
-    """The Irp kind for a label and mode token not yet in _IRP_KINDS."""
+def _irp_kind(key: tuple[str, str]) -> Irp:
+    """The Irp kind of an (operation label, I/O mode token) pair; an
+    unregistered label is refused before a bad token."""
+    op, mode_token = key
     code = irp_code_from_label(op)
     mode = _MODE_TOKENS.get(mode_token)
     if mode is None:
         raise TraceSyntaxError(f"bad I/O mode token {mode_token!r}", column="args")
-    kind = _IRP_KINDS[op, mode_token] = Irp(code, mode)
-    return kind
+    return Irp(code, mode)
+
+
+# One shared Irp kind per (operation label, I/O mode token); only canonical
+# pairs enter.
+_IRP_KINDS = Memo(_irp_kind)
 
 
 def _reject(line: str, header: TraceHeader) -> NoReturn:
@@ -340,7 +340,7 @@ def _check(line: str, header: TraceHeader,
             or kind is PROCESS_CREATE and image != "" and tid == "0"
             or (kind is THREAD_CREATE or kind is THREAD_EXIT) and tid != "0")
     else:
-        kind = _IRP_KINDS.get((op, args)) or _irp_kind(op, args)
+        kind = _IRP_KINDS[op, args]
         args = ""
         proven = file_path != "" and kind.mode is not IoMode.FAST_IO
     if result == RESULT_OK:
@@ -572,7 +572,7 @@ def _read(source, kinds: frozenset[str] | None,
         yield header
 
         last_seq = -1
-        read_id = _Ids().__getitem__
+        read_id = Memo(_same, _ID_MEMO).__getitem__
         for line in records:
             # last_seq < 0 until the first record line, which is built.
             if (kinds is None or last_seq < 0
@@ -599,10 +599,9 @@ def _read(source, kinds: frozenset[str] | None,
 class TraceReader:
     """Streaming reader: exposes the header up front, then iterates records.
 
-    Memory use is bounded by line length, by the id table, which holds at
-    most _ID_MEMO ints and no text, and by the text memo, which holds at
-    most _FIELD_MEMO texts of at most MEMO_TEXT_CHARS characters each, not
-    by trace size. Sequence monotonicity and per-record validation are
+    Memory use is bounded by line length, by the id table, a Memo of at
+    most _ID_MEMO ints and no text, and by the text memo, not by trace
+    size. Sequence monotonicity and per-record validation are
     enforced on the fly. The reader is a single pass over the trace: every
     iter() returns the same iterator, so a later loop resumes where an
     earlier one stopped. A file the reader opened from a path is closed

@@ -24,17 +24,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .codec import MEMO_TEXT_CHARS, Trace
+from .codec import Memo, Trace
 from .errors import SignatureParseError
 from .events import KIND_NAMES, Annotation, EventRecord, kind_name
 from .forest import ProcessKey, Resolver
 
 _FIELDS = ("image_path", "file_path", "args", "annotation")
-
-# Per scan and matcher: hit or miss per distinct field text (a path repeats
-# on many records), bounded like the codec's text memo: at most _TEXT_MEMO
-# texts, each at most MEMO_TEXT_CHARS long.
-_TEXT_MEMO = 4096
 
 DEFAULT_SIGNATURE_TEXT = """\
 # built-in environment fingerprinting checks
@@ -172,7 +167,9 @@ def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[Fingerpri
     (first evidence seq, signature name).
     """
     resolve = Resolver().resolve
-    entries = [(sig, mi, matcher, {}) for sig in signatures for mi, matcher in enumerate(sig.matchers)]
+    # Per matcher: hit or miss per distinct field text (a path repeats on many records).
+    entries = [(sig, mi, matcher, Memo(matcher.hits))
+               for sig in signatures for mi, matcher in enumerate(sig.matchers)]
     # Per event kind: the matchers of that kind, then the "*" ones.
     by_kind = {name: [e for e in entries if e[2].kind == name] + [e for e in entries if e[2].kind == "*"]
                for name in KIND_NAMES}
@@ -183,14 +180,7 @@ def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[Fingerpri
         key = resolve(record)
         for sig, mi, matcher, memo in by_kind[kind_name(record.kind)]:
             text = matcher.text_of(record)
-            if text is None:
-                continue
-            hit = memo.get(text)
-            if hit is None:
-                hit = matcher.hits(text)
-                if len(memo) < _TEXT_MEMO and len(text) <= MEMO_TEXT_CHARS:
-                    memo[text] = hit
-            if hit:
+            if text is not None and memo[text]:
                 group = key if sig.scope == "process" else trace_key.setdefault(sig.name, key)
                 hits[sig.name].setdefault(group, {}).setdefault(mi, []).append(record.global_seq)
     findings = []

@@ -400,9 +400,10 @@ def _dot_node(node: ProcessNode) -> str:
     return f'  {_node_id(node.key)} [label="{label}"];\n'
 
 
-def _dot_lines(forest: ProcessForest, root: ProcessKey | None, name: str) -> Iterator[str]:
+def _dot_lines(forest: ProcessForest, root: ProcessKey | None) -> Iterator[str]:
     """The lines of render_dot's text, each with its newline."""
-    yield f'digraph "{_dot_escape(name)}" {{\n  rankdir=LR;\n'
+    name = "trace" if root is None else f"subtree_{root.pid}"
+    yield f'digraph "{name}" {{\n  rankdir=LR;\n'
     if root is None:
         keys = sorted(forest.index, key=lambda k: (k.birth_seq, k.pid))
         for key in keys:
@@ -422,10 +423,10 @@ def _dot_lines(forest: ProcessForest, root: ProcessKey | None, name: str) -> Ite
 _DOT_BATCH = 1024  # lines joined at a time
 
 
-def render_dot(forest: ProcessForest, root: ProcessKey | None = None, name: str = "trace") -> str:
-    """Render the forest, or the subtree under root, as a deterministic DOT
-    digraph. The lines are joined in batches, so no list of every line is
-    held beside the text."""
-    lines = _dot_lines(forest, root, name)
+def render_dot(forest: ProcessForest, root: ProcessKey | None = None) -> str:
+    """Render the forest as the DOT digraph "trace", or the subtree under
+    root as "subtree_<pid>", deterministically. The lines are joined in
+    batches, so no list of every line is held beside the text."""
+    lines = _dot_lines(forest, root)
     return "".join(iter(lambda: "".join(itertools.islice(lines, _DOT_BATCH)), ""))
 

@@ -5,7 +5,8 @@ stripped) plus its arguments, whitespace-collapsed and lowercased, tested
 against every rule. Detection is per process creation only: argument
 fragments split across parent/child shells are not stitched together.
 
-Rule file format matches the fingerprint signature grammar:
+Rule file format matches the fingerprint signature grammar, with no
+flags column: a rule line has exactly four columns,
 
     category<TAB>ProcessCreate<TAB>command<TAB>regex
 
@@ -111,7 +112,8 @@ def scan_commands(trace: Trace,
 
 
 def load_rules(source: str) -> tuple[IntrusionRule, ...]:
-    """Parse a rule file (same line grammar as fingerprint signatures)."""
+    """Parse a rule file (the line grammar of fingerprint signatures, but
+    exactly four columns: a rule takes no flags column)."""
     categories = {t.value: t for t in Tactic}
     rules: list[IntrusionRule] = []
     for line_no, line in enumerate(source.splitlines(), start=1):
@@ -159,12 +161,13 @@ def dwell_stats(traces: list[Trace], findings: list[list[IntrusionFinding]],
 
     findings[i] is scan_commands(traces[i]), in record order, so its first
     finding is the earliest. Traces without findings are counted
-    separately (n_clean). Every trace must be nonempty.
+    separately (n_clean). An empty trace is skipped: it is neither a
+    session nor clean.
     """
     sessions: list[SessionDwell] = []
     for i, (trace, found) in enumerate(zip(traces, findings, strict=True)):
         if not trace.records:
-            raise ValueError(f"trace {i} is empty")
+            continue
         label = labels[i] if labels else f"trace-{i}"
         sessions.append(SessionDwell(label, trace.records[0].time,
                                      found[0].time if found else None))

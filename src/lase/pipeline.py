@@ -28,7 +28,7 @@ from datetime import datetime, timedelta
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .codec import Trace, TraceHeader, resequence
+from .codec import Memo, Trace, TraceHeader, resequence
 from .errors import PipelineClosed
 from .events import (
     IMAGE_LOAD,
@@ -349,7 +349,6 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     live: list[_Proc] = []
     open_slots: list[_Proc] = []  # children < want_children
     threaded: list[_Proc] = []    # at least one live thread
-    irp_kinds: dict[str, Callable[[], Irp]] = {}  # mix token -> its kind draw
 
     # Every I/O record shares its path and duration objects with the others
     # that drew the same value. Built per call: at import they would add to
@@ -391,16 +390,14 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
             _insert_by_pid(threaded, proc)
         proc.tids.append(tid)
 
-    def irp_kind(token: str) -> Irp:
-        draw = irp_kinds.get(token)
-        if draw is None:
-            code = parse_irp_code(token[4:])
-            if code.is_fast_io():  # one mode, so no draw
-                draw = itertools.repeat(Irp(code, IoMode.FAST_IO)).__next__
-            else:
-                draw = weighted([Irp(code, mode) for mode in _IRP_MODES], _IRP_MODE_WEIGHTS)
-            irp_kinds[token] = draw
-        return draw()
+    def irp_draw(token: str) -> Callable[[], Irp]:
+        """The kind draw of an "Irp:" mix token."""
+        code = parse_irp_code(token[4:])
+        if code.is_fast_io():  # one mode, so no draw
+            return itertools.repeat(Irp(code, IoMode.FAST_IO)).__next__
+        return weighted([Irp(code, mode) for mode in _IRP_MODES], _IRP_MODE_WEIGHTS)
+
+    irp_draws = Memo(irp_draw)  # mix token -> its kind draw
 
     def rand_file() -> str:
         # The draws of choice(_FILE_STEMS), randint(0, 9) and choice(_FILE_EXTS).
@@ -448,7 +445,7 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
             emit(choice(_API_KINDS), pid=proc.pid)
         elif token.startswith("Irp:"):
             proc = choice(live)
-            kind = irp_kind(token)
+            kind = irp_draws[token]()
             tid = choice(proc.tids) if proc.tids else 0
             emit(kind, pid=proc.pid, tid=tid,  # durations[below(4991)] is randint(10, 5000)
                  duration=durations[below(4991)], image=proc.image, file_path=rand_file())

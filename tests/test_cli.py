@@ -468,6 +468,14 @@ def test_intrude_custom_rules(tmp_path, capsys):
     assert [d["category"] for d in docs] == ["ScheduledTask"]
 
 
+def test_intrude_rules_take_no_flags_column(fixture_path, tmp_path, capsys):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("ScheduledTask\tProcessCreate\tcommand\tschtasks\\s+/create\tall\n")
+    code, out, err = run_cli(capsys, "intrude", str(fixture_path), "--rules", str(rules))
+    assert (code, out) == (2, "")
+    assert err == "error: expected 4 tab-separated fields, got 5 (line 1)\n"
+
+
 def test_bench_smoke_tsv(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bench", "--dir", str(tmp_path / "bench"),
                            "--files", "3", "--small", "1024", "--large", "4096",

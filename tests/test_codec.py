@@ -21,8 +21,9 @@ from helpers import random_record, random_trace
 
 from lase import codec
 from lase.codec import (
-    _FIELD_MEMO,
     MAGIC,
+    MEMO_TEXT_CHARS,
+    Memo,
     Trace,
     TraceHeader,
     TraceReader,
@@ -481,6 +482,41 @@ def test_unescape_accepts_only_what_escape_writes(escaped):
     assert escape_field(text) == escaped
 
 
+def _memo_value(key):
+    """A value per key, refused for some keys of each type."""
+    if key in (-1, "!", (0, "!")):
+        raise ValueError(key)
+    return ("value", key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(alphabet="ab!", max_size=2),
+    st.text(alphabet="ab", max_size=2).map(lambda tail: "x" * MEMO_TEXT_CHARS + tail),
+    st.integers(-1, 6),
+    st.tuples(st.integers(0, 1), st.sampled_from(["", "!", "a"])),
+), max_size=40))
+def test_memo_keeps_values_under_its_one_bound(keys):
+    size = 4
+    memo = Memo(_memo_value, size)
+    for key in keys:
+        held, had = len(memo), key in memo
+        try:
+            want = _memo_value(key)
+        except ValueError:
+            with pytest.raises(ValueError):
+                memo[key]
+            assert key not in memo and len(memo) == held
+            continue
+        assert memo[key] == want
+        long = isinstance(key, str) and len(key) > MEMO_TEXT_CHARS
+        assert (key in memo) == (not long)
+        if not had and not long:
+            assert len(memo) == (1 if held == size else held + 1)  # a full memo is emptied first
+        assert len(memo) <= size
+        assert not any(isinstance(k, str) and len(k) > MEMO_TEXT_CHARS for k in memo)
+
+
 def test_header_host_with_a_non_canonical_escape_is_refused():
     with pytest.raises(TraceSyntaxError) as exc:
         read_trace(b"#LASEv1\n#date\t2024/01/01\n#host\tlab\\\\x\n")
@@ -692,7 +728,8 @@ def test_accepted_lines_re_encode_byte_identically(column, text, time, at):
 
 
 def test_text_memo_is_bounded_and_round_trips():
-    n = _FIELD_MEMO + 500
+    memo = unescape_field.__self__
+    n = memo.size + 500
     records = tuple(
         decode_line(_line(global_seq=str(i), image_path=f"C:\\\\tools\\p{i}.exe",
                           file_path=f"C:\\f{i}\\tx\\ty.dat"), HEADER)
@@ -706,7 +743,7 @@ def test_text_memo_is_bounded_and_round_trips():
     second = io.BytesIO()
     write_trace(again, second)
     assert second.getvalue() == first.getvalue()
-    assert len(codec._UNESCAPED) <= _FIELD_MEMO
+    assert len(memo) <= memo.size
 
 
 # 400 distinct texts of 10,000 characters each: 4 MB if a memo keeps them.
@@ -751,20 +788,20 @@ def _encoded(trace: Trace) -> bytes:
 
 
 def _watch_id_tables(monkeypatch) -> tuple[list, list]:
-    """Weak references to every id table a reader makes from now on, and
-    each table's size after each entry it adds."""
+    """Weak references to every id table (the one Memo a reader makes) from
+    now on, and each table's size after each entry it adds."""
     tables, sizes = [], []
 
-    class Watched(codec._Ids):
-        def __init__(self):
-            super().__init__()
+    class Watched(Memo):
+        def __init__(self, fn, size):
+            super().__init__(fn, size)
             tables.append(weakref.ref(self))
 
-        def __setitem__(self, text, value):
-            super().__setitem__(text, value)
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
             sizes.append(len(self))
 
-    monkeypatch.setattr(codec, "_Ids", Watched)
+    monkeypatch.setattr(codec, "Memo", Watched)
     return tables, sizes
 
 
@@ -788,7 +825,7 @@ def test_records_of_one_reader_share_their_id_ints():
     assert first.pid == again.pid and first.pid is not again.pid  # one table per reader
 
 
-def test_id_table_stops_at_its_bound(monkeypatch):
+def test_id_table_empties_at_its_bound(monkeypatch):
     monkeypatch.setattr(codec, "_ID_MEMO", 50)
     _, sizes = _watch_id_tables(monkeypatch)
     trace = run_synthetic(WorkloadSpec(events_per_producer=2000, seed=3))
@@ -796,6 +833,7 @@ def test_id_table_stops_at_its_bound(monkeypatch):
     assert len(distinct) > 3 * 50
     assert read_trace(_encoded(trace)) == trace
     assert max(sizes) == 50
+    assert sizes.count(1) > 3  # emptied once per 50 new values
 
 
 def test_no_id_table_outlives_its_reader(monkeypatch, fixture_path):
@@ -1392,12 +1430,12 @@ def test_a_failing_sink_leaves_no_gzip_stream_to_finalize():
 def test_the_id_table_keys_ints_by_their_own_value(monkeypatch):
     tables = []
 
-    class Kept(codec._Ids):
-        def __init__(self):
-            super().__init__()
+    class Kept(Memo):
+        def __init__(self, fn, size):
+            super().__init__(fn, size)
             tables.append(self)
 
-    monkeypatch.setattr(codec, "_Ids", Kept)
+    monkeypatch.setattr(codec, "Memo", Kept)
     trace = run_synthetic(WorkloadSpec(events_per_producer=2000, seed=3, injection_templates=2))
     assert read_trace(_encoded(trace)) == trace
     (table,) = tables

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import tracemalloc
 from datetime import timedelta
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import BASE_TIME, build_trace, findings_jsonl
 
-from lase.codec import Trace, TraceHeader, trace_from_records
+from lase.codec import MEMO_TEXT_CHARS, Memo, Trace, TraceHeader, trace_from_records
 from lase.errors import SignatureParseError
 from lase.events import (
     IMAGE_LOAD,
@@ -316,7 +317,7 @@ MIXED_KINDS = (
 @pytest.mark.parametrize("memo", [None, 2])
 def test_scan_mixing_wildcard_and_per_kind_matchers_matches_naive_oracle(memo, monkeypatch):
     if memo is not None:
-        monkeypatch.setattr(fingerprint, "_TEXT_MEMO", memo)
+        monkeypatch.setattr(fingerprint, "Memo", functools.partial(Memo, size=memo))
     sigs = load_signatures(MIXED_KINDS)
     for seed in range(4):
         trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=600))
@@ -327,8 +328,8 @@ def test_scan_mixing_wildcard_and_per_kind_matchers_matches_naive_oracle(memo, m
 
 @pytest.mark.parametrize("memo", [None, 2])
 def test_scan_matches_naive_oracle_on_synthetic_traces(memo, monkeypatch):
-    if memo is not None:  # a full memo searches each new text anew
-        monkeypatch.setattr(fingerprint, "_TEXT_MEMO", memo)
+    if memo is not None:  # a full memo is emptied, so texts are searched again
+        monkeypatch.setattr(fingerprint, "Memo", functools.partial(Memo, size=memo))
     sigs = default_signatures()
     for seed in range(10):
         trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=600))
@@ -340,7 +341,7 @@ def test_scan_searches_each_distinct_text_once_per_matcher(monkeypatch):
     hits = fingerprint.Matcher.hits
     monkeypatch.setattr(fingerprint.Matcher, "hits", lambda m, text: searched.append(text) or hits(m, text))
     bios = "C:\\Windows\\drivers\\" * 50 + "bios.sys"  # a path that backtracks, short enough to keep
-    assert len(bios) <= fingerprint.MEMO_TEXT_CHARS
+    assert len(bios) <= MEMO_TEXT_CHARS
     trace = build_trace([(PROCESS_CREATE, 90, 4, 0, "C:\\m\\x.exe")]
                         + [(READ, 90, 0, 0, "C:\\m\\x.exe", "", bios)] * 50
                         + [(IMAGE_LOAD, 90, 0, 0, "C:\\m\\x.exe", "", bios)] * 50)
@@ -355,7 +356,7 @@ def test_scan_searches_a_text_too_long_to_keep_on_every_record(monkeypatch):
     searched = []
     hits = fingerprint.Matcher.hits
     monkeypatch.setattr(fingerprint.Matcher, "hits", lambda m, text: searched.append(text) or hits(m, text))
-    long = "C:\\" + "a" * fingerprint.MEMO_TEXT_CHARS
+    long = "C:\\" + "a" * MEMO_TEXT_CHARS
     scan(build_trace([(IMAGE_LOAD, 90, 0, 0, "C:\\m\\x.exe", "", long)] * 5), default_signatures())
     assert searched == [long] * 10  # the ImageLoad matchers of calls-wmi and checks-bios
 

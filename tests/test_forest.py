@@ -569,7 +569,9 @@ def test_render_dot_is_deterministic(fixture_trace):
 def test_render_dot_subtree(fixture_trace):
     forest = build_forest(fixture_trace)
     root = ProcessKey(916, 0)
-    nodes, edges = assert_valid_dot(render_dot(forest, root, name="subtree"))
+    dot = render_dot(forest, root)
+    assert dot.startswith('digraph "subtree_916" {\n')
+    nodes, edges = assert_valid_dot(dot)
     assert nodes == len(subtree(forest, root))
     assert edges == nodes - 1
 
@@ -618,7 +620,7 @@ def test_subtree_walks_match_the_recursive_order(fixture_trace, seed):
         pairs = subtree(forest, key)
         assert [(p and p.key, n.key) for p, n in pairs] == list(recursive_walk(forest, key))
         assert all(n is forest.index[n.key] for _, n in pairs)  # the forest's own nodes
-        assert render_dot(forest, key, name="subtree") == recursive_dot(forest, key, "subtree")
+        assert render_dot(forest, key) == recursive_dot(forest, key, f"subtree_{key.pid}")
 
 
 def test_subtree_walks_do_not_recurse_per_generation():

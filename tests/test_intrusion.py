@@ -194,9 +194,16 @@ def test_mixed_sessions():
     assert stats.sessions[1].latency is None
 
 
-def test_empty_trace_rejected():
-    with pytest.raises(ValueError):
-        dwell([trace_from_records([])])
+def test_dwell_skips_an_empty_trace():
+    # An empty trace is neither a session nor clean; the others keep their labels.
+    start = datetime(2024, 1, 5)
+    traces = [trace_from_records([]), session(start, timedelta(minutes=5)), session(start, None)]
+    stats = dwell_stats(traces, [scan_commands(t) for t in traces], ["empty", "a", "b"])
+    assert [(s.label, s.latency) for s in stats.sessions] == [("a", timedelta(minutes=5)),
+                                                            ("b", None)]
+    assert stats.n_clean == 1
+    only_empty = dwell_stats([trace_from_records([])], [[]])
+    assert (only_empty.sessions, only_empty.mean_latency, only_empty.n_clean) == ((), None, 0)
 
 
 def test_latency_runs_to_the_first_of_several_findings():
