@@ -3,8 +3,8 @@
 The workload creates a batch of files per size class, then times four
 phases per repetition: write, rewrite (overwrite in place), read, and
 reread (immediately after read, to exercise the page cache). A cell is the
-mean KB/s across repetitions; per-repetition samples and variance are kept
-so run-to-run noise is inspectable. Instrumented mode submits one I/O event
+mean KB/s across repetitions; per-repetition samples are kept so
+run-to-run noise is inspectable. Instrumented mode submits one I/O event
 per file operation through the recording pipeline with a live consumer
 writing a trace, modeling the recording cost of an always-on monitor.
 
@@ -24,7 +24,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .codec import TraceHeader, trace_from_records, write_trace
-from .errors import MissingCell, PipelineClosed
+from .errors import MissingCell
 from .events import EventRecord, Irp
 from .irp import IrpCode
 from .pipeline import EventPipeline, PipelineConfig
@@ -70,21 +70,6 @@ class CellStats:
     mean_kbps: float
     samples: tuple[float, ...]
 
-    @property
-    def variance(self) -> float:
-        if len(self.samples) < 2:
-            return 0.0
-        return statistics.variance(self.samples)
-
-
-@dataclass(frozen=True)
-class BenchRun:
-    """One measured half (baseline or instrumented): cells of KB/s."""
-
-    cells: dict[tuple[str, str], CellStats]
-    events_submitted: int = 0
-    events_drained: int = 0
-
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -99,17 +84,13 @@ class _Recorder:
     def __init__(self, out_path: Path):
         self.pipeline = EventPipeline(PipelineConfig(ring_capacity=1024, chunk_size=256))
         self.out_path = out_path
-        self.submitted = 0
         self._drained: list[EventRecord] = []
         self._thread = threading.Thread(target=self._consume, daemon=True)
         self._thread.start()
 
     def _consume(self) -> None:
-        while True:
-            try:
-                self._drained.extend(self.pipeline.drain())
-            except PipelineClosed:
-                return
+        while chunk := self.pipeline.drain():
+            self._drained.extend(chunk)
 
     def record(self, op: str, file_path: str, duration_us: int) -> None:
         proto = EventRecord(
@@ -118,15 +99,13 @@ class _Recorder:
             image_path="lase-bench", file_path=file_path,
         )
         self.pipeline.submit(0, proto)
-        self.submitted += 1
 
-    def finish(self) -> int:
+    def finish(self) -> None:
         self.pipeline.close()
         self._thread.join()
         trace = trace_from_records(
             self._drained, TraceHeader(base_date=datetime.now().date(), host_label="bench"))
         write_trace(trace, self.out_path)
-        return len(self._drained)
 
 
 def _run_phase(op: str, paths: list[Path], size: int, block: bytes,
@@ -150,8 +129,9 @@ def _run_phase(op: str, paths: list[Path], size: int, block: bytes,
     return time.perf_counter() - started
 
 
-def run_workload(config: BenchConfig) -> BenchRun:
-    """Measure all 8 cells (4 operations x 2 sizes) for one mode."""
+def run_workload(config: BenchConfig) -> dict[tuple[str, str], CellStats]:
+    """Measure one mode: KB/s per (operation, size) cell, all 8 but any
+    whose phase failed."""
     target = Path(config.target_dir)
     target.mkdir(parents=True, exist_ok=True)
     recorder = _Recorder(target / "bench_events.lase") if config.instrumented else None
@@ -178,17 +158,13 @@ def run_workload(config: BenchConfig) -> BenchRun:
                 for path in paths:
                     path.unlink(missing_ok=True)
     finally:
-        drained = recorder.finish() if recorder else 0
-    cells = {
+        if recorder is not None:
+            recorder.finish()
+    return {
         key: CellStats(statistics.fmean(vals), tuple(vals))
         for key, vals in samples.items()
         if vals and key not in failed
     }
-    return BenchRun(
-        cells=cells,
-        events_submitted=recorder.submitted if recorder else 0,
-        events_drained=drained,
-    )
 
 
 def overhead(baseline: dict[tuple[str, str], CellStats],

@@ -401,8 +401,8 @@ def _cmd_bench(args) -> int:
         target_dir=args.dir, file_count=args.files, small_size=args.small,
         large_size=args.large, repetitions=args.reps, instrumented=False,
     )
-    baseline = bench.run_workload(base_config).cells
-    instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True)).cells
+    baseline = bench.run_workload(base_config)
+    instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True))
     report = bench.overhead(baseline, instrumented)
     out = bench.report_to_tsv(report) if args.format == "tsv" else bench.report_to_json(report)
     sys.stdout.write(out)

@@ -55,10 +55,6 @@ class NonMonotonicSequence(TraceError):
         self.at_seq = at_seq
 
 
-class PipelineClosed(LaseError):
-    """Drain attempted on a closed and fully drained pipeline."""
-
-
 class SignatureParseError(LaseError):
     """Bad signature or rule file; carries the offending line number."""
 

@@ -29,7 +29,6 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .codec import Memo, Trace, TraceHeader, resequence
-from .errors import PipelineClosed
 from .events import (
     IMAGE_LOAD,
     KIND_NAMES,
@@ -156,16 +155,12 @@ class EventPipeline:
     def drain(self, block: bool = True) -> tuple[EventRecord, ...]:
         """Remove up to chunk_size buffered events, oldest first.
 
-        Blocks while the ring is empty unless block=False, which returns
-        an empty tuple instead. Raises PipelineClosed once the pipeline is
-        closed and fully drained.
+        Returns an empty tuple when the ring is empty and block=False, or
+        once the pipeline is closed and empty; a blocking drain waits for
+        either an event or close().
         """
         with self._lock:
-            while not self._ring:
-                if self._closed:
-                    raise PipelineClosed("pipeline closed and empty")
-                if not block:
-                    return ()
+            while block and not self._ring and not self._closed:
                 self._not_empty.wait()
             ring = self._ring
             taken = tuple([ring.popleft() for _ in range(min(self.config.chunk_size, len(ring)))])
@@ -282,10 +277,6 @@ class _Proc:
 _pid_of = operator.attrgetter("pid")
 
 
-def _insert_by_pid(procs: list[_Proc], proc: _Proc) -> None:
-    procs.insert(bisect.bisect(procs, proc.pid, key=_pid_of), proc)
-
-
 def _remove_by_pid(procs: list[_Proc], proc: _Proc) -> None:
     del procs[bisect.bisect_left(procs, proc.pid, key=_pid_of)]
 
@@ -387,7 +378,7 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
 
     def add_thread(proc: _Proc, tid: int) -> None:
         if not proc.tids:
-            _insert_by_pid(threaded, proc)
+            bisect.insort(threaded, proc, key=_pid_of)
         proc.tids.append(tid)
 
     def irp_draw(token: str) -> Callable[[], Irp]:
@@ -509,11 +500,7 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
             errors[producer_id] = exc
 
     def consume() -> None:
-        while True:
-            try:
-                chunk = pipeline.drain()
-            except PipelineClosed:
-                break
+        while chunk := pipeline.drain():
             for record in chunk:
                 out[record.global_seq - 1] = record
 

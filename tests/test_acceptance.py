@@ -21,13 +21,13 @@ from test_forest import SEQ_ZERO_PARENT, from_seq_zero, node_count_oracle
 from test_intrusion import BENIGN, MALICIOUS, trace_of_commands
 
 from lase.bench import BenchConfig, overhead, run_workload
-from lase.codec import decode_line, write_trace
+from lase.codec import decode_line, read_trace, write_trace
 from lase.diffreport import (
     ext_diff,
     operation_counts,
     overlap_from_sizes,
 )
-from lase.errors import LaseError, PipelineClosed
+from lase.errors import LaseError
 from lase.events import PROCESS_CREATE, EventRecord, Irp
 from lase.fingerprint import default_signatures, scan
 from lase.fixtures import macro_malware, macro_malware_path
@@ -117,12 +117,12 @@ def test_criterion_3_benchmark_formula_and_smoke(capsys, tmp_path):
     config = BenchConfig(target_dir=tmp_path / "bench", file_count=8,
                          small_size=4096, large_size=65536, repetitions=2,
                          instrumented=True)
-    run = run_workload(config)
+    cells = run_workload(config)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0  # < 5 min on commodity hardware
-    for cell in run.cells.values():
+    for cell in cells.values():
         assert cell.mean_kbps > 0 and cell.mean_kbps != float("inf")
-    assert run.events_drained == run.events_submitted == 8 * 4 * 2 * 2
+    assert len(read_trace(config.target_dir / "bench_events.lase")) == 8 * 4 * 2 * 2
     with capsys.disabled():
         report(3, f"all 8 reference overhead cells within ±0.01; smoke benchmark "
                   f"finished in {elapsed:.2f}s with positive finite cells")
@@ -152,11 +152,7 @@ def _drive_combo(producers: int, consumers: int, policy: BackpressurePolicy,
 
     def consumer() -> None:
         local: list[tuple[EventRecord, int]] = []
-        while True:
-            try:
-                chunk = pipeline.drain()
-            except PipelineClosed:
-                break
+        while chunk := pipeline.drain():
             with tick_lock:
                 tick = next(tick_counter)
             local.extend((r, tick) for r in chunk)

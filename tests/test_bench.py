@@ -6,11 +6,11 @@ import pytest
 
 from helpers import cells_of
 
+from lase import bench, cli
 from lase.bench import (
     OPERATIONS,
     SIZE_LABELS,
     BenchConfig,
-    CellStats,
     overhead,
     report_to_json,
     report_to_tsv,
@@ -66,9 +66,9 @@ def test_overhead_missing_cell():
 
 
 def test_smoke_workload_all_cells_finite(tmp_path):
-    run = run_workload(tiny_config(tmp_path))
-    assert set(run.cells) == {(op, size) for op in OPERATIONS for size in SIZE_LABELS}
-    for cell in run.cells.values():
+    cells = run_workload(tiny_config(tmp_path))
+    assert set(cells) == {(op, size) for op in OPERATIONS for size in SIZE_LABELS}
+    for cell in cells.values():
         assert cell.mean_kbps > 0
         assert math.isfinite(cell.mean_kbps)
         assert len(cell.samples) == 1
@@ -77,9 +77,8 @@ def test_smoke_workload_all_cells_finite(tmp_path):
 def test_repetitions_produce_same_cell_keys(tmp_path):
     one = run_workload(tiny_config(tmp_path, reps=1))
     many = run_workload(tiny_config(tmp_path, reps=3))
-    assert set(one.cells) == set(many.cells)
-    assert all(len(c.samples) == 3 for c in many.cells.values())
-    assert all(c.variance >= 0 for c in many.cells.values())
+    assert set(one) == set(many)
+    assert all(len(c.samples) == 3 for c in many.values())
 
 
 def test_file_names_deterministic():
@@ -91,10 +90,8 @@ def test_file_names_deterministic():
 
 def test_instrumented_event_count_matches_drained(tmp_path):
     config = tiny_config(tmp_path, instrumented=True, reps=2)
-    run = run_workload(config)
+    run_workload(config)
     expected = config.file_count * len(OPERATIONS) * len(SIZE_LABELS) * config.repetitions
-    assert run.events_submitted == expected
-    assert run.events_drained == expected
     trace = read_trace(tmp_path / "bench_events.lase")
     assert len(trace) == expected
     majors = {r.kind.code.major for r in trace.records}
@@ -119,7 +116,23 @@ def test_reports_render(tmp_path):
     assert doc["reread/small"]["overhead_pct"] == 5.31
 
 
-def test_cellstats_variance():
-    cell = CellStats(2.0, (1.0, 3.0))
-    assert cell.variance == 2.0
-    assert CellStats(1.0, (1.0,)).variance == 0.0
+def test_failed_phase_drops_only_its_cell(tmp_path, monkeypatch, capsys):
+    # Every read/large phase of the instrumented half fails as a full disk
+    # would, before it touches a file or records an event.
+    run_phase = bench._run_phase
+
+    def phase(op, paths, size, block, recorder):
+        if op == "read" and size == 128 and recorder is not None:
+            raise OSError(28, "No space left on device")
+        return run_phase(op, paths, size, block, recorder)
+
+    monkeypatch.setattr(bench, "_run_phase", phase)
+    code = cli.main(["bench", "--dir", str(tmp_path), "--files", "2", "--small", "64",
+                     "--large", "128", "--reps", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("bench: read/large failed: [Errno 28] No space left on device\n"
+                            "error: cell keys differ: [('read', 'large')]\n")
+    # The recorder still writes the events of the seven phases that ran.
+    assert cli.main(["validate", str(tmp_path / "bench_events.lase")]) == 0
+    assert capsys.readouterr().out.strip().endswith("14 records OK")

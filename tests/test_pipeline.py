@@ -15,7 +15,7 @@ import pytest
 from helpers import BASE_TIME, evicted_seqs
 
 from lase.codec import Trace, read_trace, write_trace
-from lase.errors import PipelineClosed, UnknownIrp
+from lase.errors import UnknownIrp
 from lase.events import PROCESS_CREATE, PROCESS_EXIT, EventRecord, Irp, kind_name
 from lase.forest import build_forest
 from lase.pipeline import (
@@ -90,14 +90,27 @@ def test_drain_on_empty_nonblocking_returns_empty_chunk():
     assert pipeline.drain(block=False) == ()
 
 
-def test_drain_after_close_raises_when_empty():
+@pytest.mark.parametrize("block", [True, False])
+def test_drain_after_close_returns_empty_when_empty(block):
     pipeline = EventPipeline()
     pipeline.submit(1, PROTO)
     pipeline.close()
     assert pipeline.submit(1, PROTO) is SubmitResult.DROPPED
-    assert len(pipeline.drain(block=False)) == 1
-    with pytest.raises(PipelineClosed):
-        pipeline.drain(block=False)
+    assert len(pipeline.drain(block=block)) == 1
+    assert pipeline.drain(block=block) == ()
+
+
+def test_close_wakes_a_blocked_drain():
+    pipeline = EventPipeline()
+    chunks: list[tuple[EventRecord, ...]] = []
+    consumer = threading.Thread(target=lambda: chunks.append(pipeline.drain()))
+    consumer.start()
+    consumer.join(0.2)
+    assert consumer.is_alive()  # blocked: the pipeline is open and empty
+    pipeline.close()
+    consumer.join(10)
+    assert not consumer.is_alive()
+    assert chunks == [()]
 
 
 def test_chunk_respects_chunk_size():
@@ -207,14 +220,9 @@ def run_threaded(producers: int, consumers: int, policy: BackpressurePolicy,
                 submission_log[pid].append(i)
 
     def consumer(cid: int) -> None:
-        while True:
-            try:
-                chunk = pipeline.drain()
-            except PipelineClosed:
-                return
-            if chunk:
-                with drained_lock:
-                    drained.append((cid, list(chunk)))
+        while chunk := pipeline.drain():
+            with drained_lock:
+                drained.append((cid, list(chunk)))
 
     consumer_threads = [threading.Thread(target=consumer, args=(c,)) for c in range(consumers)]
     producer_threads = [threading.Thread(target=producer, args=(p,)) for p in range(producers)]
@@ -271,11 +279,7 @@ def test_threaded_per_producer_order_preserved():
             assert pipeline.submit(pid, proto) is SubmitResult.ACCEPTED
 
     def consumer() -> None:
-        while True:
-            try:
-                chunk = pipeline.drain()
-            except PipelineClosed:
-                return
+        while chunk := pipeline.drain():
             with lock:
                 drained.extend(chunk)
 
@@ -322,11 +326,7 @@ def test_priority_beats_later_same_producer_nonpriority():
             pipeline.submit(pid, proto, priority=(i % 25 == 0))
 
     def consumer() -> None:
-        while True:
-            try:
-                chunk = pipeline.drain()
-            except PipelineClosed:
-                return
+        while chunk := pipeline.drain():
             with tick_lock:
                 tick = next(ticks)
                 for r in chunk:
