@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,18 +180,19 @@ def compare_corpora(dir_a: Path | str, dir_b: Path | str,
     """Aggregate a paired corpus comparison (pairing key = file stem).
 
     nonempty_only keeps only sample pairs where at least one side dropped a
-    file, mirroring a "samples with file write activity" filter. Each of the
-    workers holds one pair of decoded traces until it has summarized them.
+    file, mirroring a "samples with file write activity" filter. Pairs are
+    read one at a time on the calling thread, and each pair's decoded traces
+    are freed once they are summarized. workers stays only for callers that
+    pass 1; any other count is refused.
     """
-    if workers < 1:
-        raise ValueError(f"compare_corpora needs at least one worker, got {workers}")
+    if workers != 1:
+        raise ValueError(f"compare_corpora reads pairs one at a time; workers must be 1, got {workers}")
 
     def load(pair: tuple[str, Path, Path]) -> PairSummary:
         _, pa, pb = pair
         return _summarize(read_trace(pa), read_trace(pb))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _fold(pool.map(load, pair_directories(dir_a, dir_b)), nonempty_only)
+    return _fold(map(load, pair_directories(dir_a, dir_b)), nonempty_only)
 
 
 # --- rendering ------------------------------------------------------------

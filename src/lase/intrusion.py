@@ -16,7 +16,6 @@ where category is one of the six fixed tactic categories.
 from __future__ import annotations
 
 import re
-import statistics
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -171,7 +170,11 @@ def dwell_stats(traces: list[Trace], findings: list[list[IntrusionFinding]],
         label = labels[i] if labels else f"trace-{i}"
         sessions.append(SessionDwell(label, trace.records[0].time,
                                      found[0].time if found else None))
-    latencies = [s.latency for s in sessions if s.latency is not None]
-    mean = sum(latencies, timedelta()) / len(latencies) if latencies else None
-    median = statistics.median(latencies) if latencies else None
+    latencies = sorted(s.latency for s in sessions if s.latency is not None)
+    mean = median = None
+    if latencies:
+        mean = sum(latencies, timedelta()) / len(latencies)
+        # statistics.median's rule, without loading statistics for one call
+        mid = len(latencies) // 2
+        median = latencies[mid] if len(latencies) % 2 else (latencies[mid - 1] + latencies[mid]) / 2
     return DwellStats(tuple(sessions), mean, median, len(sessions) - len(latencies))

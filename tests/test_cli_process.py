@@ -203,11 +203,14 @@ def test_the_policy_choices_are_the_pipeline_policies():
     assert list(cli._POLICIES) == [p.value for p in BackpressurePolicy]
 
 
-def imported_lase_modules(stderr: str) -> set[str]:
+def imported_modules(stderr: str) -> set[str]:
     """Module names from the interpreter's -X importtime lines."""
-    names = (line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:"))
-    return {name for name in names if name == "lase" or name.startswith("lase.")}
+    return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def imported_lase_modules(stderr: str) -> set[str]:
+    return {name for name in imported_modules(stderr) if name == "lase" or name.startswith("lase.")}
 
 
 @pytest.mark.parametrize("command", list(IMPORTS))
@@ -217,3 +220,21 @@ def test_a_command_imports_only_the_modules_it_calls(command, fixture_path, tmp_
     code, _, err = run_lase(*argv(fixture_path, tmp_path))
     assert code == 0, err
     assert imported_lase_modules(err) == BASE | extra
+
+
+# A corpus diff reads its pairs on the main thread and the dwell median is
+# computed in place: neither command starts a thread pool or loads statistics
+# (with fractions and decimal).
+@pytest.mark.parametrize("command", ["diff", "intrude"])
+def test_diff_and_intrude_load_no_thread_pool_and_no_statistics(command, fixture_path, tmp_path,
+                                                                 monkeypatch):
+    for side in ("bare", "vm"):
+        (tmp_path / side).mkdir()
+        for stem in ("s1", "s2"):
+            (tmp_path / side / f"{stem}.lase").write_bytes(fixture_path.read_bytes())
+    argv = {"diff": ["diff", "--bare", tmp_path / "bare", "--vm", tmp_path / "vm"],
+            "intrude": ["intrude", tmp_path / "bare" / "s1.lase", tmp_path / "vm" / "s2.lase", "--dwell"]}
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    code, out, err = run_lase(*argv[command])
+    assert code == 0 and out, err
+    assert not imported_modules(err) & {"concurrent.futures", "statistics"}

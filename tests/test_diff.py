@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import build_trace
 
+from lase import diffreport
 from lase.diffreport import (
     compare_corpora,
     compare_traces,
@@ -224,7 +227,6 @@ def test_corpus_mode_pairs_by_stem(tmp_path, fixture_trace):
     report = compare_corpora(bare, vm)
     assert report.per_extension["exe"].count_a == 1
     assert report.overlap.only_a == 8
-    assert compare_corpora(bare, vm, workers=3) == report
 
     filtered = compare_corpora(bare, vm, nonempty_only=True)
     assert filtered.overlap.only_a == 8  # sample2 pair dropped, same totals
@@ -246,10 +248,28 @@ def test_a_file_pair_folds_like_a_one_pair_corpus(tmp_path, fixture_trace, sides
     assert (report.per_operation == {}) == (nonempty_only and sides == "quiet-quiet")
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_compare_corpora_refuses_fewer_than_one_worker(tmp_path, workers):
-    with pytest.raises(ValueError, match=f"at least one worker, got {workers}"):
+@pytest.mark.parametrize("workers", [0, -1, 2])
+def test_compare_corpora_refuses_any_worker_count_but_one(tmp_path, workers):
+    with pytest.raises(ValueError, match=f"reads pairs one at a time; workers must be 1, got {workers}"):
         compare_corpora(tmp_path, tmp_path, workers=workers)
+
+
+def test_compare_corpora_reads_every_pair_on_the_calling_thread(tmp_path, fixture_trace, monkeypatch):
+    from lase.codec import write_trace
+    for side in ("bare", "vm"):
+        (tmp_path / side).mkdir()
+        for stem in ("s1", "s2", "s3"):
+            write_trace(fixture_trace, tmp_path / side / f"{stem}.lase")
+    real_read_trace = diffreport.read_trace
+    readers = []
+
+    def read_trace(path):
+        readers.append((Path(path).name, threading.get_ident()))
+        return real_read_trace(path)
+
+    monkeypatch.setattr(diffreport, "read_trace", read_trace)
+    compare_corpora(tmp_path / "bare", tmp_path / "vm")
+    assert readers == [(f"s{i}.lase", threading.get_ident()) for i in (1, 1, 2, 2, 3, 3)]
 
 
 def test_tsv_report_difference_column(fixture_trace):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 from datetime import datetime, timedelta
 
 import pytest
@@ -184,6 +185,18 @@ def test_three_sessions_mean_and_median():
     assert stats.mean_latency == timedelta(hours=3)
     assert stats.median_latency == timedelta(hours=2)
     assert stats.n_clean == 0
+
+
+# The even-length lists have two middle values whose sum is an odd number of
+# microseconds, so their mean falls on a half microsecond and is rounded.
+@pytest.mark.parametrize("latencies_us", [
+    [7], [5, 1, 3], [9, 2, 2, 4, 1],
+    [1, 2], [4, 1], [3, 0, 8, 6], [1_000_001, 2_000_000, 5, 9_999_999_999],
+])
+def test_median_is_the_statistics_median(latencies_us):
+    latencies = [timedelta(microseconds=us) for us in latencies_us]
+    stats = dwell([session(datetime(2024, 1, 5), latency) for latency in latencies])
+    assert stats.median_latency == statistics.median(latencies)
 
 
 def test_mixed_sessions():
