@@ -194,86 +194,52 @@ def _parse_root(spec: str, built) -> forest.ProcessKey:
     return first
 
 
-def _io_summary_to_json(io_summary: dict) -> dict:
-    return {major: {"count": t.count, "duration_us": t.duration_us}
-            for major, t in sorted(io_summary.items())}
+def _node_doc(node: forest.ProcessNode, **extra) -> dict:
+    """A node's JSON object: the keys it has in the whole forest's document
+    and in a subtree's, and extra."""
+    return {
+        "pid": node.key.pid,
+        "birth_seq": node.key.birth_seq,
+        "image_path": node.image_path,
+        "args": node.args,
+        "io_summary": {major: {"count": t.count, "duration_us": t.duration_us}
+                       for major, t in sorted(node.io_summary.items())},
+        "children": [[c.pid, c.birth_seq] for c in node.children],
+        **extra,
+    }
+
+
+def _tree_json(doc: dict, node_doc) -> Iterator[str]:
+    """The text of json.dumps(doc, indent=2, sort_keys=True), in pieces;
+    node_doc builds each ProcessNode's dict when the encoder reaches it.
+    A tree document lists its nodes flat, each child as a [pid, birth_seq]
+    pair, so its nesting is fixed and the encoder's recursion bounded."""
+    return json.JSONEncoder(indent=2, sort_keys=True, default=node_doc).iterencode(doc)
 
 
 def _forest_json(built: forest.ProcessForest) -> Iterator[str]:
-    """The whole forest's JSON text, in pieces; each node's dict is built
-    when the encoder reaches it. Its nesting is fixed, so the encoder's
-    recursion is bounded."""
-    def node_doc(node: forest.ProcessNode) -> dict:
-        return {
-            "pid": node.key.pid,
-            "birth_seq": node.key.birth_seq,
-            "parent": [node.parent.pid, node.parent.birth_seq] if node.parent else None,
-            "image_path": node.image_path,
-            "args": node.args,
-            "threads": node.threads,
-            "images": node.images,
-            "io_summary": _io_summary_to_json(node.io_summary),
-            "children": [[c.pid, c.birth_seq] for c in node.children],
-        }
-
-    return json.JSONEncoder(indent=2, sort_keys=True, default=node_doc).iterencode({
+    """The whole forest's JSON text: every node, by birth, with its parent,
+    threads and images."""
+    return _tree_json({
         "roots": [[k.pid, k.birth_seq] for k in built.roots],
         "created": built.created_count(),
         "preexisting": built.preexisting_count(),
         "warnings": built.warnings,
         "nodes": [built.index[k] for k in sorted(built.index, key=lambda k: (k.birth_seq, k.pid))],
-    })
+    }, lambda node: _node_doc(node, threads=node.threads, images=node.images,
+                              parent=[node.parent.pid, node.parent.birth_seq] if node.parent else None))
 
 
 def _subtree_json(built: forest.ProcessForest, root: forest.ProcessKey) -> Iterator[str]:
-    """The JSON text of the subtree under root, children nested in their
-    parents, in pieces; each node's dict is built when the writer reaches
-    it. A process chain nests as deep as it is long, so this writer keeps
-    a stack, not a recursion."""
-    def node_doc(node: forest.ProcessNode) -> dict:
-        return {
-            "pid": node.key.pid,
-            "birth_seq": node.key.birth_seq,
-            "image_path": node.image_path,
-            "args": node.args,
-            "io_summary": _io_summary_to_json(node.io_summary),
-            "dropped_files": node.dropped_files,
-            "children": [built.index[c] for c in node.children],
-        }
+    """The JSON text of the subtree under root, in the whole forest's shape:
+    its nodes in the preorder render_dot prints, each with its dropped
+    files."""
+    from . import forest
 
-    return _indented(built.node(root), node_doc)
-
-
-_JSON_TYPES = (dict, list, str, int, float, type(None))  # bool is an int
-
-
-def _indented(value, default) -> Iterator[str]:
-    """The text of json.dumps(value, indent=2, sort_keys=True,
-    default=default), in pieces, for str-keyed dicts, lists and scalars.
-    default is called on any other object when the writer reaches it, so a
-    document's parts need not exist before they are written. A stack
-    replaces one recursion per level of nesting."""
-    todo: list = [(value, 0)]  # (value, depth) to write, or literal text
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            yield item
-            continue
-        value, depth = item
-        if not isinstance(value, _JSON_TYPES):
-            value = default(value)
-        if not (value and isinstance(value, (dict, list))):
-            yield json.dumps(value)
-            continue
-        pad = "\n" + "  " * depth
-        if isinstance(value, dict):
-            parts, close = ["{"], pad + "}"
-            items = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
-        else:
-            parts, close, items = ["["], pad + "]", [("", v) for v in value]
-        for i, (key, v) in enumerate(items):
-            parts += [("," if i else "") + pad + "  " + key, (v, depth + 1)]
-        todo += reversed(parts + [close])
+    return _tree_json({
+        "root": [root.pid, root.birth_seq],
+        "nodes": [node for _, node in forest.subtree(built, root)],
+    }, lambda node: _node_doc(node, dropped_files=node.dropped_files))
 
 
 # json.dumps(value, indent=2, sort_keys=True), as pieces from iterencode.
@@ -296,17 +262,11 @@ def _cmd_tree(args) -> int:
     built = forest.build_forest(Trace(reader.header, reader), activity=args.format == "json")
     for warning in built.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.root is not None:
-        root = _parse_root(args.root, built)
-        if args.format == "dot":
-            sys.stdout.write(forest.render_dot(built, root))
-        else:
-            _print_json(_subtree_json(built, root))
+    root = None if args.root is None else _parse_root(args.root, built)
+    if args.format == "dot":
+        sys.stdout.write(forest.render_dot(built, root))
     else:
-        if args.format == "dot":
-            sys.stdout.write(forest.render_dot(built))
-        else:
-            _print_json(_forest_json(built))
+        _print_json(_forest_json(built) if root is None else _subtree_json(built, root))
     return EXIT_OK
 
 

@@ -110,6 +110,26 @@ def build_trace(rows: list[tuple], base: datetime = BASE_TIME) -> Trace:
     return trace_from_records(records, TraceHeader(base_date=base.date()))
 
 
+def _creates(pairs) -> Trace:
+    """One process create per (pid, ppid), 7 ms apart, all of one image."""
+    return trace_from_records(
+        EventRecord(seq, BASE_TIME + timedelta(milliseconds=7 * seq), PROCESS_CREATE, pid=pid, ppid=ppid,
+                    image_path="C:\\bin\\a.exe")
+        for seq, (pid, ppid) in enumerate(pairs, 1))
+
+
+def chain(depth: int) -> Trace:
+    """A process chain depth long: the pre-existing pid 4 creates pid 10,
+    and each process after it is created by the one before."""
+    return _creates((10 + 2 * i, 10 + 2 * (i - 1) if i else 4) for i in range(depth))
+
+
+def fan_out(n: int) -> Trace:
+    """One parent with n children: the pre-existing pid 4 creates pid 10,
+    which creates pids 12, 14, ... in turn."""
+    return _creates([(10, 4)] + [(12 + 2 * i, 10) for i in range(n)])
+
+
 def evicted_seqs(pipeline: EventPipeline, taken: list[int]) -> list[int]:
     """The seqs a fully drained pipeline evicted: those in 1..accepted that
     no caller took out, by drain or through the priority sink.

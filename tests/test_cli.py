@@ -4,11 +4,12 @@ import gzip
 import io
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
-from helpers import build_trace, run_lase
+from helpers import build_trace, chain, fan_out, run_lase
 
 from lase import cli, forest
 from lase.cli import main
@@ -161,15 +162,8 @@ def test_tree_subtree_by_root(fixture_path, capsys):
                            "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["pid"] == 916
-    pids = set()
-
-    def collect(node):
-        pids.add(node["pid"])
-        for child in node["children"]:
-            collect(child)
-
-    collect(doc)
+    assert doc["root"][0] == doc["nodes"][0]["pid"] == 916
+    pids = {node["pid"] for node in doc["nodes"]}
     assert {7028, 11916, 7660, 10464} <= pids
     assert 10092 not in pids  # other tree
 
@@ -568,24 +562,27 @@ def test_tree_of_a_deep_process_chain(tmp_path, capsys):
     assert len(json.loads(out)["nodes"]) == depth
     code, out, err = run_cli(capsys, "tree", str(path), "--root", "4", "--format", "json")
     assert (code, err) == (0, "")
-    assert out.count('"pid": ') == depth
-    assert out.endswith('\n  "pid": 4\n}\n')
+    assert [node["pid"] for node in json.loads(out)["nodes"]] == list(range(4, 4 + depth))
 
 
-def nested_subtree_doc(built, key) -> dict:
-    """The subtree document built by recursion over forest.index: the
-    reference the iterative subtree JSON must print byte for byte through
-    json.dumps."""
-    node = built.index[key]
+def subtree_doc(built, key) -> dict:
+    """The subtree document under key, built at once: the reference the
+    JSON written node by node must print byte for byte through json.dumps."""
     return {
-        "pid": key.pid,
-        "birth_seq": key.birth_seq,
-        "image_path": node.image_path,
-        "args": node.args,
-        "io_summary": {m: {"count": t.count, "duration_us": t.duration_us}
-                       for m, t in sorted(node.io_summary.items())},
-        "dropped_files": node.dropped_files,
-        "children": [nested_subtree_doc(built, c) for c in node.children],
+        "root": [key.pid, key.birth_seq],
+        "nodes": [
+            {
+                "pid": node.key.pid,
+                "birth_seq": node.key.birth_seq,
+                "image_path": node.image_path,
+                "args": node.args,
+                "io_summary": {m: {"count": t.count, "duration_us": t.duration_us}
+                               for m, t in sorted(node.io_summary.items())},
+                "dropped_files": node.dropped_files,
+                "children": [[c.pid, c.birth_seq] for c in node.children],
+            }
+            for _, node in forest.subtree(built, key)
+        ],
     }
 
 
@@ -660,7 +657,7 @@ def test_tree_output_matches_the_one_shot_formulas(source, fixture_trace, tmp_pa
         spec = f"{key.pid}:{key.birth_seq}"
         dot = reference_dot(built, key, name=f"subtree_{key.pid}")
         assert run_cli(capsys, "tree", str(path), "--root", spec) == (0, dot, err)
-        doc = json.dumps(nested_subtree_doc(built, key), indent=2, sort_keys=True) + "\n"
+        doc = json.dumps(subtree_doc(built, key), indent=2, sort_keys=True) + "\n"
         assert run_cli(capsys, "tree", str(path), "--root", spec, "--format", "json") == (0, doc, err)
 
 
@@ -673,10 +670,49 @@ def test_subtree_json_matches_json_dumps(fixture_trace, tmp_path, capsys, depth)
     built = forest.build_forest(trace)
     # every fixture process; the chain's root, whose subtree is the whole chain
     for key in built.index if depth is None else [forest.ProcessKey(4, 0)]:
-        expected = json.dumps(nested_subtree_doc(built, key), indent=2, sort_keys=True)
+        expected = json.dumps(subtree_doc(built, key), indent=2, sort_keys=True)
         code, out, err = run_cli(capsys, "tree", str(path), "--root", f"{key.pid}:{key.birth_seq}",
                                  "--format", "json")
         assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("shape", [chain, fan_out])
+def test_tree_output_grows_linearly(shape, tmp_path, capsys):
+    # A subtree nested each child in its parent, indented by its depth, so
+    # a chain's --root JSON grew with the square of its length: 5.06 MB at
+    # 500 processes and 80.3 MB at 2,000.
+    sizes = {}
+    for n in (500, 2000):
+        path = tmp_path / f"{n}.lase"
+        write_trace(shape(n), path)
+        for flags in ([], ["--format", "json"], ["--root", "10"], ["--root", "10", "--format", "json"]):
+            code, out, err = run_cli(capsys, "tree", str(path), *flags)
+            assert (code, err) == (0, "")
+            sizes.setdefault(" ".join(flags), []).append(len(out))
+    assert {flags: big / small for flags, (small, big) in sizes.items() if big > 5 * small} == {}
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+def test_subtree_json_and_dot_list_the_same_nodes(seed, fixture_trace, tmp_path, capsys):
+    from test_injection import random_rows, trace_of
+
+    trace = fixture_trace if seed is None else trace_of(random_rows(random.Random(seed)), False)
+    path = tmp_path / "t.lase"
+    write_trace(trace, path)
+    built = forest.build_forest(trace)
+    pids = [key.pid for key in built.index]
+    assert seed is None or len(set(pids)) < len(pids)  # a pid is reused
+    for key in built.index:
+        spec = f"{key.pid}:{key.birth_seq}"
+        dot = run_cli(capsys, "tree", str(path), "--root", spec)[1]
+        dot_keys = [forest.ProcessKey(int(pid), int(birth))
+                    for pid, birth in re.findall(r"^  n(\d+)_(\d+) \[label=", dot, re.M)]
+        doc = json.loads(run_cli(capsys, "tree", str(path), "--root", spec, "--format", "json")[1])
+        assert doc["root"] == [key.pid, key.birth_seq]
+        assert [forest.ProcessKey(n["pid"], n["birth_seq"]) for n in doc["nodes"]] == dot_keys
+        for node in doc["nodes"]:
+            children = [forest.ProcessKey(*child) for child in node["children"]]
+            assert children == built.index[forest.ProcessKey(node["pid"], node["birth_seq"])].children
 
 
 def test_intrude_multiple_traces_parallel(tmp_path, capsys):

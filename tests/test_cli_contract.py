@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import BASE_TIME
+from helpers import BASE_TIME, chain
 
 from lase import cli
 from lase.codec import TraceHeader, resequence, trace_from_records, write_trace
@@ -161,12 +161,6 @@ def _reused_parent():
     return trace_from_records([_ev(i + 1, *row) for i, row in enumerate(rows)])
 
 
-def _chain(depth: int):
-    rows = [_ev(i + 1, PROCESS_CREATE, 10 + 2 * i, 10 + 2 * (i - 1) if i else 4)
-            for i in range(depth)]
-    return trace_from_records(rows)
-
-
 def _unique_paths(count: int):
     """One process that writes, reads and fails on paths that never repeat."""
     majors = ("IRP_MJ_WRITE", "IRP_MJ_READ", "IRP_MJ_WRITE", "IRP_MJ_SET_INFORMATION")
@@ -207,7 +201,7 @@ def build_inputs(root: Path) -> None:
     write_trace(syn, root / "syn.lase.gz", compress=True)
     write_trace(_shapes(), root / "shapes.lase")
     write_trace(_reused_parent(), root / "reuse.lase")
-    write_trace(_chain(2000), root / "chain.lase")
+    write_trace(chain(2000), root / "chain.lase")
     write_trace(_unique_paths(600), root / "unique.lase")
     write_trace(_with_tactics(5, TACTICS), root / "tactics.lase")
     write_trace(_with_tactics(6, TACTICS[1:2], first=True), root / "tactic-first.lase")
@@ -473,11 +467,11 @@ DIGESTS = {
     "tree-fixture-json":
         "1d967236731ff58bd42ccbe235b112f2236366d2168206eae82afaaf348caf43",
     "tree-fixture-root-json":
-        "8dcdbb806bcc72c1fcb889e49977b64037c330654b680b66e2615e694db7d35d",
+        "d26c7e1989a16a5f36039597ff59a31ef4797a13bc5c7d3add2dff25fc2f8411",
     "tree-fixture-root-dot":
         "dbe7b0f6a377f766be36ed24afea2da31f9ca884cd55bcde0bf83906e678041c",
     "tree-fixture-root-seq":
-        "82ab45a6e021dae17a891a10ec980d014885354adf1172ea956c94ad83d9554c",
+        "e981eef13acb4d6af7b7d4c2b8612c1f4a4286b66ff9abff11d585cc3db985b4",
     "tree-fixture-root-missing":
         "eee0fe3e525cfe922657c86a0dd7aa6038d74bff6db151404d8c345e3961b9b7",
     "tree-fixture-root-bad":
@@ -507,11 +501,11 @@ DIGESTS = {
     "tree-chain-json":
         "12f9b82e7ce50a4be672036e536d6b3daa569f2df64bae5066fd7878c7221f77",
     "tree-chain-root-json":
-        "f9c21284307849d4c2963e8128a3f93b1f956bf09b1111fe7aaeb04b2943d81d",
+        "34de30fc193d6a0d4814ec3c95ea38d551e04f3a12799c2c60a4e28f13f1ef49",
     "tree-chain-root-dot":
         "1ba7f351ad6e529d889701c7581610f45fc89da89de6df66aa3ba8a8dda0dae0",
     "tree-unique-root-json":
-        "db83a176123a339165a31009d7a083b0dfbfbaf30fa77fa67c0260a012c9a93d",
+        "8083acc520feb68f732a2cc20153c4638b8318ce17906389530a0ae8e518f6b5",
     "tree-stdin":
         "fe813cefdccc03fad5ea0e50c0f99747c68968815584d4af6ac3d215223e3f28",
     "tree-bad":

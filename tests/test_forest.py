@@ -664,7 +664,8 @@ def test_forest_and_diff_drop_the_same_files(fixture_trace, fixture_path, capsys
         assert dropped == dropped_files(trace)
 
     assert main(["tree", str(fixture_path), "--root", "10092", "--format", "json"]) == 0
-    excel = json.loads(capsys.readouterr().out)
+    excel = json.loads(capsys.readouterr().out)["nodes"][0]
+    assert excel["pid"] == 10092
     assert not any("ORDER SHEET & SPEC.xlsm" in p for p in excel["dropped_files"])
     assert excel["dropped_files"] == [
         "C:\\Users\\grace\\AppData\\Local...\\Temp\\DED9E0FE.xlsm",
