@@ -4,9 +4,12 @@ The workload creates a batch of files per size class, then times four
 phases per repetition: write, rewrite (overwrite in place), read, and
 reread (immediately after read, to exercise the page cache). A cell is the
 mean KB/s across repetitions; per-repetition samples are kept so
-run-to-run noise is inspectable. Instrumented mode submits one I/O event
-per file operation through the recording pipeline with a live consumer
-writing a trace, modeling the recording cost of an always-on monitor.
+run-to-run noise is inspectable. The workload runs twice: a baseline half,
+then an instrumented half that submits one I/O event per file operation
+through the recording pipeline, modeling the recording cost of an always-on
+monitor. As in the 1x1 replay, the measuring thread submits and, whenever
+the ring is full, drains it (pipeline.Recorder); no consumer thread runs.
+The recorded events are written as a trace, bench_events.lase.
 
 Overhead is |instrumented - baseline| / baseline * 100 per cell (absolute
 value: a faster instrumented run still reports positive overhead).
@@ -17,7 +20,6 @@ from __future__ import annotations
 import os
 import statistics
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime
@@ -27,7 +29,7 @@ from .codec import TraceHeader, trace_from_records, write_trace
 from .errors import MissingCell
 from .events import EventRecord, Irp
 from .irp import IrpCode
-from .pipeline import EventPipeline, PipelineConfig
+from .pipeline import PipelineConfig, Recorder
 
 OPERATIONS = ("write", "rewrite", "read", "reread")
 SIZE_LABELS = ("small", "large")
@@ -48,7 +50,6 @@ class BenchConfig:
     small_size: int = 10 * 1024
     large_size: int = 10 * 1024 * 1024
     repetitions: int = 10
-    instrumented: bool = False
 
     def __post_init__(self):
         if self.small_size <= 0 or self.large_size <= 0:
@@ -78,38 +79,8 @@ class BenchReport:
     overhead: dict[tuple[str, str], float]
 
 
-class _Recorder:
-    """Pipeline + consumer thread collecting events, written as a trace on finish."""
-
-    def __init__(self, out_path: Path):
-        self.pipeline = EventPipeline(PipelineConfig(ring_capacity=1024, chunk_size=256))
-        self.out_path = out_path
-        self._drained: list[EventRecord] = []
-        self._thread = threading.Thread(target=self._consume, daemon=True)
-        self._thread.start()
-
-    def _consume(self) -> None:
-        while chunk := self.pipeline.drain():
-            self._drained.extend(chunk)
-
-    def record(self, op: str, file_path: str, duration_us: int) -> None:
-        proto = EventRecord(
-            global_seq=0, time=datetime.now(), kind=Irp(IrpCode(_OP_MAJOR[op])),
-            pid=os.getpid(), duration_us=duration_us,
-            image_path="lase-bench", file_path=file_path,
-        )
-        self.pipeline.submit(0, proto)
-
-    def finish(self) -> None:
-        self.pipeline.close()
-        self._thread.join()
-        trace = trace_from_records(
-            self._drained, TraceHeader(base_date=datetime.now().date(), host_label="bench"))
-        write_trace(trace, self.out_path)
-
-
 def _run_phase(op: str, paths: list[Path], size: int, block: bytes,
-               recorder: _Recorder | None) -> float:
+               recorder: Recorder | None) -> float:
     """Run one phase over all files; returns elapsed seconds."""
     started = time.perf_counter()
     for path in paths:
@@ -125,46 +96,61 @@ def _run_phase(op: str, paths: list[Path], size: int, block: bytes,
                 while fh.read(BLOCK_SIZE):
                     pass
         if recorder is not None:
-            recorder.record(op, path.name, int((time.perf_counter() - op_start) * 1e6))
+            recorder.submit(EventRecord(
+                global_seq=0, time=datetime.now(), kind=Irp(IrpCode(_OP_MAJOR[op])),
+                pid=os.getpid(), duration_us=int((time.perf_counter() - op_start) * 1e6),
+                image_path="lase-bench", file_path=path.name,
+            ))
     return time.perf_counter() - started
 
 
-def run_workload(config: BenchConfig) -> dict[tuple[str, str], CellStats]:
-    """Measure one mode: KB/s per (operation, size) cell, all 8 but any
+def _measure(config: BenchConfig, recorder: Recorder | None) -> dict[tuple[str, str], CellStats]:
+    """Measure one half: KB/s per (operation, size) cell, all 8 but any
     whose phase failed."""
     target = Path(config.target_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    recorder = _Recorder(target / "bench_events.lase") if config.instrumented else None
     block = os.urandom(BLOCK_SIZE)
     samples: dict[tuple[str, str], list[float]] = {
         (op, label): [] for op in OPERATIONS for label in SIZE_LABELS
     }
     failed: set[tuple[str, str]] = set()
-    try:
-        for _rep in range(config.repetitions):
-            for label in SIZE_LABELS:
-                size = config.size_of(label)
-                paths = [target / name for name in config.file_names(label)]
-                total_kib = config.file_count * size / 1024.0
-                for op in OPERATIONS:
-                    try:
-                        elapsed = _run_phase(op, paths, size, block, recorder)
-                    except OSError as exc:
-                        # an I/O failure (e.g. no space) kills the cell only
-                        failed.add((op, label))
-                        print(f"bench: {op}/{label} failed: {exc}", file=sys.stderr)
-                        continue
-                    samples[(op, label)].append(total_kib / max(elapsed, 1e-9))
-                for path in paths:
-                    path.unlink(missing_ok=True)
-    finally:
-        if recorder is not None:
-            recorder.finish()
+    for _rep in range(config.repetitions):
+        for label in SIZE_LABELS:
+            size = config.size_of(label)
+            paths = [target / name for name in config.file_names(label)]
+            total_kib = config.file_count * size / 1024.0
+            for op in OPERATIONS:
+                try:
+                    elapsed = _run_phase(op, paths, size, block, recorder)
+                except OSError as exc:
+                    # an I/O failure (e.g. no space) kills the cell only
+                    failed.add((op, label))
+                    print(f"bench: {op}/{label} failed: {exc}", file=sys.stderr)
+                    continue
+                samples[(op, label)].append(total_kib / max(elapsed, 1e-9))
+            for path in paths:
+                path.unlink(missing_ok=True)
     return {
         key: CellStats(statistics.fmean(vals), tuple(vals))
         for key, vals in samples.items()
         if vals and key not in failed
     }
+
+
+def run_workload(config: BenchConfig) -> BenchReport:
+    """Measure the baseline half, then the instrumented half, and compare
+    them. The instrumented half's events are written to bench_events.lase
+    in target_dir, also when that half fails."""
+    target = Path(config.target_dir)
+    target.mkdir(parents=True, exist_ok=True)
+    baseline = _measure(config, None)
+    recorder = Recorder(PipelineConfig(ring_capacity=1024, chunk_size=256))
+    try:
+        instrumented = _measure(config, recorder)
+    finally:
+        trace = trace_from_records(
+            recorder.finish(), TraceHeader(base_date=datetime.now().date(), host_label="bench"))
+        write_trace(trace, target / "bench_events.lase")
+    return overhead(baseline, instrumented)
 
 
 def overhead(baseline: dict[tuple[str, str], CellStats],

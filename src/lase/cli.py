@@ -9,7 +9,6 @@ randomness flows through an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import itertools
 import json
@@ -357,13 +356,10 @@ def _cmd_intrude(args) -> int:
 def _cmd_bench(args) -> int:
     from . import bench
 
-    base_config = bench.BenchConfig(
+    report = bench.run_workload(bench.BenchConfig(
         target_dir=args.dir, file_count=args.files, small_size=args.small,
-        large_size=args.large, repetitions=args.reps, instrumented=False,
-    )
-    baseline = bench.run_workload(base_config)
-    instrumented = bench.run_workload(dataclasses.replace(base_config, instrumented=True))
-    report = bench.overhead(baseline, instrumented)
+        large_size=args.large, repetitions=args.reps,
+    ))
     out = bench.report_to_tsv(report) if args.format == "tsv" else bench.report_to_json(report)
     sys.stdout.write(out)
     return EXIT_OK

@@ -180,6 +180,30 @@ class EventPipeline:
             return len(self._ring)
 
 
+class Recorder:
+    """A pipeline one thread both submits to and drains: a submit never
+    blocks, and drains the ring into a list while it is full. The 1x1 replay
+    and bench's instrumented half record through it, with no other thread."""
+
+    def __init__(self, config: PipelineConfig | None = None):
+        self._pipeline = EventPipeline(config)
+        self._drained: list[EventRecord] = []
+
+    def _pump(self) -> None:
+        while chunk := self._pipeline.drain(block=False):
+            self._drained.extend(chunk)
+
+    def submit(self, record: EventRecord) -> None:
+        while self._pipeline.submit(0, record, block=False) is SubmitResult.WOULD_BLOCK:
+            self._pump()
+
+    def finish(self) -> list[EventRecord]:
+        """Drain the rest and close; every drained record, in sequence order."""
+        self._pump()
+        self._pipeline.close()
+        return self._drained
+
+
 # --- synthetic workloads -------------------------------------------------
 
 DEFAULT_MIX: Mapping[str, float] = {
@@ -482,7 +506,10 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
                          f"got {producers} and {consumers}")
     config = config or PipelineConfig()
     if producers == 1 and consumers == 1:
-        return _replay_single(trace, speed, config)
+        recorder = Recorder(config)
+        for record in _paced(trace.records, speed):
+            recorder.submit(record)
+        return Trace(trace.header, _resequenced(recorder.finish()))
     pipeline = EventPipeline(config)
     shards: list[list[EventRecord]] = [[] for _ in range(producers)]
     for record in trace.records:
@@ -520,22 +547,6 @@ def replay_fixture(trace: Trace, speed: float = math.inf,
             raise error
     if pipeline.stats.drained < len(out):  # evicted or refused records left holes
         out = [r for r in out if r is not None]
-    return Trace(trace.header, _resequenced(out))
-
-
-def _replay_single(trace: Trace, speed: float, config: PipelineConfig) -> Trace:
-    pipeline = EventPipeline(config)
-    out: list[EventRecord] = []
-
-    def pump() -> None:
-        while chunk := pipeline.drain(block=False):
-            out.extend(chunk)
-
-    for record in _paced(trace.records, speed):
-        while pipeline.submit(0, record, block=False) is SubmitResult.WOULD_BLOCK:
-            pump()
-    pump()
-    pipeline.close()
     return Trace(trace.header, _resequenced(out))
 
 

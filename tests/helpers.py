@@ -130,6 +130,46 @@ def fan_out(n: int) -> Trace:
     return _creates([(10, 4)] + [(12 + 2 * i, 10) for i in range(n)])
 
 
+def pid_churn(n: int) -> Trace:
+    """One pid created and exited n times, each instance a WMI host whose
+    command line adds a user (a fingerprint and an intrusion finding per
+    instance)."""
+    wmi = "C:\\Windows\\System32\\wbem\\wmiprvse.exe"
+    rows = []
+    for _ in range(n):
+        rows += [(PROCESS_CREATE, 10, 4, 0, wmi, "net user lab /add"), (PROCESS_EXIT, 10, 0, 0, wmi)]
+    return build_trace(rows)
+
+
+def threads_in_one_process(n: int) -> Trace:
+    """One process that starts n threads, then ends them in the same order."""
+    tids = range(1000, 1000 + 4 * n, 4)
+    return build_trace([(PROCESS_CREATE, 10, 4)] + [(THREAD_CREATE, 10, 0, tid) for tid in tids]
+                       + [(THREAD_EXIT, 10, 0, tid) for tid in tids])
+
+
+def remote_thread_pairs(n: int) -> Trace:
+    """n remote-thread pairs into one target: each of n live processes of
+    one image starts a thread in the target, which then loads a library."""
+    target, injector = "C:\\victim\\service.exe", "C:\\bin\\injector.exe"
+    rows = [(PROCESS_CREATE, 10, 4, 0, target), (THREAD_CREATE, 10, 0, 11, target)]
+    for i in range(n):
+        pid = 12 + 2 * i
+        rows += [(PROCESS_CREATE, pid, 4, 0, injector),
+                 (THREAD_CREATE, 10, 0, 100_000 + 4 * i, injector),
+                 (IMAGE_LOAD, 10, 0, 0, target, "", "C:\\Windows\\System32\\wbem\\wbemcomn.dll")]
+    return build_trace(rows)
+
+
+def written_paths(n: int) -> Trace:
+    """One process that writes n distinct file paths, each one a BIOS probe
+    the built-in signatures flag."""
+    write = Irp(IrpCode("IRP_MJ_WRITE"))
+    return build_trace([(PROCESS_CREATE, 10, 4)]
+                       + [(write, 10, 0, 0, "C:\\bin\\proc.exe", "", f"C:\\drop\\smbios{i}.bin")
+                          for i in range(n)])
+
+
 def evicted_seqs(pipeline: EventPipeline, taken: list[int]) -> list[int]:
     """The seqs a fully drained pipeline evicted: those in 1..accepted that
     no caller took out, by drain or through the priority sink.

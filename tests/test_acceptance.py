@@ -115,17 +115,18 @@ def test_criterion_3_benchmark_formula_and_smoke(capsys, tmp_path):
 
     started = time.perf_counter()
     config = BenchConfig(target_dir=tmp_path / "bench", file_count=8,
-                         small_size=4096, large_size=65536, repetitions=2,
-                         instrumented=True)
-    cells = run_workload(config)
+                         small_size=4096, large_size=65536, repetitions=2)
+    smoke = run_workload(config)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0  # < 5 min on commodity hardware
-    for cell in cells.values():
-        assert cell.mean_kbps > 0 and cell.mean_kbps != float("inf")
+    for cells in (smoke.baseline, smoke.instrumented):
+        assert len(cells) == 8
+        for cell in cells.values():
+            assert cell.mean_kbps > 0 and cell.mean_kbps != float("inf")
     assert len(read_trace(config.target_dir / "bench_events.lase")) == 8 * 4 * 2 * 2
     with capsys.disabled():
         report(3, f"all 8 reference overhead cells within ±0.01; smoke benchmark "
-                  f"finished in {elapsed:.2f}s with positive finite cells")
+                  f"finished in {elapsed:.2f}s with positive finite cells in both halves")
 
 
 def _drive_combo(producers: int, consumers: int, policy: BackpressurePolicy,

@@ -33,9 +33,9 @@ REFERENCE_CELLS = {
 }
 
 
-def tiny_config(tmp_path, instrumented=False, reps=1):
+def tiny_config(tmp_path, reps=1):
     return BenchConfig(target_dir=tmp_path, file_count=4, small_size=2048,
-                       large_size=8192, repetitions=reps, instrumented=instrumented)
+                       large_size=8192, repetitions=reps)
 
 
 def test_overhead_formula_reproduces_reference_cells():
@@ -66,19 +66,21 @@ def test_overhead_missing_cell():
 
 
 def test_smoke_workload_all_cells_finite(tmp_path):
-    cells = run_workload(tiny_config(tmp_path))
-    assert set(cells) == {(op, size) for op in OPERATIONS for size in SIZE_LABELS}
-    for cell in cells.values():
-        assert cell.mean_kbps > 0
-        assert math.isfinite(cell.mean_kbps)
-        assert len(cell.samples) == 1
+    report = run_workload(tiny_config(tmp_path))
+    for cells in (report.baseline, report.instrumented):
+        assert set(cells) == {(op, size) for op in OPERATIONS for size in SIZE_LABELS}
+        for cell in cells.values():
+            assert cell.mean_kbps > 0
+            assert math.isfinite(cell.mean_kbps)
+            assert len(cell.samples) == 1
 
 
 def test_repetitions_produce_same_cell_keys(tmp_path):
     one = run_workload(tiny_config(tmp_path, reps=1))
     many = run_workload(tiny_config(tmp_path, reps=3))
-    assert set(one) == set(many)
-    assert all(len(c.samples) == 3 for c in many.values())
+    assert set(one.overhead) == set(many.overhead)
+    assert all(len(c.samples) == 3 for half in (many.baseline, many.instrumented)
+               for c in half.values())
 
 
 def test_file_names_deterministic():
@@ -89,7 +91,7 @@ def test_file_names_deterministic():
 
 
 def test_instrumented_event_count_matches_drained(tmp_path):
-    config = tiny_config(tmp_path, instrumented=True, reps=2)
+    config = tiny_config(tmp_path, reps=2)
     run_workload(config)
     expected = config.file_count * len(OPERATIONS) * len(SIZE_LABELS) * config.repetitions
     trace = read_trace(tmp_path / "bench_events.lase")

@@ -19,6 +19,7 @@ import hashlib
 import io
 import shutil
 import sys
+import threading
 from datetime import timedelta
 from pathlib import Path
 
@@ -663,3 +664,26 @@ def test_a_negative_gen_count_names_its_flag(name, flag, in_inputs):
 def test_bench_exit_code(name, in_inputs):
     argv, code = BENCH[name]
     assert outcome(argv.split())[0] == code
+
+
+def _threaded(argv: list[str]) -> bool:
+    """Whether argv asks for more than one replay producer or consumer."""
+    return any(flag in ("--producers", "--consumers") and int(value) > 1
+               for flag, value in zip(argv, argv[1:]))
+
+
+def test_only_a_threaded_replay_starts_a_thread(in_inputs, monkeypatch):
+    # Every other command runs on the calling thread, bench included: with
+    # Thread.start refusing, each gives its pinned outcome.
+    def refuse(thread):
+        raise RuntimeError(f"{thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for name, argv in CASES.items():
+        if not _threaded(argv.split()):
+            assert digest(name) == DIGESTS[name], argv
+    for argv, code in BENCH.values():
+        assert outcome(argv.split())[0] == code, argv
+    code, out, err = outcome("replay fixture.lase --producers 2".split())
+    assert (code, out) == (cli.EXIT_INTERNAL, b"")
+    assert err.startswith(b"internal error: RuntimeError: ")
