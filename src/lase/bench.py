@@ -7,7 +7,7 @@ mean KB/s across repetitions; per-repetition samples are kept so
 run-to-run noise is inspectable. The workload runs twice: a baseline half,
 then an instrumented half that submits one I/O event per file operation
 through the recording pipeline, modeling the recording cost of an always-on
-monitor. As in the 1x1 replay, the measuring thread submits and, whenever
+monitor. As in replay, the measuring thread submits and, whenever
 the ring is full, drains it (pipeline.Recorder); no consumer thread runs.
 The recorded events are written as a trace, bench_events.lase.
 

@@ -70,8 +70,8 @@ def build_parser() -> _Parser:
     p.add_argument("--speed", type=float, default=0.0, help="0 = no pacing")
     p.add_argument("--out", default="-")
     p.add_argument("--compress", action="store_true")
-    p.add_argument("--producers", type=int, default=1)
-    p.add_argument("--consumers", type=int, default=1)
+    p.add_argument("--producers", type=int, default=1, help="at least 1; changes nothing")
+    p.add_argument("--consumers", type=int, default=1, help="at least 1; changes nothing")
     p.add_argument("--ring", type=int, default=64)
     p.add_argument("--chunk", type=int, default=16)
     p.add_argument("--policy", choices=_POLICIES, default="block")
@@ -164,9 +164,12 @@ def _cmd_replay(args) -> int:
     )
     if not args.speed >= 0:  # also refuses NaN
         raise LaseError(f"--speed must be 0 (no pacing) or positive, got {args.speed}")
+    # Checked, then ignored: every replay records on this thread.
+    if args.producers < 1 or args.consumers < 1:
+        raise LaseError("replay needs at least one producer and one consumer, "
+                        f"got {args.producers} and {args.consumers}")
     speed = args.speed or math.inf
-    result = pipeline.replay_fixture(trace, speed=speed, config=config,
-                                     producers=args.producers, consumers=args.consumers)
+    result = pipeline.replay_fixture(trace, speed=speed, config=config)
     _write_trace_out(result, args.out, args.compress)
     if len(result) < len(trace):
         print(f"warning: replay kept {len(result)} of {len(trace)} events (policy {args.policy})",

@@ -9,8 +9,10 @@ any later submission from the same producer can even be enqueued.
 
 Backpressure on a full ring is configurable: Block (lossless, default),
 DropOldest (evict the oldest buffered event), or Reject (refuse the new
-event). Also provides a deterministic synthetic workload generator used by
-the analysis modules' tests, and a replay driver for recorded traces.
+event). Recorder drives a pipeline from one thread, which both submits and
+drains; the replay driver for recorded traces and bench record through it,
+so lase itself starts no thread. Also provides a deterministic synthetic
+workload generator used by the analysis modules' tests.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ class EventPipeline:
 
 class Recorder:
     """A pipeline one thread both submits to and drains: a submit never
-    blocks, and drains the ring into a list while it is full. The 1x1 replay
+    blocks, and drains the ring into a list while it is full. replay_fixture
     and bench's instrumented half record through it, with no other thread."""
 
     def __init__(self, config: PipelineConfig | None = None):
@@ -487,67 +489,19 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
 
 
 def replay_fixture(trace: Trace, speed: float = math.inf,
-                   config: PipelineConfig | None = None,
-                   producers: int = 1, consumers: int = 1) -> Trace:
-    """Push a recorded trace through submit/drain, re-sequencing it.
+                   config: PipelineConfig | None = None) -> Trace:
+    """Push a recorded trace through submit/drain on the calling thread
+    (Recorder), re-sequencing it.
 
-    Under a lossless policy the output multiset (ignoring global_seq)
-    equals the input, and per-pid order is preserved: with several
-    producers, records are sharded by pid so one pid never crosses
-    producers (shard i submits as producer i), and the drained output is
-    merged by assigned sequence.
-    speed scales inter-event gaps (inf = no pacing). The single
-    producer/consumer form is fully deterministic. A producer thread's
-    error is raised here, once the pipeline is closed and every thread
-    joined.
+    Under a lossless policy the output holds the input's records in order,
+    numbered 1..N; a lossy policy keeps an ordered subset, numbered 1..K.
+    speed scales inter-event gaps (inf = no pacing); pacing never changes
+    the output.
     """
-    if producers < 1 or consumers < 1:
-        raise ValueError("replay needs at least one producer and one consumer, "
-                         f"got {producers} and {consumers}")
-    config = config or PipelineConfig()
-    if producers == 1 and consumers == 1:
-        recorder = Recorder(config)
-        for record in _paced(trace.records, speed):
-            recorder.submit(record)
-        return Trace(trace.header, _resequenced(recorder.finish()))
-    pipeline = EventPipeline(config)
-    shards: list[list[EventRecord]] = [[] for _ in range(producers)]
-    for record in trace.records:
-        shards[record.pid % producers].append(record)
-    # Each record lands in its sequence slot. Assigned seqs are unique and at
-    # most the number submitted; evicted or refused records leave holes.
-    out: list[EventRecord | None] = [None] * len(trace.records)
-    errors: list[Exception | None] = [None] * producers  # per producer; the lowest one's is raised
-
-    def produce(producer_id: int, shard: list[EventRecord]) -> None:
-        try:
-            for record in _paced(shard, speed):
-                pipeline.submit(producer_id, record)
-        except Exception as exc:
-            errors[producer_id] = exc
-
-    def consume() -> None:
-        while chunk := pipeline.drain():
-            for record in chunk:
-                out[record.global_seq - 1] = record
-
-    consumer_threads = [threading.Thread(target=consume) for _ in range(consumers)]
-    producer_threads = [threading.Thread(target=produce, args=(i, shard))
-                        for i, shard in enumerate(shards)]
-    for t in consumer_threads + producer_threads:
-        t.start()
-    for t in producer_threads:
-        t.join()
-    del shards  # free them before the output is built; each thread dropped its own
-    pipeline.close()
-    for t in consumer_threads:
-        t.join()
-    for error in errors:
-        if error is not None:
-            raise error
-    if pipeline.stats.drained < len(out):  # evicted or refused records left holes
-        out = [r for r in out if r is not None]
-    return Trace(trace.header, _resequenced(out))
+    recorder = Recorder(config)
+    for record in _paced(trace.records, speed):
+        recorder.submit(record)
+    return Trace(trace.header, _resequenced(recorder.finish()))
 
 
 def _paced(records: Iterable[EventRecord], speed: float) -> Iterator[EventRecord]:

@@ -532,7 +532,7 @@ def test_replay_reports_loss_on_stderr(fixture_path, tmp_path, capsys):
     assert (code, out, err) == (0, "", "")  # a lossless replay stays silent
 
 
-@pytest.mark.parametrize("producers, consumers", [(2, 0), (0, 2), (1, 0), (0, 1), (-1, 1)])
+@pytest.mark.parametrize("producers, consumers", [(2, 0), (0, 2), (1, 0), (0, 1), (-1, 1), (1, -1)])
 def test_replay_needs_a_producer_and_a_consumer(fixture_path, tmp_path, producers, consumers):
     # In a fresh interpreter: with no consumer the producers used to block
     # on a full ring forever.

@@ -259,6 +259,8 @@ CASES: dict[str, str] = {
     "replay-fixture": "replay fixture.lase",
     "replay-syn-gz": "replay syn.lase.gz --compress",
     "replay-lossy": "replay syn.lase --ring 4 --chunk 2 --policy drop-oldest",
+    "replay-syn-3x2": "replay syn.lase --producers 3 --consumers 2",
+    "replay-lossy-3x2": "replay syn.lase --ring 4 --chunk 2 --policy drop-oldest --producers 3 --consumers 2",
     "replay-stdin": "replay -",
     "replay-no-consumers": "replay fixture.lase --consumers 0",
     "replay-fixture-speed-tiny": "replay fixture.lase --speed 1e-300",
@@ -447,6 +449,10 @@ DIGESTS = {
         "a64f8e7a96fa24e0b3e797af76bdeb94f67bc699583831d4a7c2d5f1c8b83d25",
     "replay-lossy":
         "1bd65b58d7afadf608b6d48523a8e027c89e0fcf98e184f301be927662ffc312",
+    "replay-syn-3x2":
+        "a64f8e7a96fa24e0b3e797af76bdeb94f67bc699583831d4a7c2d5f1c8b83d25",
+    "replay-lossy-3x2":
+        "1bd65b58d7afadf608b6d48523a8e027c89e0fcf98e184f301be927662ffc312",
     "replay-stdin":
         "fc2682b5e9eb911b7a285a617794713af1a52527dee9608536a09ab4da9fd9d3",
     "replay-no-consumers":
@@ -606,13 +612,18 @@ def outcome(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, bytes]:
         sys.stdin, sys.stdout, sys.stderr = saved
 
 
-def digest(name: str) -> str:
-    """The pinned digest of a case, run from the input directory."""
-    stdin = Path(STDIN[name]).read_bytes() if name in STDIN else b""
-    code, out, err = outcome(CASES[name].split(), stdin)
+def argv_digest(argv: list[str], stdin: bytes = b"") -> str:
+    """The digest of one invocation, run from the input directory."""
+    code, out, err = outcome(argv, stdin)
     if out[:2] == b"\x1f\x8b":
         out = gzip.decompress(out)
     return hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+
+
+def digest(name: str) -> str:
+    """The pinned digest of a case."""
+    stdin = Path(STDIN[name]).read_bytes() if name in STDIN else b""
+    return argv_digest(CASES[name].split(), stdin)
 
 
 @pytest.fixture(scope="module")
@@ -672,18 +683,35 @@ def _threaded(argv: list[str]) -> bool:
                for flag, value in zip(argv, argv[1:]))
 
 
-def test_only_a_threaded_replay_starts_a_thread(in_inputs, monkeypatch):
-    # Every other command runs on the calling thread, bench included: with
-    # Thread.start refusing, each gives its pinned outcome.
+def _without_counts(argv: list[str]) -> list[str]:
+    """argv without its --producers and --consumers flags and their values."""
+    kept, args = [], iter(argv)
+    for arg in args:
+        if arg in ("--producers", "--consumers"):
+            next(args)
+        else:
+            kept.append(arg)
+    return kept
+
+
+# Generated pids are even, so a replay sharded by pid % 3 would interleave
+# three producers and change its bytes; by pid % 2 it would not.
+@pytest.mark.parametrize("name", [name for name, argv in CASES.items()
+                                  if argv.startswith("replay ") and _threaded(argv.split())])
+def test_producer_and_consumer_counts_change_no_replay(name, in_inputs):
+    assert digest(name) == argv_digest(_without_counts(CASES[name].split())), CASES[name]
+
+
+def test_no_command_starts_a_thread(in_inputs, monkeypatch):
+    # Every command runs on the calling thread, bench and replay with
+    # several producers and consumers included: with Thread.start refusing,
+    # each gives its pinned outcome.
     def refuse(thread):
         raise RuntimeError(f"{thread.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for name, argv in CASES.items():
-        if not _threaded(argv.split()):
-            assert digest(name) == DIGESTS[name], argv
+        assert digest(name) == DIGESTS[name], argv
     for argv, code in BENCH.values():
         assert outcome(argv.split())[0] == code, argv
-    code, out, err = outcome("replay fixture.lase --producers 2".split())
-    assert (code, out) == (cli.EXIT_INTERNAL, b"")
-    assert err.startswith(b"internal error: RuntimeError: ")
+    assert argv_digest("replay fixture.lase --producers 2".split()) == DIGESTS["replay-fixture"]

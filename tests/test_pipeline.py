@@ -6,7 +6,6 @@ import gc
 import io
 import itertools
 import random
-import sys
 import threading
 import tracemalloc
 
@@ -572,29 +571,12 @@ def test_lossless_single_replay_allocates_no_second_copy():
     assert peak / len(trace) < 24
 
 
-def test_replay_multi_producer_consumer(fixture_trace):
-    replayed = replay_fixture(fixture_trace, producers=3, consumers=2)
-    assert len(replayed) == 38
-    assert collections.Counter(map(record_content_key, replayed.records)) == \
-        collections.Counter(map(record_content_key, fixture_trace.records))
-    # per-pid order survives sharding (a pid never crosses producers)
-    for pid in {r.pid for r in fixture_trace.records}:
-        original = [record_content_key(r) for r in fixture_trace.records if r.pid == pid]
-        after = [record_content_key(r) for r in replayed.records if r.pid == pid]
-        assert original == after
-
-
 @pytest.mark.parametrize("seed", [3, 11])
-def test_lossy_threaded_replay_keeps_an_ordered_subset_numbered_from_one(seed):
+def test_lossy_replay_keeps_an_ordered_subset_numbered_from_one(seed):
     trace = run_synthetic(WorkloadSpec(seed=seed, events_per_producer=3000))
     config = PipelineConfig(ring_capacity=8, chunk_size=4,
                             backpressure_policy=BackpressurePolicy.DROP_OLDEST)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        replayed = replay_fixture(trace, config=config, producers=3, consumers=2)
-    finally:
-        sys.setswitchinterval(interval)
+    replayed = replay_fixture(trace, config=config)
     assert 0 < len(replayed) <= len(trace)
     assert [r.global_seq for r in replayed.records] == list(range(1, len(replayed) + 1))
     given = collections.Counter(map(record_content_key, trace.records))
@@ -606,34 +588,6 @@ def test_lossy_threaded_replay_keeps_an_ordered_subset_numbered_from_one(seed):
         assert all(record_content_key(r) in remaining for r in replayed.records if r.pid == pid)
 
 
-def test_replay_producers_submit_under_their_shard_index(fixture_trace, monkeypatch):
-    seen: set[tuple[int, int]] = set()
-    submit = EventPipeline.submit
-
-    def spy(self, producer_id, proto_event, *args, **kwargs):
-        seen.add((producer_id, proto_event.pid))
-        return submit(self, producer_id, proto_event, *args, **kwargs)
-
-    monkeypatch.setattr(EventPipeline, "submit", spy)
-    paced = replay_fixture(fixture_trace, speed=1e9, producers=3, consumers=2)
-    assert len(paced) == 38
-    assert {producer for producer, _ in seen} == {0, 1, 2}
-    assert all(producer == pid % 3 for producer, pid in seen)
-
-
-# A gap too long to sleep at this speed fails a producer thread; its error
-# reaches the caller once every thread has been joined.
-@pytest.mark.parametrize("producers, consumers", [(2, 1), (3, 2)])
-def test_a_producer_error_is_raised_after_the_threads_are_joined(fixture_trace, producers, consumers):
-    threads = threading.active_count()
+def test_a_gap_too_long_to_sleep_is_a_value_error(fixture_trace):
     with pytest.raises(ValueError, match="past the longest sleep"):
-        replay_fixture(fixture_trace, speed=1e-300, producers=producers, consumers=consumers)
-    assert threading.active_count() == threads
-
-
-# Only counts that cannot hang here: several producers and no consumer are
-# covered in a subprocess by test_cli.
-@pytest.mark.parametrize("producers, consumers", [(0, 1), (0, 2), (1, 0), (1, -1)])
-def test_replay_rejects_counts_below_one(fixture_trace, producers, consumers):
-    with pytest.raises(ValueError, match="at least one producer and one consumer"):
-        replay_fixture(fixture_trace, producers=producers, consumers=consumers)
+        replay_fixture(fixture_trace, speed=1e-300)
