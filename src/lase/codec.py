@@ -190,12 +190,13 @@ _UINT64_DIGITS = 19  # every integer this wide or narrower is at most _UINT64_MA
 
 _iso_date = Memo(date.isoformat, 16).__getitem__
 
-# Per reader: the records one reader builds share one int per distinct pid,
-# ppid, tid and duration value (a process's pid repeats on each of its
-# records, and I/O durations repeat across a trace). The table maps each
-# value to the first int of it the reader built and holds no text: a
-# canonical id text and its value map one to one. It is a local of the
-# reader's record loop, so it is freed with the reader.
+# Per read_trace call: the records of one held trace share one int per
+# distinct pid, ppid, tid and duration value (a process's pid repeats on each
+# of its records, and I/O durations repeat across a trace). The table maps
+# each value to the first int of it the read built and holds no text: a
+# canonical id text and its value map one to one. It is freed when the call
+# returns. A streaming TraceReader keeps none: its records die one at a time,
+# so a table would only hold ints that nothing reads.
 _ID_MEMO = 16384
 
 
@@ -543,12 +544,13 @@ def _blocks(stream: IO[bytes]) -> Iterator[list[str]]:
         yield from _decoded(pending, len(pending))
 
 
-def _read(source, kinds: frozenset[str] | None,
-          counted: list[int]) -> Iterator[TraceHeader | EventRecord]:
+def _read(source, kinds: frozenset[str] | None, counted: list[int],
+          read_id: Callable[[int], int]) -> Iterator[TraceHeader | EventRecord]:
     """The header, then the records (with kinds, those of the selected kinds
-    and the first, checking the rest); counts every record line in
-    counted[0]. Closes a file opened from a path however the read ends, and
-    gives every TraceError the number of the line being read."""
+    and the first, checking the rest), each id mapped through read_id; counts
+    every record line in counted[0]. Closes a file opened from a path however
+    the read ends, and gives every TraceError the number of the line being
+    read."""
     file = open(source, "rb") if isinstance(source, (str, Path)) else None
     line_no = 1  # counted up once a line is done, so a failed stream names the next
     try:
@@ -572,7 +574,6 @@ def _read(source, kinds: frozenset[str] | None,
         yield header
 
         last_seq = -1
-        read_id = Memo(_same, _ID_MEMO).__getitem__
         for line in records:
             # last_seq < 0 until the first record line, which is built.
             if (kinds is None or last_seq < 0
@@ -599,9 +600,10 @@ def _read(source, kinds: frozenset[str] | None,
 class TraceReader:
     """Streaming reader: exposes the header up front, then iterates records.
 
-    Memory use is bounded by line length, by the id table, a Memo of at
-    most _ID_MEMO ints and no text, and by the text memo, not by trace
-    size. Sequence monotonicity and per-record validation are
+    Memory use is bounded by line length and by the text memo, not by
+    trace size. Each record keeps its own id ints: records read one at a
+    time are freed one at a time, so the reader keeps no id table (see
+    read_trace). Sequence monotonicity and per-record validation are
     enforced on the fly. The reader is a single pass over the trace: every
     iter() returns the same iterator, so a later loop resumes where an
     earlier one stopped. A file the reader opened from a path is closed
@@ -621,7 +623,7 @@ class TraceReader:
             if not kinds <= KIND_NAMES:
                 raise ValueError(f"unknown event kinds {sorted(kinds - KIND_NAMES)}")
         self._counted = [0]
-        self._records = _read(source, kinds, self._counted)
+        self._records = _read(source, kinds, self._counted, int)
         # Taking the header starts the generator: its finally runs however the reader ends.
         self.header: TraceHeader = next(self._records)
 
@@ -638,9 +640,12 @@ class TraceReader:
 
 
 def read_trace(source) -> Trace:
-    """Read a full trace (plain or gzip) into memory."""
-    reader = TraceReader(source)
-    return Trace(reader.header, tuple(reader))
+    """Read a full trace (plain or gzip) into memory. The records share one
+    int per distinct id value, through a table of at most _ID_MEMO ints that
+    is freed when the call returns."""
+    records = _read(source, None, [0], Memo(_same, _ID_MEMO).__getitem__)
+    header = next(records)
+    return Trace(header, tuple(records))
 
 
 class _CountingWriter:

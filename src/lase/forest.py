@@ -26,7 +26,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
-from .codec import Trace
+from .codec import Memo, Trace
 from .errors import UnknownKey
 from .events import (
     Annotation,
@@ -295,6 +295,8 @@ class _Injections:
         self.resolver = Resolver()
         self.findings: list[InjectionFinding] = []
         self.examined = 0  # stack and heap entries looked at; read by the cost tests
+        # One normalized string per distinct image, shared by _images and _by_image.
+        self._normalized = Memo(normalize_path)
         self._images: dict[ProcessKey, str] = {}  # created process -> normalized image
         self._threaded: set[ProcessKey] = set()  # processes whose first thread was seen
         self._by_image: dict[str, list[ProcessKey]] = {}  # created processes per image, birth order
@@ -308,7 +310,7 @@ class _Injections:
             self._on_image_load(record)
         elif isinstance(kind, ProcessCreate):
             key, _ = self.resolver.create(record)
-            image = self._images[key] = normalize_path(record.image_path)
+            image = self._images[key] = self._normalized[record.image_path]
             self._by_image.setdefault(image, []).append(key)
         elif isinstance(kind, ProcessExit):
             self.resolver.exit(record)
@@ -318,7 +320,7 @@ class _Injections:
         if owner not in self._threaded:  # the first observed thread is always external
             self._threaded.add(owner)
             return
-        image = normalize_path(record.image_path)
+        image = self._normalized[record.image_path]
         if not image or image == self._images.get(owner, PRE_EXISTING_IMAGE):
             return
         # The owner is not on this stack: its image differs.

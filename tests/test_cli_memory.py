@@ -6,8 +6,9 @@ loads the modules and compiles the rules the command uses. The margin, 30%
 of the one-input peak, leaves room for what the command prints (findings,
 dwell sessions, the diff's running totals) and is below the size of one
 more decoded trace, so keeping any earlier trace alive fails the test.
-`inject-scan`'s and `tree`'s (DOT and JSON) peaks per trace record, and
-`render_dot`'s per node, are bounded on one generated trace.
+A streaming read's, `fingerprint`'s, `inject-scan`'s and `tree`'s (DOT and
+JSON) peaks per trace record, and `render_dot`'s per node, are bounded on
+one generated trace.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from lase import cli, forest
-from lase.codec import read_trace, write_trace
+from lase.codec import TraceReader, read_trace, write_trace
 from lase.pipeline import WorkloadSpec, run_synthetic
 
 COPIES = 16
@@ -81,9 +82,6 @@ def test_many_traces_peak_near_one(command, corpora):
     assert peak_many < peak_one * (1 + MARGIN), (peak_one, peak_many)
 
 
-INJECT_SCAN_BYTES_PER_RECORD = 60
-
-
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory) -> tuple[Path, int]:
     """A 20k-record generated trace with 8 injections (1,220 processes),
@@ -94,12 +92,52 @@ def generated(tmp_path_factory) -> tuple[Path, int]:
     return path, len(trace)
 
 
+STREAMING_READ_BYTES_PER_RECORD = 25
+
+
+def test_streaming_read_keeps_no_id_table(generated):
+    # A TraceReader read to its end holds a read block, its lines and the
+    # text memo: about 16 B per trace record. With a table sharing the
+    # records' id ints, which die one at a time, it was about 42 B.
+    path, records = generated
+
+    def read() -> None:
+        for _ in TraceReader(path):
+            pass
+
+    read()
+    tracemalloc.start()
+    try:
+        read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / records < STREAMING_READ_BYTES_PER_RECORD
+
+
+FINGERPRINT_BYTES_PER_RECORD = 45
+
+
+def test_fingerprint_streams_its_records(generated):
+    # fingerprint feeds each record to its matchers as it is read: about
+    # 35 B per trace record. With the reader's id table, about 57 B.
+    path, records = generated
+    argv = ["fingerprint", str(path)]
+    _run(argv, _Discard)
+    assert _peak(argv, _Discard) / records < FINGERPRINT_BYTES_PER_RECORD
+
+
+INJECT_SCAN_BYTES_PER_RECORD = 38
+
+
 def test_inject_scan_builds_only_the_records_it_reads(generated):
     # inject-scan builds the creates, exits, thread creates and image loads
     # (about a quarter of a generated trace) and feeds each to the detector
-    # as it is read: its heap peak is about 50 B per trace record. Holding
-    # the records it built until the scan, it was about 72 B; building
-    # every record, about 292 B.
+    # as it is read, keeping one normalized string per distinct image: its
+    # heap peak is about 34 B per trace record. With the reader's id table
+    # and a normalized string per create, about 43 B; holding the records
+    # it built until the scan, about 72 B; building every record, about
+    # 292 B.
     path, records = generated
     argv = ["inject-scan", str(path)]
     _run(argv)
@@ -125,14 +163,15 @@ def test_render_dot_holds_no_list_of_its_lines(generated):
     assert peak / len(built.index) < RENDER_DOT_BYTES_PER_NODE
 
 
-TREE_DOT_BYTES_PER_RECORD = 80
+TREE_DOT_BYTES_PER_RECORD = 55
 
 
 @pytest.mark.parametrize("flags", [[], ["--root", "4"]])
 def test_tree_dot_builds_no_activity(flags, generated):
     # DOT prints keys, images and edges, so its forest keeps no thread or
-    # image counts, I/O rollups or dropped files: about 64 B per trace
-    # record, whole or under the root process. With them, about 97 B.
+    # image counts, I/O rollups or dropped files: about 43 B per trace
+    # record, whole or under the root process. With the reader's id table,
+    # about 64 B; with the activity as well, about 97 B.
     path, records = generated
     argv = ["tree", str(path), *flags]
     _run(argv, _Discard)
@@ -144,9 +183,9 @@ TREE_JSON_BYTES_PER_RECORD = 120
 
 @pytest.mark.parametrize("flags", [[], ["--root", "4"]])
 def test_tree_json_is_written_as_it_is_encoded(flags, generated):
-    # About 96 B per trace record, whole or under the root process: the
-    # forest as it is built, each node's JSON dict built as it is written.
-    # Building every node's dict before the first byte peaked at about
+    # About 75 B per trace record, whole or under the root process: the
+    # forest as it is built, each node's JSON dict built as it is written
+    # (96 B with the reader's id table). Building every node's dict before the first byte peaked at about
     # 143 B (145 B under --root); encoding the whole text before printing
     # it, at about 430 B (645 B under --root).
     path, records = generated

@@ -788,8 +788,8 @@ def _encoded(trace: Trace) -> bytes:
 
 
 def _watch_id_tables(monkeypatch) -> tuple[list, list]:
-    """Weak references to every id table (the one Memo a reader makes) from
-    now on, and each table's size after each entry it adds."""
+    """Weak references to every id table (the one Memo a read_trace call
+    makes) from now on, and each table's size after each entry it adds."""
     tables, sizes = [], []
 
     class Watched(Memo):
@@ -837,15 +837,45 @@ def test_id_table_empties_at_its_bound(monkeypatch):
 
 
 def test_no_id_table_outlives_its_reader(monkeypatch, fixture_path):
+    # A streaming reader's records die one at a time, so it builds no table,
+    # whether read whole, partly or with kinds. Each read_trace builds one,
+    # which is dead once the call returns.
     tables, _ = _watch_id_tables(monkeypatch)
     data = _encoded(run_synthetic(WorkloadSpec(events_per_producer=500, seed=3)))
-    read_trace(data)
-    read_trace(fixture_path)
+    for source in (data, fixture_path):
+        for kinds in (None, {"ProcessCreate", "ThreadCreate"}):
+            assert len(tuple(TraceReader(source, kinds))) > 1
     partly = iter(TraceReader(data))
     next(partly)
+    assert tables == []
     del partly
-    assert len(tables) == 3
-    assert [table() for table in tables] == [None] * 3
+    for count, source in enumerate((data, fixture_path), 1):
+        read_trace(source)
+        assert len(tables) == count
+        assert tables[-1]() is None
+
+
+def _twenty_digit_ids() -> bytes:
+    """A trace whose pids, tids and durations have 20 digits, each value
+    on more than one record."""
+    top = 2**64 - 1
+    ids = [(top, top - 1, top), (top - 1, top, 10**19), (top, top - 1, top), (10**19, 10**19, top - 1)]
+    lines = "".join(_line(global_seq=str(seq), pid=str(pid), tid=str(tid), duration_us=str(duration)) + "\n"
+                    for seq, (pid, tid, duration) in enumerate(ids, 1))
+    return f"{MAGIC}\n#date\t2018/10/01\n{lines}".encode()
+
+
+@pytest.mark.parametrize("source", ["fixture", "injections", "twenty_digits"])
+def test_read_trace_holds_what_a_streaming_reader_yields(source, fixture_path):
+    if source == "fixture":
+        data = fixture_path
+    elif source == "injections":
+        data = _encoded(run_synthetic(WorkloadSpec(events_per_producer=2000, seed=3, injection_templates=2)))
+    else:
+        data = _twenty_digit_ids()
+    records = read_trace(data).records
+    assert len(records) > 3
+    assert records == tuple(TraceReader(data))
 
 
 def test_decoded_records_cost_at_most_221_bytes_each():
