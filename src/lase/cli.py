@@ -286,7 +286,7 @@ def _cmd_inject_scan(args) -> int:
     from . import forest
 
     # Build only the records the detector reads, and the first.
-    reader = TraceReader(_source(args.trace), forest.INJECTION_KINDS)
+    reader = TraceReader(_source(args.trace), forest.InjectionFold.kinds)
     window = {} if args.window_ms is None else {"window_ms": args.window_ms}
     findings = forest.detect_remote_thread_injection(Trace(reader.header, reader), **window)
     _write_findings(findings, args.format)
@@ -332,7 +332,7 @@ def _cmd_intrude(args) -> int:
     def scan(path: str):
         # Build only the creates the scan reads and the first record the
         # dwell statistics read; both are freed before the next trace.
-        reader = TraceReader(_source(path), intrusion.SCANNED_KINDS)
+        reader = TraceReader(_source(path), intrusion.CommandScan.kinds)
         trace = Trace(reader.header, tuple(reader))
         return intrusion.scan_commands(trace, rules), Trace(trace.header, trace.records[:1])
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .codec import Memo, Trace
 from .errors import SignatureParseError
 from .events import KIND_NAMES, Annotation, EventRecord, kind_name
-from .forest import ProcessKey, Resolver
+from .forest import ProcessKey, Resolver, folded
 
 _FIELDS = ("image_path", "file_path", "args", "annotation")
 
@@ -159,36 +159,46 @@ def default_signatures() -> list[FingerprintSignature]:
     return load_signatures(DEFAULT_SIGNATURE_TEXT)
 
 
-def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[FingerprintFinding]:
-    """One finding per (signature, process) carrying all matching evidence.
+class Scan:
+    """scan as a fold over every record."""
 
-    Each record belongs to the process instance forest.Resolver gives it,
-    the same one the process forest attributes it to. Deterministic order:
-    (first evidence seq, signature name).
-    """
-    resolve = Resolver().resolve
-    # Per matcher: hit or miss per distinct field text (a path repeats on many records).
-    entries = [(sig, mi, matcher, Memo(matcher.hits))
-               for sig in signatures for mi, matcher in enumerate(sig.matchers)]
-    # Per event kind: the matchers of that kind, then the "*" ones.
-    by_kind = {name: [e for e in entries if e[2].kind == name] + [e for e in entries if e[2].kind == "*"]
-               for name in KIND_NAMES}
-    # hits[sig_name][process][matcher_index] -> seqs
-    hits: dict[str, dict[ProcessKey, dict[int, list[int]]]] = {s.name: {} for s in signatures}
-    trace_key: dict[str, ProcessKey] = {}
-    for record in trace.records:
-        key = resolve(record)
-        for sig, mi, matcher, memo in by_kind[kind_name(record.kind)]:
+    kinds = None
+
+    def __init__(self, signatures: list[FingerprintSignature]):
+        self.signatures = signatures
+        self._resolve = Resolver().resolve
+        # Per matcher: hit or miss per distinct field text (a path repeats on many records).
+        entries = [(sig, mi, matcher, Memo(matcher.hits))
+                   for sig in signatures for mi, matcher in enumerate(sig.matchers)]
+        # Per event kind: the matchers of that kind, then the "*" ones.
+        star = [e for e in entries if e[2].kind == "*"]
+        self._by_kind = {name: [e for e in entries if e[2].kind == name] + star for name in KIND_NAMES}
+        # hits[sig_name][process][matcher_index] -> seqs
+        self._hits: dict[str, dict[ProcessKey, dict[int, list[int]]]] = {s.name: {} for s in signatures}
+        self._trace_key: dict[str, ProcessKey] = {}
+
+    def feed(self, record: EventRecord) -> None:
+        key = self._resolve(record)
+        for sig, mi, matcher, memo in self._by_kind[type(record.kind).__name__]:  # kind_name, inlined
             text = matcher.text_of(record)
             if text is not None and memo[text]:
-                group = key if sig.scope == "process" else trace_key.setdefault(sig.name, key)
-                hits[sig.name].setdefault(group, {}).setdefault(mi, []).append(record.global_seq)
-    findings = []
-    for sig in signatures:
-        for process, per_matcher in hits[sig.name].items():
-            if sig.require_all and len(per_matcher) < len(sig.matchers):
-                continue
-            evidence = sorted({seq for seqs in per_matcher.values() for seq in seqs})
-            findings.append(FingerprintFinding(sig.name, process, tuple(evidence)))
-    findings.sort(key=lambda f: (f.first_seq, f.signature))
-    return findings
+                group = key if sig.scope == "process" else self._trace_key.setdefault(sig.name, key)
+                self._hits[sig.name].setdefault(group, {}).setdefault(mi, []).append(record.global_seq)
+
+    def result(self) -> list[FingerprintFinding]:
+        findings = []
+        for sig in self.signatures:
+            for process, per_matcher in self._hits[sig.name].items():
+                if sig.require_all and len(per_matcher) < len(sig.matchers):
+                    continue
+                evidence = sorted({seq for seqs in per_matcher.values() for seq in seqs})
+                findings.append(FingerprintFinding(sig.name, process, tuple(evidence)))
+        findings.sort(key=lambda f: (f.first_seq, f.signature))
+        return findings
+
+
+def scan(trace: Trace, signatures: list[FingerprintSignature]) -> list[FingerprintFinding]:
+    """One finding per (signature, process) carrying all matching evidence,
+    each record in the process forest.Resolver (and so the forest) gives
+    it; ordered by (first evidence seq, signature name)."""
+    return folded(Scan(signatures), trace.records)

@@ -13,8 +13,8 @@ process is never named, since its image is unknown. The finding is
 upgraded when the target loads a new image shortly afterwards (the
 load-library tail of classic DLL injection). Each process's first observed
 thread is exempt, since initial threads are always created externally.
-Injection is its own fold over the INJECTION_KINDS records; the forest
-keeps no injection state.
+Each analysis is a fold driven by folded; the forest keeps no injection
+state, InjectionFold does.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .codec import Memo, Trace
 from .errors import UnknownKey
@@ -45,10 +45,6 @@ from .events import (
 PRE_EXISTING_IMAGE = "<pre-existing>"
 DEFAULT_INJECTION_WINDOW_MS = 2000
 _MAX_WINDOW_MS = timedelta.max // timedelta(milliseconds=1)  # the widest a timedelta holds
-
-# The kinds injection findings are made from; a reader may skip building
-# the others.
-INJECTION_KINDS = frozenset(k.__name__ for k in (ProcessCreate, ProcessExit, ThreadCreate, ImageLoad))
 
 
 class ProcessKey(NamedTuple):  # a tuple: the per-record node lookup hashes it in C
@@ -194,7 +190,18 @@ class Resolver:
         return self._preexisting(record.pid)
 
 
-class _Builder:
+def folded(fold, records: Iterable[EventRecord]):
+    """Feed the records in order to a fold, which reads only those of its
+    kinds (None: every kind), and return its result()."""
+    feed = fold.feed
+    for record in records:
+        feed(record)
+    return fold.result()
+
+
+class ForestFold:
+    kinds = None
+
     def __init__(self, activity: bool):
         self.activity = activity
         self.resolver = Resolver()
@@ -275,8 +282,8 @@ class _Builder:
         return ProcessForest(self.roots, self.index, self.resolver.warnings)
 
 
-class _Injections:
-    """Remote-thread injection as a fold over the INJECTION_KINDS records.
+class InjectionFold:
+    """Remote-thread injection as a fold over its kinds of records.
 
     The injector is the newest live created process of the creator's image:
     the top of that image's stack, once dead entries are popped. A target's
@@ -290,7 +297,13 @@ class _Injections:
     record names the process the forest gives it.
     """
 
+    kinds = frozenset(k.__name__ for k in (ProcessCreate, ProcessExit, ThreadCreate, ImageLoad))
+
     def __init__(self, window_ms: int):
+        if window_ms < 0:
+            raise ValueError("window_ms must be non-negative")
+        if window_ms > _MAX_WINDOW_MS:
+            raise ValueError(f"window_ms must be at most {_MAX_WINDOW_MS}")
         self.window = timedelta(milliseconds=window_ms)
         self.resolver = Resolver()
         self.findings: list[InjectionFinding] = []
@@ -348,6 +361,9 @@ class _Injections:
             if when - started <= self.window:
                 finding.confidence = InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY
 
+    def result(self) -> list[InjectionFinding]:
+        return self.findings
+
 
 def build_forest(trace: Trace, activity: bool = True) -> ProcessForest:
     """Reconstruct the process forest from a trace (deterministic).
@@ -356,24 +372,14 @@ def build_forest(trace: Trace, activity: bool = True) -> ProcessForest:
     and keeps its I/O rollup and dropped files. Without it those fields stay
     None; the keys, parents, children, images, arguments and warnings are
     the same, so a reader that prints only those (DOT) builds no more."""
-    builder = _Builder(activity)
-    for record in trace.records:
-        builder.feed(record)
-    return builder.result()
+    return folded(ForestFold(activity), trace.records)
 
 
 def detect_remote_thread_injection(trace: Trace,
                                    window_ms: int = DEFAULT_INJECTION_WINDOW_MS) -> list[InjectionFinding]:
     """Flag thread creations attributable to a different live created
-    process. Reads only the INJECTION_KINDS records of the trace."""
-    if window_ms < 0:
-        raise ValueError("window_ms must be non-negative")
-    if window_ms > _MAX_WINDOW_MS:
-        raise ValueError(f"window_ms must be at most {_MAX_WINDOW_MS}")
-    injections = _Injections(window_ms)
-    for record in trace.records:
-        injections.feed(record)
-    return injections.findings
+    process. Reads only the InjectionFold.kinds records of the trace."""
+    return folded(InjectionFold(window_ms), trace.records)
 
 
 def subtree(forest: ProcessForest, root: ProcessKey) -> list[tuple[ProcessNode | None, ProcessNode]]:

@@ -22,8 +22,8 @@ from enum import Enum
 
 from .codec import Trace
 from .errors import SignatureParseError
-from .events import ProcessCreate, path_basename
-from .forest import ProcessKey
+from .events import EventRecord, ProcessCreate, path_basename
+from .forest import ProcessKey, folded
 
 
 class Tactic(Enum):
@@ -85,29 +85,33 @@ def command_evidence(image_path: str, args: str) -> str:
     return normalize_command(f"{base} {args}")
 
 
-# The kinds scan_commands reads; a reader may skip building the others.
-SCANNED_KINDS = frozenset({ProcessCreate.__name__})
+class CommandScan:
+    """scan_commands as a fold; it reads only the creates."""
+
+    kinds = frozenset({ProcessCreate.__name__})
+
+    def __init__(self, rules: tuple[IntrusionRule, ...]):
+        self.rules = rules
+        self.findings: list[IntrusionFinding] = []
+
+    def feed(self, record: EventRecord) -> None:
+        if not isinstance(record.kind, ProcessCreate):
+            return
+        evidence = command_evidence(record.image_path, record.args)
+        for rule in self.rules:
+            if match := rule.pattern.search(evidence):
+                self.findings.append(IntrusionFinding(  # the process is forest.Resolver's key
+                    rule.category, ProcessKey(record.pid, record.global_seq), match.group(0),
+                    record.global_seq, record.time))
+
+    def result(self) -> list[IntrusionFinding]:
+        return self.findings
 
 
 def scan_commands(trace: Trace,
                   rules: tuple[IntrusionRule, ...] = DEFAULT_RULES) -> list[IntrusionFinding]:
     """Test every process-create against every rule; all matches, seq order."""
-    findings: list[IntrusionFinding] = []
-    for record in trace.records:
-        if not isinstance(record.kind, ProcessCreate):
-            continue
-        evidence = command_evidence(record.image_path, record.args)
-        for rule in rules:
-            match = rule.pattern.search(evidence)
-            if match:
-                findings.append(IntrusionFinding(
-                    category=rule.category,
-                    process=ProcessKey(record.pid, record.global_seq),  # forest.Resolver's key
-                    matched_text=match.group(0),
-                    seq=record.global_seq,
-                    time=record.time,
-                ))
-    return findings
+    return folded(CommandScan(rules), trace.records)
 
 
 def load_rules(source: str) -> tuple[IntrusionRule, ...]:

@@ -22,7 +22,9 @@ from lase.events import (
     EventRecord,
     IoMode,
     Irp,
+    ProcessCreate,
 )
+from lase.forest import PRE_EXISTING_IMAGE
 from lase.irp import FAST_IO_MAJORS, MAJOR_REGISTRY, MINOR_REGISTRY, IrpCode
 from lase.pipeline import EventPipeline
 
@@ -108,6 +110,43 @@ def build_trace(rows: list[tuple], base: datetime = BASE_TIME) -> Trace:
             image_path=image, args=args, file_path=file_path,
         ))
     return trace_from_records(records, TraceHeader(base_date=base.date()))
+
+
+# What the index rows of trace_of and random_rows pick from.
+ROW_IMAGES = ["C:\\a\\one.exe", "C:\\A\\ONE.EXE", "C:/b/two.exe", "C:\\c\\three.exe",
+              PRE_EXISTING_IMAGE, "<PRE-EXISTING>", ""]
+_WRITE = Irp(IrpCode("IRP_MJ_WRITE"))
+ROW_KINDS = [PROCESS_CREATE, PROCESS_CREATE, PROCESS_EXIT, THREAD_CREATE, THREAD_CREATE, THREAD_CREATE,
+             THREAD_EXIT, IMAGE_LOAD, IMAGE_LOAD, _WRITE, Annotation("api", "RDTSC")]
+
+
+def trace_of(rows: list[tuple[int, int, int, int, int]], self_parent_first: bool) -> Trace:
+    """A trace from (kind, pid, ppid, image, time step in ms) index rows:
+    pids are reused, time steps back as well as forward, and the creator
+    image may be the placeholder's. With self_parent_first, the first record
+    is a create at seq 0 whose ppid is its own pid."""
+    records, when, seq = [], BASE_TIME, 0
+    if self_parent_first:
+        records.append(EventRecord(0, when, PROCESS_CREATE, pid=1, ppid=1, image_path=ROW_IMAGES[0]))
+    for kind_i, pid, ppid, image_i, step in rows:
+        seq += 1
+        when += timedelta(milliseconds=step)
+        kind = ROW_KINDS[kind_i]
+        image = ROW_IMAGES[image_i]
+        if isinstance(kind, ProcessCreate) and not image:
+            image = ROW_IMAGES[0]
+        records.append(EventRecord(seq, when, kind, pid=pid, ppid=ppid if kind is PROCESS_CREATE else 0,
+                                   tid=pid * 10 + seq % 3 if kind in (THREAD_CREATE, THREAD_EXIT) else 0,
+                                   duration_us=7 if kind is _WRITE else None, image_path=image,
+                                   file_path="C:\\f.dll" if kind in (IMAGE_LOAD, _WRITE) else ""))
+    return trace_from_records(records, TraceHeader(base_date=BASE_TIME.date()))
+
+
+def random_rows(rng: random.Random) -> list[tuple[int, int, int, int, int]]:
+    """Up to 80 random index rows for trace_of."""
+    return [(rng.randrange(len(ROW_KINDS)), rng.randint(1, 6), rng.randint(0, 6),
+             rng.randrange(len(ROW_IMAGES)), rng.choice([0, 5, 40, 400, 1500, 3000, -50, -2500]))
+            for _ in range(rng.randint(1, 80))]
 
 
 def _creates(pairs) -> Trace:

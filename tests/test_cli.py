@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import build_trace, chain, fan_out, run_lase
+from helpers import build_trace, chain, fan_out, random_rows, run_lase, trace_of
 
 from lase import cli, forest
 from lase.cli import main
@@ -135,8 +135,6 @@ def one_instant(trace):
 @pytest.mark.parametrize("source", ["fixture", "generated", "pid reuse"])
 def test_tree_reads_no_record_time(source, fixture_trace, tmp_path, capsys):
     from lase.pipeline import WorkloadSpec, run_synthetic
-    from test_injection import random_rows, trace_of
-
     if source == "fixture":
         trace = fixture_trace
     elif source == "generated":
@@ -635,8 +633,6 @@ def test_tree_output_matches_the_one_shot_formulas(source, fixture_trace, tmp_pa
     # DOT is joined in batches and JSON written as it is encoded; the bytes
     # are those of one join and of json.dumps, whole and under --root.
     from lase.pipeline import WorkloadSpec, run_synthetic
-    from test_injection import random_rows, trace_of
-
     if source == "fixture":
         trace = fixture_trace
     elif source == "generated":  # more lines than one batch
@@ -694,8 +690,6 @@ def test_tree_output_grows_linearly(shape, tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [None, 3, 4, 5])
 def test_subtree_json_and_dot_list_the_same_nodes(seed, fixture_trace, tmp_path, capsys):
-    from test_injection import random_rows, trace_of
-
     trace = fixture_trace if seed is None else trace_of(random_rows(random.Random(seed)), False)
     path = tmp_path / "t.lase"
     write_trace(trace, path)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from helpers import build_trace, findings_jsonl
+from helpers import build_trace, findings_jsonl, random_rows, trace_of
 
 from lase.codec import trace_from_records
 from lase.errors import UnknownKey
@@ -28,6 +28,7 @@ from lase.events import (
 )
 from lase.forest import (
     InjectionConfidence,
+    InjectionFold,
     ProcessKey,
     Resolver,
     build_forest,
@@ -168,10 +169,19 @@ def test_remote_thread_upgraded_by_image_load_in_window():
     assert findings[0].confidence is InjectionConfidence.REMOTE_THREAD_PLUS_LOAD_LIBRARY
 
 
-def test_negative_window_is_refused():
+@pytest.mark.parametrize("window_ms, message", [
+    (-5, "window_ms must be non-negative"),
+    (10**17, "window_ms must be at most 86399999999999999"),  # the widest a timedelta holds
+])
+def test_a_window_the_fold_cannot_use_is_refused(window_ms, message):
+    # The fold itself refuses it with a ValueError, which the CLI reports as
+    # an input error (exit 2), before timedelta raises an OverflowError
+    # (exit 3).
     trace = build_trace(injection_rows(with_load=True))
-    with pytest.raises(ValueError, match="window_ms"):
-        detect_remote_thread_injection(trace, window_ms=-5)
+    for refuse in (InjectionFold, lambda w: detect_remote_thread_injection(trace, w)):
+        with pytest.raises(ValueError) as raised:
+            refuse(window_ms)
+        assert str(raised.value) == message
     assert len(detect_remote_thread_injection(trace, window_ms=0)) == 1
 
 
@@ -493,8 +503,6 @@ def outline(forest) -> tuple:
 
 
 def test_a_forest_built_without_activity_is_the_same_forest(fixture_trace):
-    from test_injection import random_rows, trace_of
-
     traces = [fixture_trace, build_trace(PATHOLOGICAL)]
     for seed in range(400):
         rng = random.Random(seed)

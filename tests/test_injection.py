@@ -1,5 +1,5 @@
 """Remote-thread injection as its own fold: the placeholder rule, findings
-that depend only on forest.INJECTION_KINDS, a brute-force reference, and
+that depend only on InjectionFold.kinds, a brute-force reference, and
 lookups whose cost per record stays flat."""
 
 from __future__ import annotations
@@ -12,19 +12,14 @@ from datetime import timedelta
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BASE_TIME, build_trace
+from helpers import BASE_TIME, ROW_IMAGES, ROW_KINDS, build_trace, random_rows, trace_of
 
-from lase.codec import Trace, TraceHeader, trace_from_records
+from lase.codec import Trace, trace_from_records
 from lase.events import (
     IMAGE_LOAD,
     PROCESS_CREATE,
-    PROCESS_EXIT,
     THREAD_CREATE,
-    THREAD_EXIT,
-    Annotation,
-    EventRecord,
     ImageLoad,
-    Irp,
     ProcessCreate,
     ProcessExit,
     ThreadCreate,
@@ -32,27 +27,25 @@ from lase.events import (
     normalize_path,
 )
 from lase.forest import (
-    INJECTION_KINDS,
     PRE_EXISTING_IMAGE,
+    ForestFold,
     InjectionConfidence,
     InjectionFinding,
+    InjectionFold,
     ProcessKey,
     ProcessNode,
     Resolver,
-    _Builder,
-    _Injections,
     build_forest,
     detect_remote_thread_injection,
+    folded,
 )
-from lase.irp import IrpCode
 
-WRITE = Irp(IrpCode("IRP_MJ_WRITE"))
 INJECTOR = "C:\\tools\\injector.exe"
 VICTIM = "C:\\apps\\victim.exe"
 
 
 def reference_injections(trace: Trace, window_ms: int) -> list:
-    """Brute force: a Resolver fed the INJECTION_KINDS records attributes
+    """Brute force: a Resolver fed the InjectionFold.kinds records attributes
     them, the injector is the live created process of the creator's image
     with the largest birth_seq, found by a scan of every created process,
     and every image load rechecks every open finding of its process. A
@@ -102,47 +95,13 @@ def reference_injections(trace: Trace, window_ms: int) -> list:
 
 
 def injection_subset(trace: Trace) -> Trace:
-    """The records a TraceReader built with INJECTION_KINDS: those kinds and
+    """The records a TraceReader built with InjectionFold.kinds: those kinds and
     the first record."""
     return Trace(trace.header, tuple(r for i, r in enumerate(trace.records)
-                                     if i == 0 or kind_name(r.kind) in INJECTION_KINDS))
+                                     if i == 0 or kind_name(r.kind) in InjectionFold.kinds))
 
 
 # --- random traces -------------------------------------------------------------
-
-IMAGES = ["C:\\a\\one.exe", "C:\\A\\ONE.EXE", "C:/b/two.exe", "C:\\c\\three.exe",
-          PRE_EXISTING_IMAGE, "<PRE-EXISTING>", ""]
-KINDS = [PROCESS_CREATE, PROCESS_CREATE, PROCESS_EXIT, THREAD_CREATE, THREAD_CREATE, THREAD_CREATE,
-         THREAD_EXIT, IMAGE_LOAD, IMAGE_LOAD, WRITE, Annotation("api", "RDTSC")]
-
-
-def trace_of(rows: list[tuple[int, int, int, int, int]], self_parent_first: bool) -> Trace:
-    """A trace from (kind, pid, ppid, image, time step in ms) index rows:
-    pids are reused, time steps back as well as forward, and the creator
-    image may be the placeholder's. With self_parent_first, the first record
-    is a create at seq 0 whose ppid is its own pid."""
-    records, when, seq = [], BASE_TIME, 0
-    if self_parent_first:
-        records.append(EventRecord(0, when, PROCESS_CREATE, pid=1, ppid=1, image_path=IMAGES[0]))
-    for kind_i, pid, ppid, image_i, step in rows:
-        seq += 1
-        when += timedelta(milliseconds=step)
-        kind = KINDS[kind_i]
-        image = IMAGES[image_i]
-        if isinstance(kind, ProcessCreate) and not image:
-            image = IMAGES[0]
-        records.append(EventRecord(seq, when, kind, pid=pid, ppid=ppid if kind is PROCESS_CREATE else 0,
-                                   tid=pid * 10 + seq % 3 if kind in (THREAD_CREATE, THREAD_EXIT) else 0,
-                                   duration_us=7 if kind is WRITE else None, image_path=image,
-                                   file_path="C:\\f.dll" if kind in (IMAGE_LOAD, WRITE) else ""))
-    return trace_from_records(records, TraceHeader(base_date=BASE_TIME.date()))
-
-
-def random_rows(rng: random.Random) -> list[tuple[int, int, int, int, int]]:
-    return [(rng.randrange(len(KINDS)), rng.randint(1, 6), rng.randint(0, 6), rng.randrange(len(IMAGES)),
-             rng.choice([0, 5, 40, 400, 1500, 3000, -50, -2500]))
-            for _ in range(rng.randint(1, 80))]
-
 
 # An Irp as pid 3's first record synthesizes (3, 0); 3 is then created,
 # exits, and is named as a parent; then 3 creates two threads.
@@ -158,8 +117,8 @@ SEQ_ZERO_REVIVED = [(2, 1, 0, 0, 5), (0, 2, 1, 2, 5), (3, 2, 0, 0, 5), (3, 2, 0,
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, len(KINDS) - 1), st.integers(1, 6), st.integers(0, 6),
-                               st.integers(0, len(IMAGES) - 1),
+@given(rows=st.lists(st.tuples(st.integers(0, len(ROW_KINDS) - 1), st.integers(1, 6), st.integers(0, 6),
+                               st.integers(0, len(ROW_IMAGES) - 1),
                                st.sampled_from([0, 5, 40, 400, 1500, 3000, -50, -2500])),
                      max_size=60),
        self_parent_first=st.booleans(), window_ms=st.integers(0, 5000))
@@ -200,7 +159,7 @@ def test_the_detector_resolves_the_injection_kinds_alone():
 def test_a_resolver_fed_any_kinds_with_the_creates_and_exits_gives_the_full_feed_keys():
     # A record's key depends only on the creates and exits before it, so a
     # pass may skip any other kind and still name the same processes.
-    optional = sorted({kind_name(k) for k in KINDS} - {"ProcessCreate", "ProcessExit"})
+    optional = sorted({kind_name(k) for k in ROW_KINDS} - {"ProcessCreate", "ProcessExit"})
     subsets = [{"ProcessCreate", "ProcessExit", *kept}
                for n in range(len(optional) + 1) for kept in itertools.combinations(optional, n)]
     assert len(subsets) == 32
@@ -271,7 +230,7 @@ def test_no_process_is_its_own_injector():
 
 
 def test_the_forest_keeps_no_injection_state():
-    assert set(vars(_Builder(activity=True))) == {
+    assert set(vars(ForestFold(activity=True))) == {
         "activity", "resolver", "roots", "index", "_live_threads"}
     # a node keeps what `tree` prints, and nothing else
     assert set(ProcessNode.__dataclass_fields__) == {
@@ -306,10 +265,8 @@ def examined_per_record(shape, k: int) -> float:
     """Stack and heap entries the detector looks at per record of shape(k);
     each shape plants k findings."""
     trace = shape(k)
-    injections = _Injections(2000)
-    for record in trace.records:
-        injections.feed(record)
-    assert len(injections.findings) == k
+    injections = InjectionFold(2000)
+    assert len(folded(injections, trace.records)) == k
     return injections.examined / len(trace.records)
 
 
