@@ -12,7 +12,6 @@ import argparse
 import gc
 import itertools
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -67,13 +66,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("replay", help="replay a trace through the pipeline")
     p.set_defaults(run=_cmd_replay)
     p.add_argument("trace")
-    p.add_argument("--speed", type=float, default=0.0, help="0 = no pacing")
     p.add_argument("--out", default="-")
     p.add_argument("--compress", action="store_true")
     p.add_argument("--producers", type=int, default=1, help="at least 1; changes nothing")
     p.add_argument("--consumers", type=int, default=1, help="at least 1; changes nothing")
     p.add_argument("--ring", type=int, default=64)
-    p.add_argument("--chunk", type=int, default=16)
     p.add_argument("--policy", choices=_POLICIES, default="block")
 
     p = sub.add_parser("tree", help="reconstruct the process forest")
@@ -159,17 +156,14 @@ def _cmd_replay(args) -> int:
 
     trace = read_trace(_source(args.trace))
     config = pipeline.PipelineConfig(
-        ring_capacity=args.ring, chunk_size=args.chunk,
+        ring_capacity=args.ring, chunk_size=args.ring,
         backpressure_policy=pipeline.BackpressurePolicy(args.policy),
     )
-    if not args.speed >= 0:  # also refuses NaN
-        raise LaseError(f"--speed must be 0 (no pacing) or positive, got {args.speed}")
     # Checked, then ignored: every replay records on this thread.
     if args.producers < 1 or args.consumers < 1:
         raise LaseError("replay needs at least one producer and one consumer, "
                         f"got {args.producers} and {args.consumers}")
-    speed = args.speed or math.inf
-    result = pipeline.replay_fixture(trace, speed=speed, config=config)
+    result = pipeline.replay_fixture(trace, config=config)
     _write_trace_out(result, args.out, args.compress)
     if len(result) < len(trace):
         print(f"warning: replay kept {len(result)} of {len(trace)} events (policy {args.policy})",

@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import operator
 import random
 import threading
-import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import Memo, Trace, TraceHeader, resequence
 from .events import (
@@ -488,36 +486,17 @@ def run_synthetic(spec: WorkloadSpec) -> Trace:
     return Trace(header, tuple(records))
 
 
-def replay_fixture(trace: Trace, speed: float = math.inf,
-                   config: PipelineConfig | None = None) -> Trace:
+def replay_fixture(trace: Trace, config: PipelineConfig | None = None) -> Trace:
     """Push a recorded trace through submit/drain on the calling thread
     (Recorder), re-sequencing it.
 
     Under a lossless policy the output holds the input's records in order,
     numbered 1..N; a lossy policy keeps an ordered subset, numbered 1..K.
-    speed scales inter-event gaps (inf = no pacing); pacing never changes
-    the output.
     """
     recorder = Recorder(config)
-    for record in _paced(trace.records, speed):
+    for record in trace.records:
         recorder.submit(record)
     return Trace(trace.header, _resequenced(recorder.finish()))
-
-
-def _paced(records: Iterable[EventRecord], speed: float) -> Iterator[EventRecord]:
-    """Yield records, first sleeping each forward time gap divided by speed
-    (inf = no pacing)."""
-    prev_time: datetime | None = None
-    for record in records:
-        if speed != math.inf and prev_time is not None:
-            gap = (record.time - prev_time).total_seconds()
-            if gap > 0:
-                try:
-                    _time.sleep(gap / speed)
-                except OverflowError:
-                    raise ValueError(f"speed {speed} stretches a {gap} s gap past the longest sleep") from None
-        prev_time = record.time
-        yield record
 
 
 def _resequenced(records: list[EventRecord]) -> tuple[EventRecord, ...]:

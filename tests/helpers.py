@@ -1,4 +1,5 @@
-"""Shared test helpers: random record generation and trace builders."""
+"""Shared test helpers: random record generation, trace builders, and the
+oracles and reference tables that more than one test module checks against."""
 
 from __future__ import annotations
 
@@ -23,8 +24,11 @@ from lase.events import (
     IoMode,
     Irp,
     ProcessCreate,
+    kind_name,
 )
-from lase.forest import PRE_EXISTING_IMAGE
+from lase.fingerprint import FingerprintFinding
+from lase.forest import PRE_EXISTING_IMAGE, ProcessKey
+from lase.intrusion import Tactic
 from lase.irp import FAST_IO_MAJORS, MAJOR_REGISTRY, MINOR_REGISTRY, IrpCode
 from lase.pipeline import EventPipeline
 
@@ -255,3 +259,198 @@ def findings_jsonl(capsys, tmp_path: Path, command: str, trace: Trace) -> str:
 def cells_of(means: dict) -> dict:
     """A bench cell map from one mean KB/s per cell, each its only sample."""
     return {key: CellStats(float(mean), (float(mean),)) for key, mean in means.items()}
+
+
+def template_trace(which: str):
+    """Dedicated synthetic template per built-in signature."""
+    rows = {
+        "calls-wmi": [
+            (PROCESS_CREATE, 80, 4, 0, "%SysWOW64%\\wbem\\WmiPrvSE.exe", "-secured -Embedding"),
+        ],
+        "direct-cpu-clock-access": [
+            (PROCESS_CREATE, 81, 4, 0, "C:\\mal\\a.exe"),
+            (Annotation("api", "QueryPerformanceCounter"), 81, 4, 0, "C:\\mal\\a.exe"),
+        ],
+        "GetTickCount": [
+            (PROCESS_CREATE, 82, 4, 0, "C:\\mal\\b.exe"),
+            (Annotation("api", "GetTickCount64"), 82, 4, 0, "C:\\mal\\b.exe"),
+        ],
+        "checks-bios": [
+            (PROCESS_CREATE, 83, 4, 0, "C:\\mal\\c.exe"),
+            (IMAGE_LOAD, 83, 4, 0, "C:\\mal\\c.exe", "", "%System32%\\smbios.dll"),
+        ],
+    }[which]
+    return build_trace(rows)
+
+
+def naive_scan_oracle(trace, signatures):
+    """Filter-then-group reference: regex filter per matcher, then resolve
+    each hit's owning process from create/exit intervals."""
+    # liveness intervals per pid: [start, end or None while live, key]; at
+    # most one is open, because a create closes the pid's live interval
+    intervals: dict[int, list[list]] = {}
+
+    def open_row(pid: int) -> list | None:
+        return next((row for row in intervals.get(pid, ()) if row[1] is None), None)
+
+    for r in trace.records:
+        name = kind_name(r.kind)
+        seq = r.global_seq
+        rows = intervals.setdefault(r.pid, [])
+        if name == "ProcessCreate":
+            live = open_row(r.pid)
+            if live is not None:
+                live[1] = seq - 1
+            if r.ppid != 0 and open_row(r.ppid) is None:
+                # a parent that is not live becomes a live (ppid, 0)
+                intervals.setdefault(r.ppid, []).append([seq, None, ProcessKey(r.ppid, 0)])
+            rows.append([seq, None, ProcessKey(r.pid, seq)])
+        elif not rows:  # a pid first seen here is the pre-existing (pid, 0)
+            rows.append([0, seq if name == "ProcessExit" else None, ProcessKey(r.pid, 0)])
+        elif name == "ProcessExit":
+            live = open_row(r.pid)
+            if live is not None:
+                live[1] = seq
+
+    def resolve(pid: int, seq: int) -> ProcessKey:
+        rows = intervals.get(pid, [])
+        open_rows = [(s, k) for s, e, k in rows if s <= seq and (e is None or seq <= e)]
+        if open_rows:
+            return max(open_rows)[1]
+        ended = [(s, k) for s, e, k in rows if e is not None and e < seq]
+        if ended:
+            return max(ended)[1]  # stale attach, same as the builder
+        return ProcessKey(pid, 0)
+
+    grouped: dict[tuple[str, ProcessKey], list[int]] = {}
+    for sig in signatures:
+        for matcher in sig.matchers:
+            for r in trace.records:
+                if matcher.matches(r):
+                    key = resolve(r.pid, r.global_seq)
+                    grouped.setdefault((sig.name, key), []).append(r.global_seq)
+    findings = [FingerprintFinding(name, key, tuple(sorted(set(seqs))))
+                for (name, key), seqs in grouped.items()]
+    findings.sort(key=lambda f: (f.first_seq, f.signature))
+    return findings
+
+
+# A child names the exited pid 9 as its parent, and 9 acts again.
+EXITED_PARENT = [
+    (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
+    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+]
+# Pid reuse: 9's first record synthesizes (9, 0), which exits; 9 is then
+# created as (9, 3) and exits, and is named as a parent before it acts again.
+REUSED_PARENT = [
+    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+    (PROCESS_EXIT, 9, 0, 0, "C:\\a\\nine.exe"),
+    (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
+    (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
+    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
+]
+
+
+def node_count_oracle(trace) -> int:
+    """Single-pass brute-force counter of distinct keys: each create's
+    (pid, seq), and the pre-existing (pid, 0) of a parent that is not live
+    or of a pid that acts before any create. A create at seq 0 is its pid's
+    (pid, 0) as well."""
+    keys: set[tuple[int, int]] = set()
+    live: set[int] = set()
+    ever_created: set[int] = set()
+    for r in trace.records:
+        name = kind_name(r.kind)
+        if name == "ProcessCreate":
+            if r.ppid != 0 and r.ppid not in live:
+                keys.add((r.ppid, 0))
+            keys.add((r.pid, r.global_seq))
+            live.add(r.pid)
+            ever_created.add(r.pid)
+        else:
+            if r.pid not in live and r.pid not in ever_created:
+                keys.add((r.pid, 0))
+            if name == "ProcessExit":
+                live.discard(r.pid)
+    return len(keys)
+
+
+def from_seq_zero(rows):
+    """build_trace numbers records from 1; these start at 0."""
+    trace = build_trace(rows)
+    return trace_from_records([r.with_seq(r.global_seq - 1) for r in trace.records], trace.header)
+
+
+# 7 is created at seq 0, so it is (7, 0); it exits and is named as a parent.
+SEQ_ZERO_PARENT = [
+    (PROCESS_CREATE, 7, 0, 0, "C:\\a\\seven.exe"),
+    (PROCESS_EXIT, 7),
+    (PROCESS_CREATE, 8, 7),
+]
+
+
+# Verbatim attacker command lines with their expected tactic.
+MALICIOUS = [
+    ("powershell.exe", "vssadmin delete shadows /all /quiet", Tactic.BACKUP_ERASURE),
+    ("cmd.exe", "/c wbadmin delete catalog -quiet", Tactic.BACKUP_ERASURE),
+    ("wmic.exe", "shadowcopy delete", Tactic.BACKUP_ERASURE),
+    ("net.exe", "user backdoor Hunter2! /add", Tactic.ACCOUNT_MANIPULATION),
+    ("cmd.exe", "/c net localgroup administrators backdoor /add", Tactic.ACCOUNT_MANIPULATION),
+    ("net.exe", "accounts /maxpwge:unlimited", Tactic.PASSWORD_POLICY),
+    ("net.exe", "accounts /maxpwage:unlimited", Tactic.PASSWORD_POLICY),
+    ("wmic.exe", "group where \"sid = 's-1-5-32-544'\" get name /value | find \"=\"",
+     Tactic.GROUP_ENUMERATION),
+    ("schtasks.exe", "/create /tn Updater /tr C:\\stage\\run.exe /sc onlogon",
+     Tactic.SCHEDULED_TASK),
+    ("reg.exe",
+     "add \"HKLM\\Software\\Microsoft\\Windows NT\\CurrentVersion\\Winlogon"
+     "\\SpecialAccounts\\Userlist\" /v support /t REG_DWORD /d 0",
+     Tactic.HIDDEN_ACCOUNT),
+]
+
+BENIGN = [
+    ("cmd.exe", "dir"),
+    ("ipconfig.exe", "/all"),
+    ("net.exe", "use \\\\server\\share"),
+    ("whoami.exe", "/groups"),
+    ("ping.exe", "-n 1 localhost"),
+    ("tasklist.exe", "/v"),
+    ("cmd.exe", "/c echo hello world"),
+    ("cmd.exe", "/c type C:\\readme.txt"),
+    ("hostname.exe", ""),
+    ("schtasks.exe", "/query /fo list"),
+]
+
+
+def trace_of_commands(commands):
+    rows = [(PROCESS_CREATE, 1000 + i, 4, 0, f"C:\\Windows\\System32\\{image}", args)
+            for i, (image, args) in enumerate(commands)]
+    return build_trace(rows)
+
+
+# Reference per-extension counts with their expected percentage cells,
+# hand-checked against (bare - vm) / vm * 100.
+REFERENCE_ROWS = [
+    ("cab", 3504, 1989, 76.2), ("pak", 8805, 7206, 22.2),
+    ("api", 22594, 7480, 202.1), ("appx", 2553, 557, 358.3),
+    ("bin", 4891, 2053, 138.2), ("cur", 6772, 2070, 227.1),
+    ("dat", 5600, 3156, 77.4), ("dll", 333946, 71361, 368.0),
+    ("exe", 2160744, 1114617, 93.9), ("js", 586494, 197952, 196.3),
+    ("pmp", 2674, 917, 191.6), ("pyd", 1278, 789, 62.0),
+    ("sequ", 4879, 1555, 213.8), ("html", 32586, 13380, 143.5),
+    ("mpp", 2888, 924, 212.6), ("pdf", 19595, 13321, 47.1),
+    ("rtf", 1355, 910, 48.9), ("x3d", 4662, 1391, 235.2),
+    ("xml", 13254, 4780, 177.3), ("eot", 2697, 871, 209.6),
+    ("otf", 25360, 7586, 234.3), ("woff", 2662, 1707, 55.9),
+    ("bmp", 1383, 169, 718.3), ("gif", 75298, 24718, 204.6),
+    ("ico", 28806, 18479, 55.9), ("jpg", 16865, 5462, 208.8),
+    ("png", 266327, 136027, 95.8), ("svg", 346531, 121429, 185.4),
+    ("aapp", 35181, 10773, 226.6), ("css", 46271, 15218, 204.1),
+    ("dic", 1873, 627, 198.7), ("ini", 13668, 4937, 176.8),
+    ("json", 21681, 1430, 1416.2), ("lnk", 1160, 912, 27.2),
+    ("log", 15285, 7987, 91.4), ("tmp", 84564, 34789, 143.1),
+    ("txt", 109031, 29770, 266.2), ("wav", 2924, 81, 3509.9),
+]

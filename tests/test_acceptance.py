@@ -14,11 +14,23 @@ import time
 
 import pytest
 
-from helpers import BASE_TIME, build_trace, cells_of, evicted_seqs
-
-from test_fingerprint import EXITED_PARENT, REUSED_PARENT, naive_scan_oracle, template_trace
-from test_forest import SEQ_ZERO_PARENT, from_seq_zero, node_count_oracle
-from test_intrusion import BENIGN, MALICIOUS, trace_of_commands
+from helpers import (
+    BASE_TIME,
+    BENIGN,
+    EXITED_PARENT,
+    MALICIOUS,
+    REFERENCE_ROWS,
+    REUSED_PARENT,
+    SEQ_ZERO_PARENT,
+    build_trace,
+    cells_of,
+    evicted_seqs,
+    from_seq_zero,
+    naive_scan_oracle,
+    node_count_oracle,
+    template_trace,
+    trace_of_commands,
+)
 
 from lase.bench import BenchConfig, overhead, run_workload
 from lase.codec import decode_line, read_trace, write_trace
@@ -40,8 +52,6 @@ from lase.pipeline import (
     WorkloadSpec,
     run_synthetic,
 )
-
-from test_diff import REFERENCE_ROWS
 
 
 def report(criterion: int, text: str) -> None:

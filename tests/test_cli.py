@@ -514,7 +514,7 @@ def test_replay_with_pipeline_knobs(fixture_path, tmp_path, capsys):
     out_path = tmp_path / "replayed.lase"
     code, _, _ = run_cli(capsys, "replay", str(fixture_path), "--out", str(out_path),
                          "--producers", "2", "--consumers", "2", "--ring", "8",
-                         "--chunk", "4", "--policy", "block")
+                         "--policy", "block")
     assert code == 0
     assert len(read_trace(out_path)) == 38
 
@@ -522,12 +522,31 @@ def test_replay_with_pipeline_knobs(fixture_path, tmp_path, capsys):
 def test_replay_reports_loss_on_stderr(fixture_path, tmp_path, capsys):
     out_path = tmp_path / "replayed.lase"
     code, out, err = run_cli(capsys, "replay", str(fixture_path), "--out", str(out_path),
-                             "--policy", "reject", "--ring", "8", "--chunk", "8")
+                             "--policy", "reject", "--ring", "8")
     assert (code, out) == (0, "")
     assert err == "warning: replay kept 8 of 38 events (policy reject)\n"
     assert len(read_trace(out_path)) == 8
     code, out, err = run_cli(capsys, "replay", str(fixture_path), "--out", str(out_path))
     assert (code, out, err) == (0, "", "")  # a lossless replay stays silent
+
+
+@pytest.mark.parametrize("policy", ["reject", "drop-oldest"])
+@pytest.mark.parametrize("ring", [1, 2, 4, 8, 64, 1024])
+def test_a_lossy_replay_keeps_one_ring_of_records(fixture_path, tmp_path, capsys, policy, ring):
+    # Nothing drains while a lossy ring fills, so reject keeps the first
+    # ring's worth of records and drop-oldest the last, renumbered from 1.
+    out_path = tmp_path / "replayed.lase"
+    code, out, err = run_cli(capsys, "replay", str(fixture_path), "--out", str(out_path),
+                             "--policy", policy, "--ring", str(ring))
+    source = read_trace(fixture_path).records
+    kept = min(ring, len(source))
+    expected = source[:kept] if policy == "reject" else source[len(source) - kept:]
+    replayed = read_trace(out_path).records
+    assert (code, out) == (0, "")
+    assert err == ("" if kept == len(source) else
+                   f"warning: replay kept {kept} of {len(source)} events (policy {policy})\n")
+    assert [r.with_seq(0) for r in replayed] == [r.with_seq(0) for r in expected]
+    assert [r.global_seq for r in replayed] == list(range(1, kept + 1))
 
 
 @pytest.mark.parametrize("producers, consumers", [(2, 0), (0, 2), (1, 0), (0, 1), (-1, 1), (1, -1)])
@@ -537,7 +556,7 @@ def test_replay_needs_a_producer_and_a_consumer(fixture_path, tmp_path, producer
     out_path = tmp_path / "replayed.lase"
     code, out, err = run_lase("replay", fixture_path, "--out", out_path,
                               "--producers", producers, "--consumers", consumers,
-                              "--ring", "8", "--chunk", "4", timeout=30)
+                              "--ring", "8", timeout=30)
     assert (code, out) == (2, "")
     assert err == (f"error: replay needs at least one producer and one consumer, "
                    f"got {producers} and {consumers}\n")

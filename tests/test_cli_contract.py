@@ -20,6 +20,7 @@ import io
 import shutil
 import sys
 import threading
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -242,6 +243,8 @@ CASES: dict[str, str] = {
     "usage-gen-producers": "gen --seed 4 --events 60 --producers 2",
     "usage-diff-workers": "diff --bare bare --vm vm --workers 2",
     "usage-bench-instrumented": "bench --dir bench --files 1 --small 64 --large 64 --reps 1 --instrumented",
+    "usage-replay-speed": "replay fixture.lase --speed 2",
+    "usage-replay-chunk": "replay fixture.lase --chunk 4",
     # validate
     "validate-fixture": "validate fixture.lase",
     "validate-fixture-gz": "validate fixture.lase.gz",
@@ -257,18 +260,13 @@ CASES: dict[str, str] = {
     "gen-negative": "gen --events -1",
     "gen-injections-negative": "gen --events 3 --injections -2",
     "replay-fixture": "replay fixture.lase",
+    "replay-fixture-ring-8": "replay fixture.lase --ring 8",
     "replay-syn-gz": "replay syn.lase.gz --compress",
-    "replay-lossy": "replay syn.lase --ring 4 --chunk 2 --policy drop-oldest",
+    "replay-lossy": "replay syn.lase --ring 4 --policy drop-oldest",
     "replay-syn-3x2": "replay syn.lase --producers 3 --consumers 2",
-    "replay-lossy-3x2": "replay syn.lase --ring 4 --chunk 2 --policy drop-oldest --producers 3 --consumers 2",
+    "replay-lossy-3x2": "replay syn.lase --ring 4 --policy drop-oldest --producers 3 --consumers 2",
     "replay-stdin": "replay -",
     "replay-no-consumers": "replay fixture.lase --consumers 0",
-    "replay-fixture-speed-tiny": "replay fixture.lase --speed 1e-300",
-    "replay-fixture-speed-tiny-threaded": "replay fixture.lase --speed 1e-300 --producers 2",
-    "replay-fixture-speed-negative": "replay fixture.lase --speed -5",
-    "replay-fixture-speed-nan": "replay fixture.lase --speed nan",
-    "replay-fixture-speed-nan-threaded": "replay fixture.lase --speed nan --producers 2",
-    "replay-empty-speed-nan": "replay empty.lase --speed nan",
     # tree
     "tree-fixture-dot": "tree fixture.lase",
     "tree-fixture-json": "tree fixture.lase --format json",
@@ -371,6 +369,10 @@ DIGESTS = {
         "03ee71347f1aa1c71190d955860191d851f14ab818bf8e14c714935bad0f3a36",
     "usage-bench-instrumented":
         "bfd3f6911c1a92fb946ba68ae0484778bf74a6013752de9f0e8666a2e1feee1f",
+    "usage-replay-speed":
+        "c7b59ddfe0834ea6525d6bb7a9eca1c19f7b547b00202ea31e2cf16ed548faac",
+    "usage-replay-chunk":
+        "cf6f11a1b964290756564e571850d8bf286bb37d5fcf0f91e2021747606018e2",
     "validate-fixture":
         "c1bc50b4277cc583e792301cf782db294fd9efa424c51ac6015f222fdbe1cf69",
     "validate-fixture-gz":
@@ -445,6 +447,8 @@ DIGESTS = {
         "91a6e6d1474978ba4cb5c3b8a1f25f795d8c2cf8619eb19e3376901e107a7a90",
     "replay-fixture":
         "fc2682b5e9eb911b7a285a617794713af1a52527dee9608536a09ab4da9fd9d3",
+    "replay-fixture-ring-8":
+        "fc2682b5e9eb911b7a285a617794713af1a52527dee9608536a09ab4da9fd9d3",
     "replay-syn-gz":
         "a64f8e7a96fa24e0b3e797af76bdeb94f67bc699583831d4a7c2d5f1c8b83d25",
     "replay-lossy":
@@ -457,18 +461,6 @@ DIGESTS = {
         "fc2682b5e9eb911b7a285a617794713af1a52527dee9608536a09ab4da9fd9d3",
     "replay-no-consumers":
         "a1689633dfa495cab90a2f14c016ee0a7f1e40a05b64db9d4efdf93dead49f33",
-    "replay-fixture-speed-tiny":
-        "2f54623ff1c257cb035429cdd368d870321fc4e00b56efbf5c1e08e62d2bf397",
-    "replay-fixture-speed-tiny-threaded":
-        "2f54623ff1c257cb035429cdd368d870321fc4e00b56efbf5c1e08e62d2bf397",
-    "replay-fixture-speed-negative":
-        "515f2d9227fe78cd5a4713b352922794cd20314d9da81d1bf514ff4ca74da346",
-    "replay-fixture-speed-nan":
-        "84d5efd3b369c60985356bfc3d20476f94420752240bc8ff801987daea9979b7",
-    "replay-fixture-speed-nan-threaded":
-        "84d5efd3b369c60985356bfc3d20476f94420752240bc8ff801987daea9979b7",
-    "replay-empty-speed-nan":
-        "84d5efd3b369c60985356bfc3d20476f94420752240bc8ff801987daea9979b7",
     "tree-fixture-dot":
         "14c9b82485adac13143f520cb13ffde59f397da9ae900dac26a7e2fcd1296d39",
     "tree-fixture-json":
@@ -647,20 +639,11 @@ def test_cli_contract(name, in_inputs):
     assert digest(name) == DIGESTS[name], CASES[name]
 
 
-@pytest.mark.parametrize("name", ["inject-fixture-window-overflow", "replay-fixture-speed-tiny",
-                                  "replay-fixture-speed-tiny-threaded"])
+@pytest.mark.parametrize("name", ["inject-fixture-window-overflow"])
 def test_a_flag_value_too_large_to_use_is_an_input_error(name, in_inputs):
     code, out, err = outcome(CASES[name].split())
     assert (code, out) == (2, b"")
     assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
-
-
-@pytest.mark.parametrize("name", ["replay-fixture-speed-negative", "replay-fixture-speed-nan",
-                                  "replay-fixture-speed-nan-threaded", "replay-empty-speed-nan"])
-def test_a_speed_below_zero_or_not_a_number_is_an_input_error(name, in_inputs):
-    code, out, err = outcome(CASES[name].split())
-    assert (code, out) == (2, b"")
-    assert err.startswith(b"error: --speed ") and err.count(b"\n") == 1, err
 
 
 @pytest.mark.parametrize("name, flag", [("gen-negative", "--events"),
@@ -669,6 +652,12 @@ def test_a_negative_gen_count_names_its_flag(name, flag, in_inputs):
     code, out, err = outcome(CASES[name].split())
     assert (code, out) == (2, b"")
     assert err.startswith(f"error: {flag} ".encode()) and err.count(b"\n") == 1, err
+
+
+@pytest.mark.parametrize("ring", [1, 2, 4, 8, 64, 1024])
+def test_any_power_of_two_ring_replays_on_its_own(ring, in_inputs):
+    # A lossless replay does not depend on the ring's size.
+    assert argv_digest(f"replay fixture.lase --ring {ring}".split()) == DIGESTS["replay-fixture"]
 
 
 @pytest.mark.parametrize("name", list(BENCH))
@@ -702,14 +691,18 @@ def test_producer_and_consumer_counts_change_no_replay(name, in_inputs):
     assert digest(name) == argv_digest(_without_counts(CASES[name].split())), CASES[name]
 
 
-def test_no_command_starts_a_thread(in_inputs, monkeypatch):
-    # Every command runs on the calling thread, bench and replay with
-    # several producers and consumers included: with Thread.start refusing,
-    # each gives its pinned outcome.
-    def refuse(thread):
+def test_no_command_starts_a_thread_or_sleeps(in_inputs, monkeypatch):
+    # Every command runs on the calling thread and never waits, bench and
+    # replay with several producers and consumers included: with
+    # Thread.start and time.sleep refusing, each gives its pinned outcome.
+    def refuse_start(thread):
         raise RuntimeError(f"{thread.name} started")
 
-    monkeypatch.setattr(threading.Thread, "start", refuse)
+    def refuse_sleep(seconds):
+        raise RuntimeError(f"slept {seconds} s")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse_start)
+    monkeypatch.setattr(time, "sleep", refuse_sleep)
     for name, argv in CASES.items():
         assert digest(name) == DIGESTS[name], argv
     for argv, code in BENCH.values():

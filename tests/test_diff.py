@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_trace
+from helpers import REFERENCE_ROWS, build_trace
 
 from lase import diffreport
 from lase.diffreport import (
@@ -34,30 +34,6 @@ from lase.pipeline import WorkloadSpec, run_synthetic
 WRITE = Irp(IrpCode("IRP_MJ_WRITE"))
 READ = Irp(IrpCode("IRP_MJ_READ"))
 CREATE = Irp(IrpCode("IRP_MJ_CREATE"))
-
-# Reference per-extension counts with their expected percentage cells,
-# hand-checked against (bare - vm) / vm * 100.
-REFERENCE_ROWS = [
-    ("cab", 3504, 1989, 76.2), ("pak", 8805, 7206, 22.2),
-    ("api", 22594, 7480, 202.1), ("appx", 2553, 557, 358.3),
-    ("bin", 4891, 2053, 138.2), ("cur", 6772, 2070, 227.1),
-    ("dat", 5600, 3156, 77.4), ("dll", 333946, 71361, 368.0),
-    ("exe", 2160744, 1114617, 93.9), ("js", 586494, 197952, 196.3),
-    ("pmp", 2674, 917, 191.6), ("pyd", 1278, 789, 62.0),
-    ("sequ", 4879, 1555, 213.8), ("html", 32586, 13380, 143.5),
-    ("mpp", 2888, 924, 212.6), ("pdf", 19595, 13321, 47.1),
-    ("rtf", 1355, 910, 48.9), ("x3d", 4662, 1391, 235.2),
-    ("xml", 13254, 4780, 177.3), ("eot", 2697, 871, 209.6),
-    ("otf", 25360, 7586, 234.3), ("woff", 2662, 1707, 55.9),
-    ("bmp", 1383, 169, 718.3), ("gif", 75298, 24718, 204.6),
-    ("ico", 28806, 18479, 55.9), ("jpg", 16865, 5462, 208.8),
-    ("png", 266327, 136027, 95.8), ("svg", 346531, 121429, 185.4),
-    ("aapp", 35181, 10773, 226.6), ("css", 46271, 15218, 204.1),
-    ("dic", 1873, 627, 198.7), ("ini", 13668, 4937, 176.8),
-    ("json", 21681, 1430, 1416.2), ("lnk", 1160, 912, 27.2),
-    ("log", 15285, 7987, 91.4), ("tmp", 84564, 34789, 143.1),
-    ("txt", 109031, 29770, 266.2), ("wav", 2924, 81, 3509.9),
-]
 
 
 def test_fixture_dropped_files(fixture_trace):

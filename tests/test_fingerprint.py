@@ -7,7 +7,15 @@ from datetime import timedelta
 
 import pytest
 
-from helpers import BASE_TIME, build_trace, findings_jsonl
+from helpers import (
+    BASE_TIME,
+    EXITED_PARENT,
+    REUSED_PARENT,
+    build_trace,
+    findings_jsonl,
+    naive_scan_oracle,
+    template_trace,
+)
 
 from lase.codec import MEMO_TEXT_CHARS, Memo, Trace, TraceHeader, trace_from_records
 from lase.errors import SignatureParseError
@@ -18,7 +26,6 @@ from lase.events import (
     Annotation,
     EventRecord,
     Irp,
-    kind_name,
 )
 from lase import fingerprint
 from lase.fingerprint import (
@@ -141,28 +148,6 @@ def test_no_matching_events_yields_empty():
     assert scan(trace, default_signatures()) == []
 
 
-def template_trace(which: str):
-    """Dedicated synthetic template per built-in signature."""
-    rows = {
-        "calls-wmi": [
-            (PROCESS_CREATE, 80, 4, 0, "%SysWOW64%\\wbem\\WmiPrvSE.exe", "-secured -Embedding"),
-        ],
-        "direct-cpu-clock-access": [
-            (PROCESS_CREATE, 81, 4, 0, "C:\\mal\\a.exe"),
-            (Annotation("api", "QueryPerformanceCounter"), 81, 4, 0, "C:\\mal\\a.exe"),
-        ],
-        "GetTickCount": [
-            (PROCESS_CREATE, 82, 4, 0, "C:\\mal\\b.exe"),
-            (Annotation("api", "GetTickCount64"), 82, 4, 0, "C:\\mal\\b.exe"),
-        ],
-        "checks-bios": [
-            (PROCESS_CREATE, 83, 4, 0, "C:\\mal\\c.exe"),
-            (IMAGE_LOAD, 83, 4, 0, "C:\\mal\\c.exe", "", "%System32%\\smbios.dll"),
-        ],
-    }[which]
-    return build_trace(rows)
-
-
 @pytest.mark.parametrize("name", ["calls-wmi", "direct-cpu-clock-access",
                                   "GetTickCount", "checks-bios"])
 def test_each_template_fires_only_its_signature(name):
@@ -217,77 +202,6 @@ def test_require_all_semantics():
     findings = scan(both, sigs)
     assert len(findings) == 1
     assert findings[0].evidence == (2, 3)
-
-
-def naive_scan_oracle(trace, signatures):
-    """Filter-then-group reference: regex filter per matcher, then resolve
-    each hit's owning process from create/exit intervals."""
-    # liveness intervals per pid: [start, end or None while live, key]; at
-    # most one is open, because a create closes the pid's live interval
-    intervals: dict[int, list[list]] = {}
-
-    def open_row(pid: int) -> list | None:
-        return next((row for row in intervals.get(pid, ()) if row[1] is None), None)
-
-    for r in trace.records:
-        name = kind_name(r.kind)
-        seq = r.global_seq
-        rows = intervals.setdefault(r.pid, [])
-        if name == "ProcessCreate":
-            live = open_row(r.pid)
-            if live is not None:
-                live[1] = seq - 1
-            if r.ppid != 0 and open_row(r.ppid) is None:
-                # a parent that is not live becomes a live (ppid, 0)
-                intervals.setdefault(r.ppid, []).append([seq, None, ProcessKey(r.ppid, 0)])
-            rows.append([seq, None, ProcessKey(r.pid, seq)])
-        elif not rows:  # a pid first seen here is the pre-existing (pid, 0)
-            rows.append([0, seq if name == "ProcessExit" else None, ProcessKey(r.pid, 0)])
-        elif name == "ProcessExit":
-            live = open_row(r.pid)
-            if live is not None:
-                live[1] = seq
-
-    def resolve(pid: int, seq: int) -> ProcessKey:
-        rows = intervals.get(pid, [])
-        open_rows = [(s, k) for s, e, k in rows if s <= seq and (e is None or seq <= e)]
-        if open_rows:
-            return max(open_rows)[1]
-        ended = [(s, k) for s, e, k in rows if e is not None and e < seq]
-        if ended:
-            return max(ended)[1]  # stale attach, same as the builder
-        return ProcessKey(pid, 0)
-
-    grouped: dict[tuple[str, ProcessKey], list[int]] = {}
-    for sig in signatures:
-        for matcher in sig.matchers:
-            for r in trace.records:
-                if matcher.matches(r):
-                    key = resolve(r.pid, r.global_seq)
-                    grouped.setdefault((sig.name, key), []).append(r.global_seq)
-    findings = [FingerprintFinding(name, key, tuple(sorted(set(seqs))))
-                for (name, key), seqs in grouped.items()]
-    findings.sort(key=lambda f: (f.first_seq, f.signature))
-    return findings
-
-
-# A child names the exited pid 9 as its parent, and 9 acts again.
-EXITED_PARENT = [
-    (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
-    (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
-    (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
-    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
-]
-# Pid reuse: 9's first record synthesizes (9, 0), which exits; 9 is then
-# created as (9, 3) and exits, and is named as a parent before it acts again.
-REUSED_PARENT = [
-    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
-    (PROCESS_EXIT, 9, 0, 0, "C:\\a\\nine.exe"),
-    (PROCESS_CREATE, 9, 4, 0, "C:\\a\\nine.exe"),
-    (PROCESS_EXIT, 9, 4, 0, "C:\\a\\nine.exe"),
-    (PROCESS_CREATE, 5, 9, 0, "C:\\a\\five.exe"),
-    (Annotation("api", "RDTSC"), 9, 0, 0, "C:\\a\\nine.exe"),
-]
 
 
 def test_oracle_takes_an_exited_parent_as_preexisting():

@@ -7,7 +7,16 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from helpers import build_trace, findings_jsonl, random_rows, trace_of
+from helpers import (
+    SEQ_ZERO_PARENT,
+    build_trace,
+    findings_jsonl,
+    from_seq_zero,
+    naive_scan_oracle,
+    node_count_oracle,
+    random_rows,
+    trace_of,
+)
 
 from lase.codec import trace_from_records
 from lase.errors import UnknownKey
@@ -253,44 +262,6 @@ def test_findings_jsonl_round_trips(capsys, tmp_path):
 
 # --- node-count oracle and interleaving invariance ---------------------------
 
-def node_count_oracle(trace) -> int:
-    """Single-pass brute-force counter of distinct keys: each create's
-    (pid, seq), and the pre-existing (pid, 0) of a parent that is not live
-    or of a pid that acts before any create. A create at seq 0 is its pid's
-    (pid, 0) as well."""
-    keys: set[tuple[int, int]] = set()
-    live: set[int] = set()
-    ever_created: set[int] = set()
-    for r in trace.records:
-        name = kind_name(r.kind)
-        if name == "ProcessCreate":
-            if r.ppid != 0 and r.ppid not in live:
-                keys.add((r.ppid, 0))
-            keys.add((r.pid, r.global_seq))
-            live.add(r.pid)
-            ever_created.add(r.pid)
-        else:
-            if r.pid not in live and r.pid not in ever_created:
-                keys.add((r.pid, 0))
-            if name == "ProcessExit":
-                live.discard(r.pid)
-    return len(keys)
-
-
-def from_seq_zero(rows):
-    """build_trace numbers records from 1; these start at 0."""
-    trace = build_trace(rows)
-    return trace_from_records([r.with_seq(r.global_seq - 1) for r in trace.records], trace.header)
-
-
-# 7 is created at seq 0, so it is (7, 0); it exits and is named as a parent.
-SEQ_ZERO_PARENT = [
-    (PROCESS_CREATE, 7, 0, 0, "C:\\a\\seven.exe"),
-    (PROCESS_EXIT, 7),
-    (PROCESS_CREATE, 8, 7),
-]
-
-
 def test_node_count_oracle_counts_a_seq_zero_create_named_as_a_parent_once():
     trace = from_seq_zero(SEQ_ZERO_PARENT)
     forest = build_forest(trace)
@@ -486,7 +457,6 @@ def test_pathological_trace_consistency():
     findings = scan(trace, sigs)
     assert [(f.signature, f.process) for f in findings] == [
         ("direct-cpu-clock-access", ProcessKey(20, 7))]
-    from test_fingerprint import naive_scan_oracle
     assert findings == naive_scan_oracle(trace, sigs)
     # parent links survive the churn
     three = forest.index[ProcessKey(20, 7)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_trace, findings_jsonl
+from helpers import BENIGN, MALICIOUS, findings_jsonl, trace_of_commands
 
 from lase import intrusion
 from lase.codec import trace_from_records
@@ -23,44 +23,6 @@ from lase.intrusion import (
     normalize_command,
     scan_commands,
 )
-
-# Verbatim attacker command lines with their expected tactic.
-MALICIOUS = [
-    ("powershell.exe", "vssadmin delete shadows /all /quiet", Tactic.BACKUP_ERASURE),
-    ("cmd.exe", "/c wbadmin delete catalog -quiet", Tactic.BACKUP_ERASURE),
-    ("wmic.exe", "shadowcopy delete", Tactic.BACKUP_ERASURE),
-    ("net.exe", "user backdoor Hunter2! /add", Tactic.ACCOUNT_MANIPULATION),
-    ("cmd.exe", "/c net localgroup administrators backdoor /add", Tactic.ACCOUNT_MANIPULATION),
-    ("net.exe", "accounts /maxpwge:unlimited", Tactic.PASSWORD_POLICY),
-    ("net.exe", "accounts /maxpwage:unlimited", Tactic.PASSWORD_POLICY),
-    ("wmic.exe", "group where \"sid = 's-1-5-32-544'\" get name /value | find \"=\"",
-     Tactic.GROUP_ENUMERATION),
-    ("schtasks.exe", "/create /tn Updater /tr C:\\stage\\run.exe /sc onlogon",
-     Tactic.SCHEDULED_TASK),
-    ("reg.exe",
-     "add \"HKLM\\Software\\Microsoft\\Windows NT\\CurrentVersion\\Winlogon"
-     "\\SpecialAccounts\\Userlist\" /v support /t REG_DWORD /d 0",
-     Tactic.HIDDEN_ACCOUNT),
-]
-
-BENIGN = [
-    ("cmd.exe", "dir"),
-    ("ipconfig.exe", "/all"),
-    ("net.exe", "use \\\\server\\share"),
-    ("whoami.exe", "/groups"),
-    ("ping.exe", "-n 1 localhost"),
-    ("tasklist.exe", "/v"),
-    ("cmd.exe", "/c echo hello world"),
-    ("cmd.exe", "/c type C:\\readme.txt"),
-    ("hostname.exe", ""),
-    ("schtasks.exe", "/query /fo list"),
-]
-
-
-def trace_of_commands(commands):
-    rows = [(PROCESS_CREATE, 1000 + i, 4, 0, f"C:\\Windows\\System32\\{image}", args)
-            for i, (image, args) in enumerate(commands)]
-    return build_trace(rows)
 
 
 @pytest.mark.parametrize("image,args,tactic", MALICIOUS)
